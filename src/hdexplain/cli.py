@@ -26,7 +26,7 @@ from .errors import (
 )
 from .explain import ExplainerConfig, build_cache, explain, explanation_to_json
 from .nnet import TrainConfig, load_model, train
-from .stein import ScoreCache, kernel_by_name, load_cache, median_heuristic_gamma
+from .stein import LinearKernel, ScoreCache, kernel_by_name, load_cache, median_heuristic_gamma
 
 __all__ = ["RunConfig", "main"]
 
@@ -288,18 +288,20 @@ def cmd_evaluate(args) -> int:
 
     dataset = dataset_from_config(cfg)
     model = train(dataset, train_config_from(cfg), hidden_dims=cfg.model.hidden_dims)
-    caches = {}
+    # each Stein variant ranks with a kernel fitted to its own cache
+    caches, kernels = {}, {}
     for method in methods:
-        variant = {"hd-explain": "raw", "hd-explain-star": "last-layer"}.get(method)
+        variant = evalharness._VARIANT_FOR_METHOD.get(method)
         if variant and variant not in caches:
             caches[variant] = build_cache(model, dataset, variant)
-    any_cache = next(iter(caches.values()), None) or build_cache(model, dataset, "raw")
-    kernel = kernel_from_config(cfg, any_cache)
+            kernels[variant] = kernel_from_config(cfg, caches[variant])
 
     rows = []
     reports = []
     for method in methods:
-        variant = {"hd-explain": "raw", "hd-explain-star": "last-layer"}.get(method, "raw")
+        variant = evalharness._VARIANT_FOR_METHOD.get(method, "raw")
+        # the baselines ignore the kernel; the config only carries top_k for them
+        kernel = kernels.get(variant, LinearKernel())
         config = ExplainerConfig(kernel=kernel, variant=variant, top_k=cfg.explainer.top_k)
         report = evalharness.hit_rate_experiment(
             model, caches.get(variant), dataset, cfg.experiment.augmentation,

@@ -31,10 +31,9 @@ from .stein import (
     BaseKernel,
     RBFKernel,
     ScoreCache,
-    SteinPoint,
-    ksd_vstat,
     make_stein_points,
     median_heuristic_gamma,
+    stein_gram,
 )
 
 __all__ = [
@@ -312,8 +311,7 @@ def ksd_shift_experiment(model: MLPClassifier, dataset: Dataset, shifts,
     results = []
     for shift, delta in deltas:
         z, scores = make_stein_points(model, dataset.features + delta, dataset.labels, "raw")
-        points = [SteinPoint(z[i], scores[i]) for i in range(len(z))]
-        results.append((shift, ksd_vstat(points, kernel).value))
+        results.append((shift, float(stein_gram(kernel, z, scores).mean())))
     return results
 
 

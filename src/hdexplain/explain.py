@@ -22,8 +22,8 @@ from .nnet import MLPClassifier
 from .stein import (
     BaseKernel,
     ScoreCache,
+    _stein_diagonal,
     make_stein_points,
-    stein_kernel,
     stein_kernel_profile,
 )
 
@@ -115,7 +115,8 @@ def explain(model: MLPClassifier, cache: ScoreCache, x_test, config: ExplainerCo
     proba = model.predict_proba(x_test)
     predicted = int(np.argmax(proba))
     z, score = make_stein_points(model, x_test[None, :], [predicted], config.variant)
-    values = stein_kernel_profile(config.kernel, cache.z, cache.scores, z[0], score[0])
+    values = stein_kernel_profile(config.kernel, cache.z, cache.scores, z[0], score[0],
+                                  row_stats=cache.row_stats)
     # sort by value descending, ties by ascending original index
     order = np.lexsort((np.arange(cache.n), -values))[: config.top_k]
     ranked = [(int(i), float(values[i]), int(cache.labels[i])) for i in order]
@@ -147,9 +148,10 @@ def self_influence_ranking(cache: ScoreCache, kernel: BaseKernel) -> list[tuple[
     """Training points ranked by their diagonal Stein-kernel value, descending.
 
     High self-kernel values flag candidates for label errors: a large score
-    norm (confidently contradicted label) dominates the diagonal.
+    norm (confidently contradicted label) dominates the diagonal. For a radial
+    kernel the diagonal is an increasing function of ``||s||`` alone.
     """
-    diag = np.array([stein_kernel(kernel, cache.point(i), cache.point(i)) for i in range(cache.n)])
+    diag = _stein_diagonal(kernel, cache.scores, cache.row_stats)
     order = np.lexsort((np.arange(cache.n), -diag))
     return [(int(i), float(diag[i])) for i in order]
 

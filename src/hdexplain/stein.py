@@ -11,12 +11,25 @@ classifier, ``z = [x || onehot(y)]`` and the score concatenates the gradient
 of the class-y log-probability with the full log-probability vector; see
 :func:`make_stein_point`. Training points carry their ground-truth label,
 test points the model's prediction.
+
+Every kernel here is radial, ``k = phi(r2)`` with ``r2 = ||z_a - z_b||^2``, or
+the dot product, so a Stein value is a closed form in inner products (Liu, Lee
+& Jordan, ICML 2016; Gorham & Mackey, ICML 2017 for IMQ):
+
+    radial:  -2 D phi' - 4 r2 phi'' + phi (s_a . s_b)
+             + 2 phi' [(z_a - z_b) . s_b - (z_a - z_b) . s_a]
+    linear:  D + (z_a . z_b)(s_a . s_b) + z_b . s_b + z_a . s_a
+
+Against a block of queries these are two matrix products over the cached rows
+plus per-row ``||z||^2`` and ``z . s``. At r2 = 0 a radial kernel gives
+``-2 D phi'(0) + phi(0) ||s||^2``: self-influence ranking with RBF or IMQ is
+exactly a ranking by score norm.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -27,6 +40,7 @@ from .errors import ModelFormatError, UnsupportedVariantError
 __all__ = [
     "BaseKernel",
     "LinearKernel",
+    "RadialKernel",
     "RBFKernel",
     "IMQKernel",
     "kernel_by_name",
@@ -76,12 +90,9 @@ def _check_pair(za, zb):
 
 
 class BaseKernel:
-    """Scalar kernel interface plus vectorized forms against a fixed point.
-
-    ``eval``, ``grad_a``, ``grad_b`` and ``trace_hessian`` operate on a pair
-    of equal-length vectors. The ``*_many`` forms take a matrix of rows
-    playing the first argument against one fixed second argument; they exist
-    so a full explanation query stays a handful of BLAS calls.
+    """Scalar kernel interface on a pair of equal-length vectors: the direct
+    reference path. Batched Stein values use the closed form of
+    :func:`_stein_values`, which needs a linear or :class:`RadialKernel`.
     """
 
     name = "base"
@@ -97,16 +108,6 @@ class BaseKernel:
 
     def trace_hessian(self, za, zb) -> float:
         """Sum over coordinates of the mixed second derivative d2k/da_i db_i."""
-        raise NotImplementedError
-
-    def eval_many(self, rows, z) -> np.ndarray:
-        raise NotImplementedError
-
-    def trace_hessian_many(self, rows, z) -> np.ndarray:
-        raise NotImplementedError
-
-    def cross_terms_many(self, rows, row_scores, z, score) -> np.ndarray:
-        """Vector of ``grad_a k(row, z) . score + grad_b k(row, z) . row_score``."""
         raise NotImplementedError
 
 
@@ -131,18 +132,37 @@ class LinearKernel(BaseKernel):
         za, zb = _check_pair(za, zb)
         return float(za.shape[0])
 
-    def eval_many(self, rows, z) -> np.ndarray:
-        return rows @ z
 
-    def trace_hessian_many(self, rows, z) -> np.ndarray:
-        return np.full(rows.shape[0], float(rows.shape[1]))
+class RadialKernel(BaseKernel):
+    """k(a, b) = phi(||a - b||^2); subclasses define ``radial``. The scalar
+    methods follow by the chain rule: grad_a k = 2 phi' (a - b) = -grad_b k."""
 
-    def cross_terms_many(self, rows, row_scores, z, score) -> np.ndarray:
-        # grad_a k = z (constant over rows), grad_b k = row
-        return float(z @ score) + np.einsum("ij,ij->i", rows, row_scores)
+    def radial(self, r2):
+        """``(phi, phi', phi'')`` at squared distance(s) ``r2``."""
+        raise NotImplementedError
+
+    def _diff(self, za, zb):
+        za, zb = _check_pair(za, zb)
+        diff = za - zb
+        return diff, float(diff @ diff)
+
+    def eval(self, za, zb) -> float:
+        return float(self.radial(self._diff(za, zb)[1])[0])
+
+    def grad_a(self, za, zb) -> np.ndarray:
+        diff, r2 = self._diff(za, zb)
+        return 2.0 * self.radial(r2)[1] * diff
+
+    def grad_b(self, za, zb) -> np.ndarray:
+        return -self.grad_a(za, zb)
+
+    def trace_hessian(self, za, zb) -> float:
+        diff, r2 = self._diff(za, zb)
+        _, k1, k2 = self.radial(r2)
+        return float(-2.0 * diff.shape[0] * k1 - 4.0 * r2 * k2)
 
 
-class RBFKernel(BaseKernel):
+class RBFKernel(RadialKernel):
     """k(a, b) = exp(-gamma * ||a - b||^2)."""
 
     name = "rbf"
@@ -152,44 +172,13 @@ class RBFKernel(BaseKernel):
             raise ValueError("gamma must be positive")
         self.gamma = float(gamma)
 
-    def eval(self, za, zb) -> float:
-        za, zb = _check_pair(za, zb)
-        diff = za - zb
-        return float(np.exp(-self.gamma * (diff @ diff)))
-
-    def grad_a(self, za, zb) -> np.ndarray:
-        za, zb = _check_pair(za, zb)
-        diff = za - zb
-        return -2.0 * self.gamma * diff * np.exp(-self.gamma * (diff @ diff))
-
-    def grad_b(self, za, zb) -> np.ndarray:
-        return -self.grad_a(za, zb)
-
-    def trace_hessian(self, za, zb) -> float:
-        za, zb = _check_pair(za, zb)
-        diff = za - zb
-        r2 = float(diff @ diff)
-        d = za.shape[0]
-        return (2.0 * self.gamma * d - 4.0 * self.gamma**2 * r2) * float(np.exp(-self.gamma * r2))
-
-    def eval_many(self, rows, z) -> np.ndarray:
-        diff = rows - z
-        return np.exp(-self.gamma * np.einsum("ij,ij->i", diff, diff))
-
-    def trace_hessian_many(self, rows, z) -> np.ndarray:
-        diff = rows - z
-        r2 = np.einsum("ij,ij->i", diff, diff)
-        d = rows.shape[1]
-        return (2.0 * self.gamma * d - 4.0 * self.gamma**2 * r2) * np.exp(-self.gamma * r2)
-
-    def cross_terms_many(self, rows, row_scores, z, score) -> np.ndarray:
-        diff = rows - z
-        k = np.exp(-self.gamma * np.einsum("ij,ij->i", diff, diff))
-        # grad_a k = -2 gamma (row - z) k, grad_b k = +2 gamma (row - z) k
-        return 2.0 * self.gamma * k * (np.einsum("ij,ij->i", diff, row_scores) - diff @ score)
+    def radial(self, r2):
+        k = np.exp(-self.gamma * r2)
+        k1 = -self.gamma * k
+        return k, k1, -self.gamma * k1
 
 
-class IMQKernel(BaseKernel):
+class IMQKernel(RadialKernel):
     """Inverse multi-quadric kernel k(a, b) = (c^2 + ||a - b||^2)^beta, -1 < beta < 0."""
 
     name = "imq"
@@ -202,46 +191,11 @@ class IMQKernel(BaseKernel):
         self.c = float(c)
         self.beta = float(beta)
 
-    def eval(self, za, zb) -> float:
-        za, zb = _check_pair(za, zb)
-        diff = za - zb
-        return float((self.c**2 + diff @ diff) ** self.beta)
-
-    def grad_a(self, za, zb) -> np.ndarray:
-        za, zb = _check_pair(za, zb)
-        diff = za - zb
-        return 2.0 * self.beta * diff * (self.c**2 + diff @ diff) ** (self.beta - 1.0)
-
-    def grad_b(self, za, zb) -> np.ndarray:
-        return -self.grad_a(za, zb)
-
-    def trace_hessian(self, za, zb) -> float:
-        za, zb = _check_pair(za, zb)
-        diff = za - zb
-        r2 = float(diff @ diff)
-        d = za.shape[0]
+    def radial(self, r2):
         base = self.c**2 + r2
-        return (-2.0 * self.beta * d * base ** (self.beta - 1.0)
-                - 4.0 * self.beta * (self.beta - 1.0) * r2 * base ** (self.beta - 2.0))
-
-    def eval_many(self, rows, z) -> np.ndarray:
-        diff = rows - z
-        return (self.c**2 + np.einsum("ij,ij->i", diff, diff)) ** self.beta
-
-    def trace_hessian_many(self, rows, z) -> np.ndarray:
-        diff = rows - z
-        r2 = np.einsum("ij,ij->i", diff, diff)
-        d = rows.shape[1]
-        base = self.c**2 + r2
-        return (-2.0 * self.beta * d * base ** (self.beta - 1.0)
-                - 4.0 * self.beta * (self.beta - 1.0) * r2 * base ** (self.beta - 2.0))
-
-    def cross_terms_many(self, rows, row_scores, z, score) -> np.ndarray:
-        diff = rows - z
-        r2 = np.einsum("ij,ij->i", diff, diff)
-        coeff = 2.0 * self.beta * (self.c**2 + r2) ** (self.beta - 1.0)
-        # grad_a k = coeff * (row - z), grad_b k = -coeff * (row - z)
-        return coeff * (diff @ score - np.einsum("ij,ij->i", diff, row_scores))
+        k = base**self.beta
+        k1 = self.beta * k / base
+        return k, k1, (self.beta - 1.0) * k1 / base
 
 
 def kernel_by_name(name: str, gamma: float | None = None, c: float = 1.0,
@@ -336,11 +290,78 @@ def stein_kernel(kernel: BaseKernel, pa: SteinPoint, pb: SteinPoint) -> float:
     return float(value)
 
 
-def stein_kernel_profile(kernel: BaseKernel, rows, row_scores, z, score) -> np.ndarray:
+# see _sq_dists: the tolerated expansion error is eps / _NEAR (ten ulps)
+_NEAR = 0.1
+_CHUNK_VALUES = 1 << 16  # float64 differences held at a time
+
+
+def _row_stats(z: np.ndarray, scores: np.ndarray):
+    """Per-row ``(||z||^2, z . s)`` of matching (n, D) matrices."""
+    return np.einsum("ij,ij->i", z, z), np.einsum("ij,ij->i", z, scores)
+
+
+def _stein_values(kernel: BaseKernel, dim: int, r2, zq, st, zt, sq, zs, qt):
+    """Stein values of rows (z, s) against queries (q, t), from ``r2`` and the
+    inner products named by their factors (``zq = z.q``, ...); arrays broadcast."""
+    if isinstance(kernel, LinearKernel):
+        return dim + zq * st + qt + zs
+    k, k1, k2 = kernel.radial(r2)
+    return k * st - 2.0 * dim * k1 - 4.0 * r2 * k2 + 2.0 * k1 * ((zt - qt) - (zs - sq))
+
+
+def _sq_dists(kernel: RadialKernel, rows, queries, zz, qq, zq) -> np.ndarray:
+    """(m, n) squared distances ``||z||^2 + ||q||^2 - 2 z.q``, clipped at 0.
+
+    Its rounding error, about eps (||z||^2 + ||q||^2), moves the kernel by that
+    over ``l2 + r2`` with ``l2 = phi(0) / |phi'(0)|`` (1 / gamma for RBF). Where
+    that exceeds eps / _NEAR -- near pairs under a kernel narrow against the
+    points' norms -- r2 is recomputed as ``||z - q||^2``.
+    """
+    scale = zz + qq
+    r2 = np.maximum(scale - 2.0 * zq, 0.0)
+    k0, k1, _ = kernel.radial(0.0)
+    j, i = np.nonzero(r2 + k0 / abs(k1) < _NEAR * scale)
+    step = max(1, _CHUNK_VALUES // rows.shape[1])
+    for c in range(0, i.size, step):
+        diff = rows[i[c:c + step]] - queries[j[c:c + step]]
+        r2[j[c:c + step], i[c:c + step]] = np.einsum("ij,ij->i", diff, diff)
+    return r2
+
+
+def _stein_block(kernel: BaseKernel, rows, row_scores, row_stats, queries, query_scores,
+                 query_stats) -> np.ndarray:
+    """(m, n) Stein values of query rows (Q, T) against rows (Z, S), counting
+    n * m pair evaluations. The stats are each side's ``(||z||^2, z.s)``; the
+    products are ``[Q; T] @ Z^T`` and ``[Q; T] @ S^T`` (linear: Q Z^T, T S^T).
+    """
+    m = queries.shape[0]
+    _count_evals(rows.shape[0] * m)
+    (zz, zs), (qq, qt) = row_stats, (v[:, None] for v in query_stats)
+    if isinstance(kernel, LinearKernel):
+        zq, st = queries @ rows.T, query_scores @ row_scores.T
+        return _stein_values(kernel, rows.shape[1], None, zq, st, None, None, zs, qt)
+    left = np.concatenate([queries, query_scores])
+    with_z, with_s = left @ rows.T, left @ row_scores.T
+    zq, zt, sq, st = with_z[:m], with_z[m:], with_s[:m], with_s[m:]
+    r2 = _sq_dists(kernel, rows, queries, zz, qq, zq)
+    return _stein_values(kernel, rows.shape[1], r2, zq, st, zt, sq, zs, qt)
+
+
+def _stein_diagonal(kernel: BaseKernel, scores, row_stats) -> np.ndarray:
+    """Self Stein values k_p(p_i, p_i), the r2 = 0 case; counts n evaluations."""
+    zz, zs = row_stats
+    _count_evals(scores.shape[0])
+    ss = np.einsum("ij,ij->i", scores, scores)
+    return _stein_values(kernel, scores.shape[1], 0.0, zz, ss, zs, zs, zs, zs)
+
+
+def stein_kernel_profile(kernel: BaseKernel, rows, row_scores, z, score, *,
+                         row_stats=None) -> np.ndarray:
     """Stein kernel of every cached row against one scored point.
 
     ``rows``/``row_scores`` are (n, D); ``z``/``score`` are (D,). Returns a
-    length-n vector, counting n pair evaluations.
+    length-n vector, counting n pair evaluations. ``row_stats`` are the rows'
+    ``(||z||^2, z.s)`` when already known (``ScoreCache.row_stats``).
     """
     rows = np.asarray(rows, dtype=np.float64)
     row_scores = np.asarray(row_scores, dtype=np.float64)
@@ -350,22 +371,19 @@ def stein_kernel_profile(kernel: BaseKernel, rows, row_scores, z, score) -> np.n
         raise ValueError("rows and row_scores must be matching (n, D) matrices")
     if z.shape != (rows.shape[1],) or score.shape != z.shape:
         raise ValueError("z and score must be length-D vectors")
-    _count_evals(rows.shape[0])
-    values = kernel.trace_hessian_many(rows, z)
-    values = values + kernel.eval_many(rows, z) * (row_scores @ score)
-    values = values + kernel.cross_terms_many(rows, row_scores, z, score)
-    return values
+    if row_stats is None:
+        row_stats = _row_stats(rows, row_scores)
+    query, query_score = z[None, :], score[None, :]
+    return _stein_block(kernel, rows, row_scores, row_stats, query, query_score,
+                        _row_stats(query, query_score))[0]
 
 
 def stein_gram(kernel: BaseKernel, rows, row_scores) -> np.ndarray:
     """Full (n, n) Stein-kernel Gram matrix of a set of scored points."""
     rows = np.asarray(rows, dtype=np.float64)
     row_scores = np.asarray(row_scores, dtype=np.float64)
-    n = rows.shape[0]
-    gram = np.empty((n, n))
-    for i in range(n):
-        gram[i] = stein_kernel_profile(kernel, rows, row_scores, rows[i], row_scores[i])
-    return gram
+    stats = _row_stats(rows, row_scores)
+    return _stein_block(kernel, rows, row_scores, stats, rows, row_scores, stats)
 
 
 class KSDEstimate(NamedTuple):
@@ -482,7 +500,8 @@ class ScoreCache:
 
     ``z`` and ``scores`` are (n, D); ``labels`` holds the ground-truth class
     of each record. The fingerprint ties the cache to the exact model whose
-    scores it holds; consumers must reject mismatches.
+    scores it holds; consumers must reject mismatches. ``row_stats``, the
+    per-row ``(||z||^2, z.s)``, is derived here and not written to the file.
     """
 
     model_fingerprint: int
@@ -490,6 +509,7 @@ class ScoreCache:
     z: np.ndarray
     scores: np.ndarray
     labels: np.ndarray
+    row_stats: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.variant not in _VARIANT_CODES:
@@ -503,9 +523,13 @@ class ScoreCache:
             raise ValueError("cache needs at least one record")
         if self.labels.shape != (self.z.shape[0],):
             raise ValueError("labels must have one entry per record")
-        self.z.setflags(write=False)
-        self.scores.setflags(write=False)
-        self.labels.setflags(write=False)
+        self.row_stats = _row_stats(self.z, self.scores)
+        # a NaN or inf anywhere in z or s makes ||z||^2 or z.s non-finite (as do
+        # values too large to square, which the Stein core cannot use either)
+        if not all(np.isfinite(v).all() for v in self.row_stats):
+            raise ValueError("cache z and scores must be finite")
+        for arr in (self.z, self.scores, self.labels, *self.row_stats):
+            arr.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -548,13 +572,16 @@ class ScoreCache:
         if len(data) != expected:
             raise ModelFormatError(f"cache binary has {len(data)} bytes, expected {expected}")
         body = np.frombuffer(data, dtype=record, count=n, offset=header_size)
-        return cls(
-            model_fingerprint=fingerprint,
-            variant=_VARIANT_NAMES[variant_code],
-            z=body["z"].copy(),
-            scores=body["score"].copy(),
-            labels=body["label"].astype(np.int64),
-        )
+        try:
+            return cls(
+                model_fingerprint=fingerprint,
+                variant=_VARIANT_NAMES[variant_code],
+                z=body["z"].copy(),
+                scores=body["score"].copy(),
+                labels=body["label"].astype(np.int64),
+            )
+        except ValueError as exc:
+            raise ModelFormatError(f"invalid cache contents: {exc}") from exc
 
 
 def save_cache(cache: ScoreCache, path) -> None:

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import struct
 
 import pytest
 
@@ -116,6 +117,19 @@ class TestExplainCommand:
                    "--point", "0.1,0.2") == 3
         assert "stale cache" in capsys.readouterr().err
 
+    def test_non_finite_cache_is_a_format_error(self, tmp_path, trained_artifacts, capsys):
+        config, model_path, cache_path = trained_artifacts
+        data = bytearray(open(cache_path, "rb").read())
+        dim = struct.unpack("<Q", data[25:33])[0]
+        record = 2 * 8 * dim + 4
+        offset = 33 + 5 * record  # z[5, 0]
+        data[offset:offset + 8] = struct.pack("<d", float("nan"))
+        bad_path = tmp_path / "nan_cache.bin"
+        bad_path.write_bytes(bytes(data))
+        assert run("explain", "--config", config, "--model", model_path, "--cache", str(bad_path),
+                   "--index", "3") == 3
+        assert "finite" in capsys.readouterr().err
+
     def test_dataset_index_input(self, tmp_path, trained_artifacts, capsys):
         config, model_path, cache_path = trained_artifacts
         # a narrow explicit bandwidth makes the training point its own best match
@@ -149,6 +163,23 @@ class TestEvaluateCommand:
         manifest = json.loads((tmp_path / "report.csv.manifest.json").read_text())
         assert manifest["seed"] == 0
         assert manifest["command"] == "evaluate"
+
+    def test_star_rows_do_not_depend_on_other_methods(self, tmp_path):
+        # each variant's median-heuristic bandwidth comes from its own cache
+        def star_rows(methods, name):
+            config = write_config(tmp_path, {
+                "experiment": {"augmentation": "noise", "trials": 3, "sample_size": 30,
+                               "methods": methods},
+                "seed": 0,
+            }, name=f"{name}.json")
+            out_path = tmp_path / f"{name}.csv"
+            assert run("evaluate", "--config", config, "--out", str(out_path)) == 0
+            return [{k: row[k] for k in ("k", "hit_rate", "coverage")}
+                    for row in csv.DictReader(open(out_path)) if row["method"] == "hd-explain-star"]
+
+        alone = star_rows(["hd-explain-star"], "alone")
+        assert len(alone) == 3
+        assert star_rows(["hd-explain", "hd-explain-star"], "together") == alone
 
     def test_unknown_method_fails_without_partial_report(self, tmp_path):
         config = write_config(tmp_path, {

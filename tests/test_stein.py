@@ -5,6 +5,7 @@ import pytest
 
 from hdexplain.data import gen_two_moons
 from hdexplain.errors import ModelFormatError, UnsupportedVariantError
+from hdexplain.explain import self_influence_ranking
 from hdexplain.nnet import MLPClassifier, TrainConfig, train
 from hdexplain.stein import (
     IMQKernel,
@@ -13,6 +14,7 @@ from hdexplain.stein import (
     ScoreCache,
     SteinPoint,
     kernel_by_name,
+    kernel_eval_count,
     ksd_ustat,
     ksd_vstat,
     load_cache,
@@ -20,6 +22,7 @@ from hdexplain.stein import (
     make_stein_point,
     make_stein_points,
     median_heuristic_gamma,
+    reset_kernel_eval_count,
     save_cache,
     stein_gram,
     stein_kernel,
@@ -264,6 +267,115 @@ class TestSteinKernel:
             stein_kernel(LinearKernel(), pa, pb)
 
 
+def term_scale(kernel, pa, pb):
+    """Sum of the magnitudes of the four Stein terms: the scale that rounding
+    in either path is relative to, also where the terms cancel."""
+    return (abs(kernel.trace_hessian(pa.z, pb.z))
+            + abs(kernel.eval(pa.z, pb.z) * float(pa.score @ pb.score))
+            + abs(float(kernel.grad_a(pa.z, pb.z) @ pb.score))
+            + abs(float(kernel.grad_b(pa.z, pb.z) @ pa.score)))
+
+
+@pytest.fixture(scope="module", params=["random", "trained"])
+def scored_rows(request, trained, moons):
+    """(z, s) rows: Gaussian vectors, or raw scored points of a trained model."""
+    if request.param == "random":
+        rng = np.random.default_rng(11)
+        return rng.normal(0, 1.5, size=(40, 5)), rng.normal(0, 2, size=(40, 5))
+    return make_stein_points(trained, moons.features[:40], moons.labels[:40], "raw")
+
+
+class TestFusedCore:
+    """The GEMM-shaped closed form against the scalar four-term path."""
+
+    @pytest.mark.parametrize("name,kernel", ALL_KERNELS)
+    def test_profile_matches_scalar_stein_kernel(self, name, kernel, scored_rows):
+        z, scores = scored_rows
+        points = [SteinPoint(z[i], scores[i]) for i in range(len(z))]
+        for j in (0, 7, 23):
+            profile = stein_kernel_profile(kernel, z, scores, z[j], scores[j])
+            for i, p in enumerate(points):
+                direct = stein_kernel(kernel, p, points[j])
+                assert abs(profile[i] - direct) <= 1e-12 * term_scale(kernel, p, points[j]), (name, i, j)
+            # the self-point: r2 = 0 exactly, not a rounded expansion
+            direct = stein_kernel(kernel, points[j], points[j])
+            assert abs(profile[j] - direct) <= 1e-12 * abs(direct), name
+
+    @pytest.mark.parametrize("name,kernel", ALL_KERNELS)
+    def test_near_pair_with_large_norm(self, name, kernel):
+        # ||z||^2 ~ 1e6 and ||z - q||^2 ~ 1e-6: the expansion alone keeps no digits
+        rng = np.random.default_rng(12)
+        z = 1e3 / np.sqrt(3) + rng.normal(0, 1, size=(6, 3))
+        scores = rng.normal(0, 1, size=(6, 3))
+        q, t = z[2] + 1e-3 * rng.normal(0, 1, 3), rng.normal(0, 1, 3)
+        profile = stein_kernel_profile(kernel, z, scores, q, t)
+        query = SteinPoint(q, t)
+        for i in range(6):
+            p = SteinPoint(z[i], scores[i])
+            assert abs(profile[i] - stein_kernel(kernel, p, query)) <= 1e-12 * term_scale(kernel, p, query)
+
+    def test_far_pair_underflows_to_zero(self):
+        kernel = RBFKernel(0.7)
+        z = np.array([[0.0, 0.0, 0.0], [40.0, -40.0, 40.0], [0.5, 0.1, -0.2]])
+        scores = np.array([[1.0, -2.0, 0.5], [3.0, 1.0, -1.0], [0.2, 0.2, 0.2]])
+        profile = stein_kernel_profile(kernel, z, scores, z[0], scores[0])
+        far = stein_kernel(kernel, SteinPoint(z[1], scores[1]), SteinPoint(z[0], scores[0]))
+        assert far == 0.0 and profile[1] == 0.0
+        assert np.all(np.isfinite(profile))
+
+    @pytest.mark.parametrize("name,kernel", ALL_KERNELS)
+    def test_gram_symmetric_psd_rows_are_profiles(self, name, kernel, scored_rows):
+        z, scores = scored_rows
+        gram = stein_gram(kernel, z, scores)
+        scale = np.abs(gram).max()
+        assert np.abs(gram - gram.T).max() <= 1e-12 * scale, name
+        assert np.linalg.eigvalsh((gram + gram.T) / 2).min() >= -1e-9 * scale, name
+        for i in range(len(z)):
+            profile = stein_kernel_profile(kernel, z, scores, z[i], scores[i])
+            assert np.abs(gram[i] - profile).max() <= 1e-12 * scale, (name, i)
+
+    @pytest.mark.parametrize("name,kernel", ALL_KERNELS)
+    def test_self_influence_is_the_scalar_diagonal(self, name, kernel, scored_rows):
+        z, scores = scored_rows
+        cache = ScoreCache(0, "raw", z, scores, np.zeros(len(z), dtype=np.int64))
+        ranking = self_influence_ranking(cache, kernel)
+        for i, value in ranking:
+            direct = stein_kernel(kernel, cache.point(i), cache.point(i))
+            assert abs(value - direct) <= 1e-12 * abs(direct), (name, i)
+
+    def test_radial_self_influence_ranks_by_score_norm(self, scored_rows):
+        z, scores = scored_rows
+        cache = ScoreCache(0, "raw", z, scores, np.zeros(len(z), dtype=np.int64))
+        by_norm = np.lexsort((np.arange(len(z)), -np.einsum("ij,ij->i", scores, scores))).tolist()
+        for _, kernel in ALL_KERNELS[1:]:
+            assert [i for i, _ in self_influence_ranking(cache, kernel)] == by_norm
+
+    @pytest.mark.parametrize("name,kernel", ALL_KERNELS[1:])
+    def test_radial_derivatives_match_finite_differences_of_eval(self, name, kernel):
+        step = 1e-4
+
+        def phi(r2):
+            # eval at two points whose squared distance is r2
+            return kernel.eval(np.zeros(2), np.array([np.sqrt(r2), 0.0]))
+
+        for r2 in (0.05, 0.3, 1.0, 2.5, 7.0):
+            _, k1, k2 = kernel.radial(r2)
+            d1 = (phi(r2 + step) - phi(r2 - step)) / (2 * step)
+            d2 = (phi(r2 + step) - 2 * phi(r2) + phi(r2 - step)) / step**2
+            assert abs(k1 - d1) <= 1e-7 * max(abs(k1), 1e-3), (name, r2)
+            assert abs(k2 - d2) <= 1e-4 * max(abs(k2), 1e-3), (name, r2)
+
+    @pytest.mark.parametrize("name,kernel", ALL_KERNELS)
+    def test_pair_evaluation_counts(self, name, kernel, scored_rows):
+        z, scores = scored_rows
+        n = len(z)
+        reset_kernel_eval_count()
+        stein_kernel_profile(kernel, z, scores, z[0], scores[0])
+        assert kernel_eval_count() == n
+        stein_gram(kernel, z, scores)
+        assert kernel_eval_count() == n + n * n
+
+
 def gaussian_points(rng, n, shift=0.0):
     x = rng.normal(0, 1, size=(n, 2)) + shift
     return [SteinPoint(x[i], -x[i]) for i in range(n)]
@@ -377,6 +489,30 @@ class TestScoreCache:
         data[1] = 0x00
         with pytest.raises(ModelFormatError, match="magic"):
             ScoreCache.deserialize(bytes(data))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["z", "scores"])
+    def test_non_finite_rejected(self, field, bad):
+        arrays = {"z": np.ones((3, 2)), "scores": np.ones((3, 2))}
+        arrays[field][1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ScoreCache(1, "raw", arrays["z"], arrays["scores"], np.zeros(3, dtype=int))
+
+    def test_non_finite_file_is_a_format_error(self):
+        cache = ScoreCache(1, "raw", np.ones((2, 2)), np.ones((2, 2)), np.zeros(2, dtype=int))
+        data = bytearray(cache.serialize())
+        data[33:41] = struct.pack("<d", np.nan)  # z[0, 0]
+        with pytest.raises(ModelFormatError, match="finite"):
+            ScoreCache.deserialize(bytes(data))
+
+    def test_row_stats_are_derived_read_only(self):
+        z = np.array([[1.0, 2.0], [3.0, -4.0]])
+        scores = np.array([[0.5, 0.5], [2.0, 1.0]])
+        cache = ScoreCache(1, "raw", z, scores, np.zeros(2, dtype=int))
+        norms, dots = cache.row_stats
+        assert norms.tolist() == [5.0, 25.0] and dots.tolist() == [1.5, 2.0]
+        assert not norms.flags.writeable and not dots.flags.writeable
+        assert len(cache.serialize()) == 33 + 2 * (4 * 8 + 4)
 
     def test_truncated(self):
         cache = ScoreCache(1, "raw", np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2, dtype=int))
