@@ -18,11 +18,12 @@ import numpy as np
 
 from .data import Dataset
 from .errors import StaleCacheError
-from .nnet import MLPClassifier
+from .nnet import MLPClassifier, _residual
 from .stein import (
     BaseKernel,
     ScoreCache,
     _stein_diagonal,
+    _stein_rows,
     make_stein_points,
     stein_kernel_profile,
 )
@@ -112,19 +113,18 @@ def explain(model: MLPClassifier, cache: ScoreCache, x_test, config: ExplainerCo
     _check_cache(model, cache)
 
     start = time.perf_counter()
-    proba = model.predict_proba(x_test)
-    predicted = int(np.argmax(proba))
-    z, score = make_stein_points(model, x_test[None, :], [predicted], config.variant)
+    predicted, proba, z, score = _stein_rows(model, x_test, None, config.variant)
     values = stein_kernel_profile(config.kernel, cache.z, cache.scores, z[0], score[0],
                                   row_stats=cache.row_stats)
-    # sort by value descending, ties by ascending original index
-    order = np.lexsort((np.arange(cache.n), -values))[: config.top_k]
-    ranked = [(int(i), float(values[i]), int(cache.labels[i])) for i in order]
+    if not np.isfinite(values).all():
+        raise ArithmeticError("Stein kernel values against this test point are not finite "
+                              "(its features are too large in magnitude)")
+    ranked = _ranked_list(values, cache.labels, k=config.top_k)
     elapsed = time.perf_counter() - start
     return Explanation(
         test_features=x_test,
-        predicted_label=predicted,
-        predicted_proba=proba,
+        predicted_label=int(predicted[0]),
+        predicted_proba=proba[0],
         ranked=ranked,
         elapsed=elapsed,
     )
@@ -151,23 +151,23 @@ def self_influence_ranking(cache: ScoreCache, kernel: BaseKernel) -> list[tuple[
     norm (confidently contradicted label) dominates the diagonal. For a radial
     kernel the diagonal is an increasing function of ``||s||`` alone.
     """
-    diag = _stein_diagonal(kernel, cache.scores, cache.row_stats)
-    order = np.lexsort((np.arange(cache.n), -diag))
-    return [(int(i), float(diag[i])) for i in order]
+    return _ranked_list(_stein_diagonal(kernel, cache.scores, cache.row_stats))
+
+
+def _ranked_list(values: np.ndarray, *columns: np.ndarray, k: int | None = None) -> list[tuple]:
+    """The first ``k`` (all by default) ``(index, value, *column entries)``
+    tuples by value descending, ties by ascending index."""
+    order = np.lexsort((np.arange(values.shape[0]), -values))[:k]
+    return list(zip(order.tolist(), values[order].tolist(), *(c[order].tolist() for c in columns)))
 
 
 def _tracin_scores(resid, reps, resid_t, rep_t) -> np.ndarray:
     """Last-layer gradient inner products: (resid_i . resid_t)(h_i . h_t).
 
-    ``resid`` rows are softmax-minus-onehot residuals; the score is the
-    Frobenius inner product of the two cross-entropy weight gradients.
+    ``resid`` rows are ``e_y - p`` residuals; the score is the Frobenius inner
+    product of the two cross-entropy weight gradients.
     """
     return (resid @ resid_t) * (reps @ rep_t)
-
-
-def _ranked_list(scores: np.ndarray, labels: np.ndarray) -> list[tuple[int, float, int]]:
-    order = np.lexsort((np.arange(scores.shape[0]), -scores))
-    return [(int(i), float(scores[i]), int(labels[i])) for i in order]
 
 
 def baseline_tracin_last(model: MLPClassifier, dataset: Dataset, x_test) -> list[tuple[int, float, int]]:
@@ -177,18 +177,10 @@ def baseline_tracin_last(model: MLPClassifier, dataset: Dataset, x_test) -> list
     predicted label. Returns the full ranking as
     ``(train_index, score, train_label)`` tuples, descending, ties by index.
     """
-    reps = model.representation(dataset.features)
-    probs = model.predict_proba(dataset.features)
-    resid = probs.copy()
-    resid[np.arange(dataset.n), dataset.labels] -= 1.0
-
-    x_test = np.asarray(x_test, dtype=np.float64)
-    rep_t = model.representation(x_test)
-    p_t = model.predict_proba(x_test)
-    resid_t = p_t.copy()
-    resid_t[int(np.argmax(p_t))] -= 1.0
-
-    scores = _tracin_scores(resid, reps, resid_t, rep_t)
+    _, proba, _, reps, _ = model.score(dataset.features, dataset.labels, "last-layer")
+    label_t, proba_t, _, rep_t, _ = model.score(np.atleast_2d(x_test), None, "last-layer")
+    scores = _tracin_scores(_residual(proba, dataset.labels), reps,
+                            _residual(proba_t, label_t)[0], rep_t[0])
     return _ranked_list(scores, dataset.labels)
 
 

@@ -81,6 +81,21 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
+def _forward(weights, biases, x: np.ndarray):
+    """Activations ``[x, a_1, ..., a_L]`` of the tanh layers and the class logits."""
+    acts = [x]
+    for w, b in zip(weights[:-1], biases[:-1]):
+        acts.append(np.tanh(acts[-1] @ w + b))
+    return acts, acts[-1] @ weights[-1] + biases[-1]
+
+
+def _residual(proba: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``e_y - p`` per row: the gradient of ``log p_y`` with respect to the logits."""
+    resid = -proba
+    resid[np.arange(proba.shape[0]), y] += 1.0
+    return resid
+
+
 class MLPClassifier:
     """Feed-forward tanh network with a softmax output layer.
 
@@ -141,26 +156,49 @@ class MLPClassifier:
             raise ValueError(f"input has {x.shape[-1]} features, model expects {self.input_dim}")
         return x, single
 
-    def _hidden_activations(self, x: np.ndarray) -> list[np.ndarray]:
-        acts = [x]
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            acts.append(np.tanh(acts[-1] @ w + b))
-        return acts
+    def _check_labels(self, y, n: int, rows: str) -> np.ndarray:
+        y = np.atleast_1d(np.asarray(y, dtype=np.int64))
+        if y.shape != (n,):
+            raise ValueError(f"labels must match the number of {rows} rows")
+        if y.min() < 0 or y.max() >= self.num_classes:
+            raise ValueError(f"class index out of range [0, {self.num_classes})")
+        return y
 
     def logits(self, x):
         x, single = self._check_input(x)
-        h = self._hidden_activations(x)[-1]
-        out = h @ self.weights[-1] + self.biases[-1]
+        out = _forward(self.weights, self.biases, x)[1]
         return out[0] if single else out
 
     def predict_proba(self, x):
         """Class probabilities, softmax of the logits with max-subtraction."""
-        out = _softmax(self.logits(x))
-        return out
+        return _softmax(self.logits(x))
 
     def predict_log_proba(self, x):
         """Log-probabilities computed as logit minus logsumexp (never log of softmax)."""
         return _log_softmax(self.logits(x))
+
+    def score(self, x, y=None, variant: str = "raw"):
+        """One forward and one backward pass: ``(labels, proba, log_proba, front, grad)``.
+
+        ``labels`` is ``y``, or the predicted class (argmax of ``proba``, ties to
+        the lowest index) when ``y`` is None. ``front`` is ``x`` (``raw``) or the
+        final hidden representation (``last-layer``); ``grad`` is the gradient
+        of ``log p_labels`` with respect to it. A ``(d,)`` row gives row results.
+        """
+        if variant not in ("raw", "last-layer"):
+            raise UnsupportedVariantError(f"unknown variant {variant!r}; expected 'raw' or 'last-layer'")
+        if variant == "last-layer" and self.num_hidden_layers < 1:
+            raise UnsupportedVariantError("model has no hidden layer to read a representation from")
+        x, single = self._check_input(x)
+        acts, logits = _forward(self.weights, self.biases, x)
+        proba = _softmax(logits)
+        labels = proba.argmax(axis=1) if y is None else self._check_labels(y, x.shape[0], "input")
+        grad = _residual(proba, labels) @ self.weights[-1].T
+        if variant == "raw":
+            for i in range(len(self.weights) - 2, -1, -1):
+                grad = (grad * (1.0 - acts[i + 1] ** 2)) @ self.weights[i].T
+        out = (labels, proba, _log_softmax(logits), x if variant == "raw" else acts[-1], grad)
+        return tuple(v[0] for v in out) if single else out
 
     def input_gradient(self, x, y):
         """Gradient of ``log predict_proba(x)[y]`` with respect to ``x``.
@@ -168,36 +206,11 @@ class MLPClassifier:
         Accepts a single ``(d,)`` vector with an integer label or an
         ``(n, d)`` batch with an ``(n,)`` label vector.
         """
-        x, single = self._check_input(x)
-        y = np.atleast_1d(np.asarray(y, dtype=np.int64))
-        if y.shape != (x.shape[0],):
-            raise ValueError("labels must match the number of input rows")
-        if y.min() < 0 or y.max() >= self.num_classes:
-            raise ValueError(f"class index out of range [0, {self.num_classes})")
-        acts = self._hidden_activations(x)
-        logits = acts[-1] @ self.weights[-1] + self.biases[-1]
-        probs = _softmax(logits)
-        grad = -probs
-        grad[np.arange(x.shape[0]), y] += 1.0
-        grad = grad @ self.weights[-1].T
-        for i in range(len(self.weights) - 2, -1, -1):
-            grad = grad * (1.0 - acts[i + 1] ** 2)
-            grad = grad @ self.weights[i].T
-        return grad[0] if single else grad
+        return self.score(x, y)[4]
 
     def representation(self, x):
         """Activations of the final hidden layer."""
-        if self.num_hidden_layers < 1:
-            raise UnsupportedVariantError("model has no hidden layer to read a representation from")
-        x, single = self._check_input(x)
-        h = self._hidden_activations(x)[-1]
-        return h[0] if single else h
-
-    @property
-    def representation_dim(self) -> int:
-        if self.num_hidden_layers < 1:
-            raise UnsupportedVariantError("model has no hidden layer")
-        return self.layer_dims[-2]
+        return self.score(x, variant="last-layer")[3]
 
     def rep_gradient(self, h, y):
         """Gradient of ``log softmax(W h + b)[y]`` with respect to ``h``.
@@ -211,15 +224,9 @@ class MLPClassifier:
             h = h[None, :]
         if h.shape[1] != self.layer_dims[-2]:
             raise ValueError(f"representation has {h.shape[1]} entries, expected {self.layer_dims[-2]}")
-        y = np.atleast_1d(np.asarray(y, dtype=np.int64))
-        if y.shape != (h.shape[0],):
-            raise ValueError("labels must match the number of representation rows")
-        if y.min() < 0 or y.max() >= self.num_classes:
-            raise ValueError(f"class index out of range [0, {self.num_classes})")
+        y = self._check_labels(y, h.shape[0], "representation")
         probs = _softmax(h @ self.weights[-1] + self.biases[-1])
-        resid = -probs
-        resid[np.arange(h.shape[0]), y] += 1.0
-        grad = resid @ self.weights[-1].T
+        grad = _residual(probs, y) @ self.weights[-1].T
         return grad[0] if single else grad
 
     def serialize(self) -> bytes:
@@ -281,10 +288,7 @@ def _init_parameters(dims, rng):
 
 
 def _mean_cross_entropy(weights, biases, x, y):
-    h = x
-    for w, b in zip(weights[:-1], biases[:-1]):
-        h = np.tanh(h @ w + b)
-    logp = _log_softmax(h @ weights[-1] + biases[-1])
+    logp = _log_softmax(_forward(weights, biases, x)[1])
     return float(-logp[np.arange(len(y)), y].mean())
 
 
@@ -330,14 +334,9 @@ def train(dataset: Dataset, config: TrainConfig, hidden_dims=None) -> MLPClassif
             xb = x_train[batch]
             yb = y_train[batch]
 
-            acts = [xb]
-            for w, b in zip(weights[:-1], biases[:-1]):
-                acts.append(np.tanh(acts[-1] @ w + b))
-            probs = _softmax(acts[-1] @ weights[-1] + biases[-1])
-
-            delta = probs
-            delta[np.arange(len(yb)), yb] -= 1.0
-            delta /= len(yb)
+            acts, logits = _forward(weights, biases, xb)
+            # mean cross-entropy gradient with respect to the logits, (p - e_y) / batch
+            delta = -_residual(_softmax(logits), yb) / len(yb)
             grads_w = [None] * len(weights)
             grads_b = [None] * len(weights)
             for i in range(len(weights) - 1, -1, -1):

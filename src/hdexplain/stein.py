@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import one_hot
-from .errors import ModelFormatError, UnsupportedVariantError
+from .errors import ModelFormatError
 
 __all__ = [
     "BaseKernel",
@@ -238,6 +238,14 @@ class SteinPoint:
         return self.z.shape[0]
 
 
+def _stein_rows(model, x, y, variant: str):
+    """``(labels, proba, Z, S)`` of a batch from one model pass; ``y=None``
+    completes each row with its predicted class."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    labels, proba, logp, front, grad = model.score(x, y, variant)
+    return labels, proba, np.hstack([front, np.eye(model.num_classes)[labels]]), np.hstack([grad, logp])
+
+
 def make_stein_points(model, x, y, variant: str = "raw"):
     """Batch score construction: returns (Z, S) arrays of shape (n, D).
 
@@ -245,27 +253,7 @@ def make_stein_points(model, x, y, variant: str = "raw"):
     last-layer: z = [h || onehot(y)],  s = [dlogp_y/dh      || log p(.|x)]
     with h the final hidden representation.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_1d(np.asarray(y, dtype=np.int64))
-    if y.shape != (x.shape[0],):
-        raise ValueError("labels must match the number of input rows")
-    n_classes = model.num_classes
-    if y.min() < 0 or y.max() >= n_classes:
-        raise ValueError(f"class index out of range [0, {n_classes})")
-    onehots = np.zeros((x.shape[0], n_classes))
-    onehots[np.arange(x.shape[0]), y] = 1.0
-    logp = np.atleast_2d(model.predict_log_proba(x))
-    if variant == "raw":
-        front = x
-        grad = np.atleast_2d(model.input_gradient(x, y))
-    elif variant == "last-layer":
-        front = np.atleast_2d(model.representation(x))
-        grad = np.atleast_2d(model.rep_gradient(front, y))
-    else:
-        raise UnsupportedVariantError(f"unknown variant {variant!r}; expected 'raw' or 'last-layer'")
-    z = np.hstack([front, onehots])
-    s = np.hstack([grad, logp])
-    return z, s
+    return _stein_rows(model, x, y, variant)[2:]
 
 
 def make_stein_point(model, x, y: int, variant: str = "raw") -> SteinPoint:
@@ -436,28 +424,36 @@ def ksd_ustat(points, kernel: BaseKernel) -> KSDEstimate:
     return KSDEstimate(float(total / (n * (n - 1))), _offdiag_std_error(gram))
 
 
+def _subsample_sq_dists(z_vectors, max_points: int, seed: int, rule: str) -> np.ndarray:
+    """Squared pairwise distances of at most ``max_points`` rows (uniform
+    seeded subsample), clipped at 0."""
+    z = np.asarray(z_vectors, dtype=np.float64)
+    if z.ndim == 1:
+        z = z[:, None]
+    if z.shape[0] < 2:
+        raise ValueError(f"{rule} needs at least 2 points")
+    if z.shape[0] > max_points:
+        idx = np.random.default_rng(seed).choice(z.shape[0], size=max_points, replace=False)
+        z = z[idx]
+    sq_norms = np.einsum("ij,ij->i", z, z)
+    sq_dists = sq_norms[:, None] + sq_norms[None, :] - 2.0 * (z @ z.T)
+    return np.clip(sq_dists, 0.0, None, out=sq_dists)
+
+
+def _gamma_for_scale(m: float) -> float:
+    """gamma = 1 / (2 m^2), or 1 when the scale ``m`` is 0 (all points coincide)."""
+    return 1.0 if m == 0.0 else 1.0 / (2.0 * m * m)
+
+
 def median_heuristic_gamma(z_vectors, max_points: int = 1000, seed: int = 0) -> float:
     """RBF bandwidth rule gamma = 1 / (2 m^2) with m the median pairwise distance.
 
     At most ``max_points`` rows are kept (uniform seeded subsample). Falls
     back to gamma = 1 when all points coincide.
     """
-    z = np.asarray(z_vectors, dtype=np.float64)
-    if z.ndim == 1:
-        z = z[:, None]
-    if z.shape[0] < 2:
-        raise ValueError("median heuristic needs at least 2 points")
-    if z.shape[0] > max_points:
-        idx = np.random.default_rng(seed).choice(z.shape[0], size=max_points, replace=False)
-        z = z[idx]
-    sq_norms = np.einsum("ij,ij->i", z, z)
-    sq_dists = sq_norms[:, None] + sq_norms[None, :] - 2.0 * (z @ z.T)
-    np.clip(sq_dists, 0.0, None, out=sq_dists)
-    iu = np.triu_indices(z.shape[0], k=1)
-    m = float(np.median(np.sqrt(sq_dists[iu])))
-    if m == 0.0:
-        return 1.0
-    return 1.0 / (2.0 * m * m)
+    sq_dists = _subsample_sq_dists(z_vectors, max_points, seed, "median heuristic")
+    iu = np.triu_indices(sq_dists.shape[0], k=1)
+    return _gamma_for_scale(float(np.median(np.sqrt(sq_dists[iu]))))
 
 
 def local_scale_gamma(z_vectors, max_points: int = 1000, seed: int = 0) -> float:
@@ -470,22 +466,9 @@ def local_scale_gamma(z_vectors, max_points: int = 1000, seed: int = 0) -> float
     point from its neighbors. Use this rule when retrieval should resolve
     individual training points. Falls back to gamma = 1 when points coincide.
     """
-    z = np.asarray(z_vectors, dtype=np.float64)
-    if z.ndim == 1:
-        z = z[:, None]
-    if z.shape[0] < 2:
-        raise ValueError("local scale needs at least 2 points")
-    if z.shape[0] > max_points:
-        idx = np.random.default_rng(seed).choice(z.shape[0], size=max_points, replace=False)
-        z = z[idx]
-    sq_norms = np.einsum("ij,ij->i", z, z)
-    sq_dists = sq_norms[:, None] + sq_norms[None, :] - 2.0 * (z @ z.T)
-    np.clip(sq_dists, 0.0, None, out=sq_dists)
+    sq_dists = _subsample_sq_dists(z_vectors, max_points, seed, "local scale")
     np.fill_diagonal(sq_dists, np.inf)
-    m = float(np.median(np.sqrt(sq_dists.min(axis=1))))
-    if m == 0.0:
-        return 1.0
-    return 1.0 / (2.0 * m * m)
+    return _gamma_for_scale(float(np.median(np.sqrt(sq_dists.min(axis=1)))))
 
 
 CACHE_MAGIC = b"HDXC"
@@ -553,7 +536,7 @@ class ScoreCache:
         body["z"] = self.z
         body["score"] = self.scores
         body["label"] = self.labels.astype(np.uint32)
-        return header + body.tobytes()
+        return b"".join((header, body))
 
     @classmethod
     def deserialize(cls, data: bytes) -> "ScoreCache":

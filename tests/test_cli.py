@@ -130,6 +130,14 @@ class TestExplainCommand:
                    "--index", "3") == 3
         assert "finite" in capsys.readouterr().err
 
+    def test_non_finite_ranking_is_an_arithmetic_error(self, trained_artifacts, capsys):
+        config, model_path, cache_path = trained_artifacts
+        assert run("explain", "--config", config, "--model", model_path, "--cache", cache_path,
+                   "--point", "1e155,1e155") == 4
+        captured = capsys.readouterr()
+        assert "not finite" in captured.err
+        assert "nan" not in captured.out
+
     def test_dataset_index_input(self, tmp_path, trained_artifacts, capsys):
         config, model_path, cache_path = trained_artifacts
         # a narrow explicit bandwidth makes the training point its own best match

@@ -15,8 +15,9 @@ from hdexplain.explain import (
     self_influence_ranking,
     _tracin_scores,
 )
+from hdexplain.evalharness import ksd_shift_experiment
 from hdexplain.nnet import MLPClassifier, TrainConfig, train
-from hdexplain import stein
+from hdexplain import nnet, stein
 from hdexplain.stein import (
     IMQKernel,
     LinearKernel,
@@ -159,6 +160,21 @@ class TestExplain:
         with pytest.raises(ValueError, match="finite"):
             explain(trained, cache, np.array([np.nan, 0.0]), retrieval_config)
 
+    def test_non_finite_profile_raises(self, trained, cache, retrieval_config):
+        # finite features whose squared norm overflows make every kernel value NaN
+        with pytest.raises(ArithmeticError, match="not finite"):
+            explain(trained, cache, np.array([1e155, 1e155]), retrieval_config)
+
+    def test_ranked_entries_are_python_scalars(self, trained, moons, cache, retrieval_config):
+        config = ExplainerConfig(kernel=retrieval_config.kernel, top_k=4)
+        rankings = [explain(trained, cache, moons.features[0], config).ranked,
+                    self_influence_ranking(cache, retrieval_config.kernel)[:4],
+                    baseline_tracin_last(trained, moons, moons.features[0])[:4],
+                    baseline_rep_similarity(trained, moons, moons.features[0])[:4]]
+        for ranked in rankings:
+            for entry in ranked:
+                assert [type(v) for v in entry] == [int, float, int][:len(entry)]
+
     def test_json_document(self, trained, moons, cache, retrieval_config):
         config = ExplainerConfig(kernel=retrieval_config.kernel, top_k=3)
         result = explain(trained, cache, moons.features[0], config)
@@ -190,6 +206,41 @@ class TestSelfInfluence:
         ds = gen_two_moons(1000, 0.1, seed=3)
         report = label_flip_debug_experiment(ds, 0.05, TrainConfig(seed=3), None, seed=3)
         assert report.precision_at(50) >= 3 * 0.05
+
+
+class TestForwardPasses:
+    """Each scored batch costs one forward pass through the network."""
+
+    @pytest.fixture()
+    def forward_calls(self, monkeypatch):
+        calls = []
+
+        def counting(weights, biases, x):
+            calls.append(x.shape[0])
+            return real(weights, biases, x)
+
+        real = nnet._forward
+        monkeypatch.setattr(nnet, "_forward", counting)
+        return calls
+
+    @pytest.mark.parametrize("variant", ["raw", "last-layer"])
+    def test_explain_one_per_query(self, trained, moons, forward_calls, variant):
+        cache = build_cache(trained, moons, variant)
+        assert forward_calls == [moons.n]
+        config = ExplainerConfig(kernel=RBFKernel(1.0), variant=variant, top_k=2)
+        forward_calls.clear()
+        for i in range(3):
+            explain(trained, cache, moons.features[i], config)
+        assert forward_calls == [1, 1, 1]
+
+    def test_tracin_one_over_the_training_set_one_over_the_test_point(self, trained, moons,
+                                                                        forward_calls):
+        baseline_tracin_last(trained, moons, moons.features[0])
+        assert sorted(forward_calls) == [1, moons.n]
+
+    def test_ksd_shift_one_per_shift(self, trained, moons, forward_calls):
+        ksd_shift_experiment(trained, moons, [0.5, 1.0], RBFKernel(1.0))
+        assert forward_calls == [moons.n] * 3
 
 
 class TestTracinBaseline:

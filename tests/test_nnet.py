@@ -227,6 +227,60 @@ class TestRepGradient:
         assert np.linalg.norm(total) <= 1e-8
 
 
+class TestScore:
+    """``score`` is the one pass behind the five scoring methods: bit-identical to each."""
+
+    @pytest.mark.parametrize("rows", [slice(3, 4), slice(0, 40), 7], ids=["one-row-batch", "batch", "row"])
+    @pytest.mark.parametrize("given", [True, False], ids=["given", "predicted"])
+    def test_equals_the_scoring_methods(self, trained, moons, rows, given):
+        x = moons.features[rows]
+        proba = trained.predict_proba(x)
+        predicted = proba.argmax(axis=-1)
+        y = moons.labels[rows] if given else None
+        want_labels = moons.labels[rows] if given else predicted
+        h = trained.representation(x)
+        for variant, front, grad in (
+            ("raw", x, trained.input_gradient(x, want_labels)),
+            ("last-layer", h, trained.rep_gradient(h, want_labels)),
+        ):
+            labels, p, logp, got_front, got_grad = trained.score(x, y, variant)
+            assert np.array_equal(labels, want_labels)
+            assert np.array_equal(p, proba)
+            assert np.array_equal(logp, trained.predict_log_proba(x))
+            assert np.array_equal(got_front, front)
+            assert np.array_equal(got_grad, grad)
+            assert got_grad.shape == front.shape
+
+    def test_predicted_ties_go_to_lowest_index(self):
+        labels = zero_model([2, 3, 4]).score(np.zeros((2, 2)))[0]
+        assert labels.tolist() == [0, 0]
+
+    def test_label_errors(self, trained):
+        with pytest.raises(ValueError, match="labels must match the number of input rows"):
+            trained.score(np.zeros((3, 2)), [0, 1])
+        with pytest.raises(ValueError, match="labels must match the number of input rows"):
+            trained.input_gradient(np.zeros((3, 2)), [0, 1])
+        with pytest.raises(ValueError, match="labels must match the number of representation rows"):
+            trained.rep_gradient(np.zeros((3, trained.layer_dims[-2])), [0, 1])
+        for call in (lambda: trained.score(np.zeros(2), 2),
+                     lambda: trained.input_gradient(np.zeros(2), -1),
+                     lambda: trained.rep_gradient(np.zeros(trained.layer_dims[-2]), 2)):
+            with pytest.raises(ValueError, match=r"class index out of range \[0, 2\)"):
+                call()
+
+    def test_variant_errors(self, trained):
+        with pytest.raises(UnsupportedVariantError,
+                           match="unknown variant 'middle'; expected 'raw' or 'last-layer'"):
+            trained.score(np.zeros(2), 0, "middle")
+        flat = zero_model([2, 2])
+        for call in (lambda: flat.score(np.zeros(2), 0, "last-layer"),
+                     lambda: flat.representation(np.zeros(2))):
+            with pytest.raises(UnsupportedVariantError,
+                               match="model has no hidden layer to read a representation from"):
+                call()
+        assert flat.score(np.zeros(2), 0, "raw")[4].shape == (2,)
+
+
 class TestSerialization:
     def test_round_trip_bit_exact(self, trained, tmp_path):
         path = tmp_path / "model.bin"
