@@ -39,7 +39,7 @@ for name, kernel in kernels.items():
     print(f"{name:<34} {r.hit_rate[1]:>6.3f} {r.hit_rate[3]:>6.3f} "
           f"{r.coverage[3]:>7.4f} {r.mean_ms:>9.3f}")
 
-config = ExplainerConfig(kernel=LinearKernel(), variant="raw", top_k=3)
+config = ExplainerConfig(kernel=None, top_k=3)  # the baselines use no kernel
 for method in ("tracin-last", "rep-sim"):
     r = hit_rate_experiment(model, None, data, "noise", trials_per_point=10,
                             sample_size=100, config=config, seed=SEED, method=method)

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .explain import ExplainerConfig, build_cache, explain, explanation_to_json
 from .nnet import TrainConfig, load_model, train
-from .stein import LinearKernel, ScoreCache, kernel_by_name, load_cache, median_heuristic_gamma
+from .stein import ScoreCache, kernel_by_name, load_cache, median_heuristic_gamma
 
 __all__ = ["RunConfig", "main"]
 
@@ -291,7 +291,7 @@ def cmd_evaluate(args) -> int:
     # each Stein variant ranks with a kernel fitted to its own cache
     caches, kernels = {}, {}
     for method in methods:
-        variant = evalharness._VARIANT_FOR_METHOD.get(method)
+        variant = evalharness.METHOD_VARIANTS[method]
         if variant and variant not in caches:
             caches[variant] = build_cache(model, dataset, variant)
             kernels[variant] = kernel_from_config(cfg, caches[variant])
@@ -299,10 +299,8 @@ def cmd_evaluate(args) -> int:
     rows = []
     reports = []
     for method in methods:
-        variant = evalharness._VARIANT_FOR_METHOD.get(method, "raw")
-        # the baselines ignore the kernel; the config only carries top_k for them
-        kernel = kernels.get(variant, LinearKernel())
-        config = ExplainerConfig(kernel=kernel, variant=variant, top_k=cfg.explainer.top_k)
+        variant = evalharness.METHOD_VARIANTS[method]
+        config = ExplainerConfig(kernel=kernels.get(variant), top_k=cfg.explainer.top_k)
         report = evalharness.hit_rate_experiment(
             model, caches.get(variant), dataset, cfg.experiment.augmentation,
             cfg.experiment.trials, cfg.experiment.sample_size, config, cfg.seed,

@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -20,10 +21,13 @@ from .data import Dataset
 from .errors import UnsupportedAugmentationError
 from .explain import (
     ExplainerConfig,
-    baseline_rep_similarity,
-    baseline_tracin_last,
+    _check_cache,
+    _last_layer_features,
+    _rep_sim_block,
+    _stein_scores,
+    _top,
+    _tracin_block,
     build_cache,
-    explain,
     self_influence_ranking,
 )
 from .nnet import MLPClassifier, TrainConfig, train
@@ -38,6 +42,7 @@ from .stein import (
 
 __all__ = [
     "METHODS",
+    "METHOD_VARIANTS",
     "HIT_KS",
     "MetricsReport",
     "DebugReport",
@@ -50,9 +55,12 @@ __all__ = [
     "write_csv_report",
 ]
 
-METHODS = ("hd-explain", "hd-explain-star", "tracin-last", "rep-sim")
+# the cache variant each retrieval method ranks with; None needs no cache
+METHOD_VARIANTS = {"hd-explain": "raw", "hd-explain-star": "last-layer",
+                   "tracin-last": None, "rep-sim": None}
+METHODS = tuple(METHOD_VARIANTS)
 HIT_KS = (1, 3, 5)
-_VARIANT_FOR_METHOD = {"hd-explain": "raw", "hd-explain-star": "last-layer"}
+_BLOCK_VALUES = 1 << 18  # (m, n) scores per block of trial points
 
 
 @dataclass
@@ -61,8 +69,11 @@ class MetricsReport:
 
     ``hit_rate`` and ``coverage`` map each evaluated k to a fraction;
     coverage at k is ``|union of top-k sets| / (n_test * k)``. Timing covers
-    the query only (cache construction excluded); the 95% interval uses the
-    normal approximation over independent queries.
+    scoring and top-k selection only (cache construction and augmentation
+    excluded). Queries run in blocks, so ``mean_ms`` is the total block time
+    divided by the number of queries, and ``ci95_ms`` is the normal
+    approximation over the blocks' per-query times (block time divided by
+    block size), 0 for a single block.
     """
 
     method: str
@@ -161,34 +172,25 @@ def _augment(dataset: Dataset, augmentation: str, index: int, seed: int) -> np.n
     )
 
 
-def _make_query(method: str, model: MLPClassifier, cache: ScoreCache | None,
-                dataset: Dataset, config: ExplainerConfig, query_k: int):
-    """Return a closure mapping a test point to its top-``query_k`` indices."""
-    if method in _VARIANT_FOR_METHOD:
-        if cache is None:
-            raise ValueError(f"method {method!r} needs a score cache")
-        want = _VARIANT_FOR_METHOD[method]
-        if cache.variant != want:
-            raise ValueError(f"method {method!r} needs a {want!r} cache, got {cache.variant!r}")
-        query_config = replace(config, variant=want, top_k=query_k)
-
-        def query(x_test):
-            result = explain(model, cache, x_test, query_config)
-            return [i for i, _, _ in result.ranked]
-
-    elif method == "tracin-last":
-
-        def query(x_test):
-            return [i for i, _, _ in baseline_tracin_last(model, dataset, x_test)[:query_k]]
-
-    elif method == "rep-sim":
-
-        def query(x_test):
-            return [i for i, _, _ in baseline_rep_similarity(model, dataset, x_test)[:query_k]]
-
-    else:
+def _block_scorer(method: str, model: MLPClassifier, cache: ScoreCache | None,
+                  dataset: Dataset, config: ExplainerConfig):
+    """The method's scorer: (m, d) test rows -> (m, n) scores over the training rows."""
+    if method not in METHOD_VARIANTS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    return query
+    want = METHOD_VARIANTS[method]
+    if want is None:
+        score = _tracin_block if method == "tracin-last" else _rep_sim_block
+        return partial(score, model, _last_layer_features(model, dataset))
+    if cache is None:
+        raise ValueError(f"method {method!r} needs a score cache")
+    if cache.variant != want:
+        raise ValueError(f"method {method!r} needs a {want!r} cache, got {cache.variant!r}")
+    if cache.n != dataset.n:
+        raise ValueError(f"cache has n={cache.n} records, dataset has n={dataset.n}")
+    if config.kernel is None:
+        raise ValueError(f"method {method!r} needs a kernel")
+    _check_cache(model, cache)
+    return lambda x: _stein_scores(model, cache, config.kernel, x)[2]
 
 
 def hit_rate_experiment(model: MLPClassifier, cache: ScoreCache | None, dataset: Dataset,
@@ -200,7 +202,10 @@ def hit_rate_experiment(model: MLPClassifier, cache: ScoreCache | None, dataset:
     Samples ``sample_size`` source indices without replacement, generates
     ``trials_per_point`` augmented test points for each, and counts a hit at
     k when the source index appears in the method's top-k. Coverage is
-    measured per k over all produced top-k sets.
+    measured per k over all produced top-k sets. The method names its cache
+    variant (:data:`METHOD_VARIANTS`); ``config`` supplies the kernel and
+    top_k. The trial points are scored in blocks of at most about
+    ``_BLOCK_VALUES`` scores.
     """
     if sample_size < 1 or sample_size > dataset.n:
         raise ValueError(f"sample_size must lie in [1, {dataset.n}]")
@@ -209,37 +214,33 @@ def hit_rate_experiment(model: MLPClassifier, cache: ScoreCache | None, dataset:
     ks = sorted(set(HIT_KS) | {config.top_k})
     query_k = min(max(ks), dataset.n)
     ks = [k for k in ks if k <= query_k]
-    query = _make_query(method, model, cache, dataset, config, query_k)
+    score = _block_scorer(method, model, cache, dataset, config)
 
     rng = np.random.default_rng(seed)
-    indices = rng.choice(dataset.n, size=sample_size, replace=False)
+    sources = np.repeat(rng.choice(dataset.n, size=sample_size, replace=False), trials_per_point)
+    points = np.stack([_augment(dataset, augmentation, int(source), seed ^ trial_index)
+                       for trial_index, source in enumerate(sources)])
 
-    hits = {k: 0 for k in ks}
-    topk_sets = {k: [] for k in ks}
-    times_ms = []
-    trial_index = 0
-    for source in indices:
-        source = int(source)
-        for _ in range(trials_per_point):
-            x_test = _augment(dataset, augmentation, source, seed ^ trial_index)
-            start = time.perf_counter()
-            top = query(x_test)
-            times_ms.append((time.perf_counter() - start) * 1000.0)
-            for k in ks:
-                top_k = top[:k]
-                if source in top_k:
-                    hits[k] += 1
-                topk_sets[k].append(frozenset(top_k))
-            trial_index += 1
+    total = sources.size
+    block = max(1, _BLOCK_VALUES // dataset.n)
+    top = np.empty((total, query_k), dtype=np.int64)
+    block_ms, sizes = [], []
+    for start in range(0, total, block):
+        chunk = points[start:start + block]
+        t0 = time.perf_counter()
+        top[start:start + block] = _top(score(chunk), query_k)
+        block_ms.append((time.perf_counter() - t0) * 1000.0)
+        sizes.append(len(chunk))
 
-    total = sample_size * trials_per_point
-    times_ms = np.asarray(times_ms)
-    ci95 = 1.96 * times_ms.std(ddof=1) / math.sqrt(total) if total > 1 else 0.0
+    found = top == sources[:, None]
+    per_query_ms = np.divide(block_ms, sizes)
+    blocks = len(sizes)
+    ci95 = 1.96 * per_query_ms.std(ddof=1) / math.sqrt(blocks) if blocks > 1 else 0.0
     return MetricsReport(
         method=method,
-        hit_rate={k: hits[k] / total for k in ks},
-        coverage={k: coverage(topk_sets[k]) for k in ks},
-        mean_ms=float(times_ms.mean()),
+        hit_rate={k: int(found[:, :k].any(axis=1).sum()) / total for k in ks},
+        coverage={k: np.unique(top[:, :k]).size / (total * k) for k in ks},
+        mean_ms=sum(block_ms) / total,
         ci95_ms=float(ci95),
         trials=total,
         seed=seed,

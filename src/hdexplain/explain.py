@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import json
 import time
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,10 +24,11 @@ from .nnet import MLPClassifier, _residual
 from .stein import (
     BaseKernel,
     ScoreCache,
+    _row_stats,
+    _stein_block,
     _stein_diagonal,
     _stein_rows,
     make_stein_points,
-    stein_kernel_profile,
 )
 
 __all__ = [
@@ -42,9 +45,13 @@ __all__ = [
 
 @dataclass
 class ExplainerConfig:
-    """Which variant and kernel to rank with, and how many points to return."""
+    """Which variant and kernel to rank with, and how many points to return.
 
-    kernel: BaseKernel
+    ``kernel`` may be None only where no Stein value is computed (the
+    baselines in the hit-rate protocol).
+    """
+
+    kernel: BaseKernel | None
     variant: str = "raw"
     top_k: int = 3
 
@@ -95,17 +102,32 @@ def _check_cache(model: MLPClassifier, cache: ScoreCache) -> None:
         )
 
 
+def _test_point(model: MLPClassifier, x_test) -> np.ndarray:
+    """The test point as a finite length-d vector, else ``ValueError``."""
+    x_test = np.asarray(x_test, dtype=np.float64)
+    if x_test.ndim != 1 or x_test.shape[0] != model.input_dim:
+        raise ValueError(f"test point must be a length-{model.input_dim} vector")
+    if not np.isfinite(x_test).all():
+        raise ValueError("test point contains non-finite values")
+    return x_test
+
+
+def _finite(values: np.ndarray) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise ArithmeticError("scores against the test point are not finite "
+                              "(its features or the model's weights are too large in magnitude)")
+    return values
+
+
 def explain(model: MLPClassifier, cache: ScoreCache, x_test, config: ExplainerConfig) -> Explanation:
     """Rank the cached training points by Stein-kernel value against a test point.
 
     The test point is completed with the predicted class (argmax of the
     probabilities, ties to the lowest index).
     """
-    x_test = np.asarray(x_test, dtype=np.float64)
-    if x_test.ndim != 1 or x_test.shape[0] != model.input_dim:
-        raise ValueError(f"test point must be a length-{model.input_dim} vector")
-    if not np.all(np.isfinite(x_test)):
-        raise ValueError("test point contains non-finite values")
+    x_test = _test_point(model, x_test)
+    if config.kernel is None:
+        raise ValueError("explain needs a kernel")
     if config.variant != cache.variant:
         raise ValueError(f"config variant {config.variant!r} does not match cache variant {cache.variant!r}")
     if config.top_k > cache.n:
@@ -113,13 +135,8 @@ def explain(model: MLPClassifier, cache: ScoreCache, x_test, config: ExplainerCo
     _check_cache(model, cache)
 
     start = time.perf_counter()
-    predicted, proba, z, score = _stein_rows(model, x_test, None, config.variant)
-    values = stein_kernel_profile(config.kernel, cache.z, cache.scores, z[0], score[0],
-                                  row_stats=cache.row_stats)
-    if not np.isfinite(values).all():
-        raise ArithmeticError("Stein kernel values against this test point are not finite "
-                              "(its features are too large in magnitude)")
-    ranked = _ranked_list(values, cache.labels, k=config.top_k)
+    predicted, proba, values = _stein_scores(model, cache, config.kernel, x_test[None, :])
+    ranked = _ranked_list(values[0], cache.labels, k=config.top_k)
     elapsed = time.perf_counter() - start
     return Explanation(
         test_features=x_test,
@@ -154,20 +171,107 @@ def self_influence_ranking(cache: ScoreCache, kernel: BaseKernel) -> list[tuple[
     return _ranked_list(_stein_diagonal(kernel, cache.scores, cache.row_stats))
 
 
+def _top(values: np.ndarray, k: int | None = None) -> np.ndarray:
+    """Indices of the ``k`` (all by default) largest values along the last
+    axis, in descending order, ties by ascending index."""
+    return np.argsort(-values, axis=-1, kind="stable")[..., :k]
+
+
 def _ranked_list(values: np.ndarray, *columns: np.ndarray, k: int | None = None) -> list[tuple]:
     """The first ``k`` (all by default) ``(index, value, *column entries)``
     tuples by value descending, ties by ascending index."""
-    order = np.lexsort((np.arange(values.shape[0]), -values))[:k]
+    order = _top(values, k)
     return list(zip(order.tolist(), values[order].tolist(), *(c[order].tolist() for c in columns)))
+
+
+# Block scorers: (m, d) test rows -> (m, n) scores over the training rows. The
+# public queries are their m = 1 case; the hit-rate protocol calls them on
+# blocks. Non-finite scores raise ArithmeticError (numpy's warnings about the
+# overflow that causes them are silenced).
+
+def _stein_scores(model: MLPClassifier, cache: ScoreCache, kernel: BaseKernel, x):
+    """Predicted labels, probabilities and the Stein values against the cache,
+    counting m * n pair evaluations."""
+    with np.errstate(all="ignore"):
+        labels, proba, z, s = _stein_rows(model, x, None, cache.variant)
+        values = _stein_block(kernel, cache.z, cache.scores, cache.row_stats, z, s, _row_stats(z, s))
+    return labels, proba, _finite(values)
+
+
+class _LastLayer:
+    """The baselines' training-side features for one (model, dataset), from
+    one last-layer pass: the final hidden representations ``reps``, the
+    residuals ``resid`` (``e_y - p`` at the ground-truth labels) and, derived
+    on first use, the representation ``norms``."""
+
+    def __init__(self, model: MLPClassifier, dataset: Dataset):
+        x, y = dataset.features, dataset.labels
+        self._source = (weakref.ref(x), weakref.ref(y))
+        _, proba, _, self.reps, _ = model.score(x, y, "last-layer")
+        self.resid = _residual(proba, y)
+
+    def built_from(self, dataset: Dataset) -> bool:
+        return self._source[0]() is dataset.features and self._source[1]() is dataset.labels
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        return np.linalg.norm(self.reps, axis=1)
+
+
+# model -> _LastLayer; weakly keyed, so an entry dies with its model
+_LAST_LAYER = weakref.WeakKeyDictionary()
+
+
+def _read_only(arr: np.ndarray) -> bool:
+    """Whether no array in ``arr``'s view chain is writeable."""
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        arr = arr.base
+    return True
+
+
+def _last_layer_features(model: MLPClassifier, dataset: Dataset) -> _LastLayer:
+    """The baselines' training-side features, memoized per model while the
+    dataset's features and labels are the same read-only arrays."""
+    frozen = _read_only(dataset.features) and _read_only(dataset.labels)
+    memo = _LAST_LAYER.get(model)
+    if frozen and memo is not None and memo.built_from(dataset):
+        return memo
+    memo = _LastLayer(model, dataset)
+    if frozen:
+        _LAST_LAYER[model] = memo
+    return memo
 
 
 def _tracin_scores(resid, reps, resid_t, rep_t) -> np.ndarray:
     """Last-layer gradient inner products: (resid_i . resid_t)(h_i . h_t).
 
     ``resid`` rows are ``e_y - p`` residuals; the score is the Frobenius inner
-    product of the two cross-entropy weight gradients.
+    product of the two cross-entropy weight gradients. The test side is one
+    row or an (m, .) block.
     """
-    return (resid @ resid_t) * (reps @ rep_t)
+    return (resid_t @ resid.T) * (rep_t @ reps.T)
+
+
+def _tracin_block(model: MLPClassifier, train: _LastLayer, x) -> np.ndarray:
+    """TracIn-last scores, each test row paired with its predicted label."""
+    with np.errstate(all="ignore"):
+        labels, proba, _, reps, _ = model.score(x, None, "last-layer")
+        scores = _tracin_scores(train.resid, train.reps, _residual(proba, labels), reps)
+    return _finite(scores)
+
+
+def _rep_sim_block(model: MLPClassifier, train: _LastLayer, x) -> np.ndarray:
+    """Cosine similarity of final hidden representations; a zero norm scores 0."""
+    with np.errstate(all="ignore"):
+        reps = model.score(x, None, "last-layer")[3]
+        # row by row dot products, so each norm equals np.linalg.norm(row)
+        norms = np.sqrt(reps[:, None, :] @ reps[:, :, None])[:, 0]
+        denom = train.norms * norms
+        scores = np.divide(reps @ train.reps.T, denom, out=np.zeros(denom.shape),
+                           where=(train.norms > 0) & (norms > 0))
+    return _finite(scores)
 
 
 def baseline_tracin_last(model: MLPClassifier, dataset: Dataset, x_test) -> list[tuple[int, float, int]]:
@@ -177,11 +281,9 @@ def baseline_tracin_last(model: MLPClassifier, dataset: Dataset, x_test) -> list
     predicted label. Returns the full ranking as
     ``(train_index, score, train_label)`` tuples, descending, ties by index.
     """
-    _, proba, _, reps, _ = model.score(dataset.features, dataset.labels, "last-layer")
-    label_t, proba_t, _, rep_t, _ = model.score(np.atleast_2d(x_test), None, "last-layer")
-    scores = _tracin_scores(_residual(proba, dataset.labels), reps,
-                            _residual(proba_t, label_t)[0], rep_t[0])
-    return _ranked_list(scores, dataset.labels)
+    x_test = _test_point(model, x_test)
+    scores = _tracin_block(model, _last_layer_features(model, dataset), x_test[None, :])
+    return _ranked_list(scores[0], dataset.labels)
 
 
 def baseline_rep_similarity(model: MLPClassifier, dataset: Dataset, x_test) -> list[tuple[int, float, int]]:
@@ -189,12 +291,6 @@ def baseline_rep_similarity(model: MLPClassifier, dataset: Dataset, x_test) -> l
 
     Zero-norm representations score 0.
     """
-    reps = model.representation(dataset.features)
-    rep_t = model.representation(np.asarray(x_test, dtype=np.float64))
-    norms = np.linalg.norm(reps, axis=1)
-    norm_t = float(np.linalg.norm(rep_t))
-    scores = np.zeros(dataset.n)
-    if norm_t > 0:
-        nonzero = norms > 0
-        scores[nonzero] = (reps[nonzero] @ rep_t) / (norms[nonzero] * norm_t)
-    return _ranked_list(scores, dataset.labels)
+    x_test = _test_point(model, x_test)
+    scores = _rep_sim_block(model, _last_layer_features(model, dataset), x_test[None, :])
+    return _ranked_list(scores[0], dataset.labels)

@@ -130,6 +130,7 @@ class TestExplainCommand:
                    "--index", "3") == 3
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_ranking_is_an_arithmetic_error(self, trained_artifacts, capsys):
         config, model_path, cache_path = trained_artifacts
         assert run("explain", "--config", config, "--model", model_path, "--cache", cache_path,

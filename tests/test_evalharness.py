@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from hdexplain.data import Dataset, gen_two_moons
+from hdexplain import evalharness
 from hdexplain.errors import UnsupportedAugmentationError
 from hdexplain.evalharness import (
+    METHOD_VARIANTS,
     augment_hflip,
     augment_noise,
     coverage,
@@ -11,7 +13,13 @@ from hdexplain.evalharness import (
     ksd_shift_experiment,
     label_flip_debug_experiment,
 )
-from hdexplain.explain import ExplainerConfig, build_cache, explain
+from hdexplain.explain import (
+    ExplainerConfig,
+    baseline_rep_similarity,
+    baseline_tracin_last,
+    build_cache,
+    explain,
+)
 from hdexplain.nnet import TrainConfig, train
 from hdexplain.stein import RBFKernel, local_scale_gamma, make_stein_points, SteinPoint, ksd_vstat
 
@@ -194,6 +202,64 @@ class TestHitRateExperiment:
         assert len(rows) == 3
         assert [row["k"] for row in rows] == [1, 3, 5]
         assert all(row["method"] == "hd-explain" for row in rows)
+
+
+class TestBlockProtocol:
+    """The block-scored protocol ranks every trial as the single-query path does."""
+
+    @pytest.mark.parametrize("block_rows", [None, 7])
+    @pytest.mark.parametrize("method", list(METHOD_VARIANTS))
+    def test_each_trial_equals_the_single_query_top_k(self, trained, moons, monkeypatch,
+                                                      method, block_rows):
+        if block_rows is not None:  # several blocks and a short last one
+            monkeypatch.setattr(evalharness, "_BLOCK_VALUES", block_rows * moons.n)
+        tops = []
+        real_top = evalharness._top
+        monkeypatch.setattr(evalharness, "_top", lambda v, k: tops.append(real_top(v, k)) or tops[-1])
+        variant = METHOD_VARIANTS[method]
+        cache = build_cache(trained, moons, variant) if variant else None
+        kernel = RBFKernel(local_scale_gamma(cache.z)) if cache else None
+        config = ExplainerConfig(kernel=kernel, variant=variant or "raw", top_k=5)
+        seed, trials, sample_size = 11, 3, 20
+        report = hit_rate_experiment(trained, cache, moons, "noise", trials, sample_size,
+                                     config, seed, method=method)
+
+        rng = np.random.default_rng(seed)
+        sources = np.repeat(rng.choice(moons.n, size=sample_size, replace=False), trials)
+        single = []
+        for t, source in enumerate(sources):
+            x = augment_noise(moons, int(source), seed ^ t)
+            if cache is not None:
+                ranked = explain(trained, cache, x, config).ranked
+            elif method == "tracin-last":
+                ranked = baseline_tracin_last(trained, moons, x)[:5]
+            else:
+                ranked = baseline_rep_similarity(trained, moons, x)[:5]
+            single.append([i for i, _, _ in ranked])
+        assert np.vstack(tops).tolist() == single
+        assert len(tops) == (1 if block_rows is None else -(-len(sources) // block_rows))
+        for k in (1, 3, 5):
+            hits = sum(int(s) in top[:k] for s, top in zip(sources, single))
+            assert report.hit_rate[k] == hits / len(sources)
+            assert report.coverage[k] == coverage([top[:k] for top in single])
+
+    def test_timing_is_per_query(self, trained, moons, cache, retrieval_config, monkeypatch):
+        monkeypatch.setattr(evalharness, "_BLOCK_VALUES", 4 * moons.n)
+        report = hit_rate_experiment(trained, cache, moons, "noise", 2, 5,
+                                     retrieval_config, seed=3, method="hd-explain")
+        assert report.mean_ms > 0.0 and report.ci95_ms >= 0.0
+        single = hit_rate_experiment(trained, cache, moons, "noise", 1, 1,
+                                     retrieval_config, seed=3, method="hd-explain")
+        assert single.ci95_ms == 0.0
+
+    def test_baselines_need_no_kernel(self, trained, moons):
+        config = ExplainerConfig(kernel=None, top_k=3)
+        report = hit_rate_experiment(trained, None, moons, "noise", 1, 5, config, seed=4,
+                                     method="rep-sim")
+        assert report.trials == 5
+        with pytest.raises(ValueError, match="kernel"):
+            hit_rate_experiment(trained, build_cache(trained, moons, "raw"), moons, "noise", 1, 5,
+                                config, seed=4, method="hd-explain")
 
 
 class TestLabelFlipDebug:

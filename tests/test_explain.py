@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -160,8 +162,10 @@ class TestExplain:
         with pytest.raises(ValueError, match="finite"):
             explain(trained, cache, np.array([np.nan, 0.0]), retrieval_config)
 
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_profile_raises(self, trained, cache, retrieval_config):
-        # finite features whose squared norm overflows make every kernel value NaN
+        # finite features whose squared norm overflows make every kernel value
+        # NaN; the error is raised without numpy's overflow warnings
         with pytest.raises(ArithmeticError, match="not finite"):
             explain(trained, cache, np.array([1e155, 1e155]), retrieval_config)
 
@@ -233,14 +237,92 @@ class TestForwardPasses:
             explain(trained, cache, moons.features[i], config)
         assert forward_calls == [1, 1, 1]
 
-    def test_tracin_one_over_the_training_set_one_over_the_test_point(self, trained, moons,
+    @pytest.fixture()
+    def fresh_pair(self, trained, moons):
+        # the baselines' training-side features are memoized per (model,
+        # dataset), so the module fixtures may already be warm
+        model = MLPClassifier(trained.layer_dims, trained.weights, trained.biases)
+        return model, Dataset(moons.features.copy(), moons.labels.copy(), moons.num_classes)
+
+    def test_tracin_one_over_the_training_set_one_over_the_test_point(self, fresh_pair,
                                                                         forward_calls):
-        baseline_tracin_last(trained, moons, moons.features[0])
-        assert sorted(forward_calls) == [1, moons.n]
+        model, data = fresh_pair
+        baseline_tracin_last(model, data, data.features[0])
+        assert forward_calls == [data.n, 1]
+        forward_calls.clear()
+        baseline_tracin_last(model, data, data.features[1])
+        assert forward_calls == [1]
+        forward_calls.clear()
+        baseline_rep_similarity(model, data, data.features[2])
+        assert forward_calls == [1]
+
+    def test_model_with_other_weights_recomputes(self, fresh_pair, forward_calls):
+        model, data = fresh_pair
+        before = baseline_tracin_last(model, data, data.features[0])
+        weights = [w.copy() for w in model.weights]
+        weights[-1][0, 0] += 1e-3
+        other = MLPClassifier(model.layer_dims, weights, model.biases)
+        forward_calls.clear()
+        after = baseline_tracin_last(other, data, data.features[0])
+        assert forward_calls == [data.n, 1]
+        assert after != before
+
+    def test_writeable_dataset_is_scored_every_call(self, fresh_pair, moons, forward_calls):
+        model, data = fresh_pair
+        data.features.setflags(write=True)
+        # a read-only view of a writeable array can still change under it
+        base = moons.features.copy()
+        view = Dataset(base[:100], moons.labels[:100], moons.num_classes)
+        for dataset in (data, view):
+            for _ in range(2):
+                forward_calls.clear()
+                baseline_rep_similarity(model, dataset, dataset.features[0])
+                assert forward_calls == [dataset.n, 1]
+        base[0] += 1.0
+        assert baseline_rep_similarity(model, view, base[0]) == baseline_rep_similarity(
+            model, Dataset(base[:100].copy(), moons.labels[:100], moons.num_classes), base[0])
+
+    def test_memo_does_not_keep_the_model_alive(self, trained, moons):
+        model = MLPClassifier(trained.layer_dims, trained.weights, trained.biases)
+        baseline_tracin_last(model, moons, moons.features[0])
+        baseline_rep_similarity(model, moons, moons.features[0])
+        ref = weakref.ref(model)
+        del model
+        gc.collect()
+        assert ref() is None
 
     def test_ksd_shift_one_per_shift(self, trained, moons, forward_calls):
         ksd_shift_experiment(trained, moons, [0.5, 1.0], RBFKernel(1.0))
         assert forward_calls == [moons.n] * 3
+
+
+class TestBaselineInputs:
+    """The baselines validate the test point as ``explain`` does."""
+
+    @pytest.mark.parametrize("baseline", [baseline_tracin_last, baseline_rep_similarity])
+    def test_non_finite_input_rejected(self, trained, moons, baseline):
+        with pytest.raises(ValueError, match="finite"):
+            baseline(trained, moons, np.array([np.nan, 0.0]))
+
+    @pytest.mark.parametrize("baseline", [baseline_tracin_last, baseline_rep_similarity])
+    def test_batch_input_rejected(self, trained, moons, baseline):
+        with pytest.raises(ValueError, match="length-2 vector"):
+            baseline(trained, moons, moons.features[:2])
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_scores_raise(self, moons):
+        # both logits overflow to +inf, so the probabilities and every score are NaN
+        model = MLPClassifier([2, 2, 2], [np.eye(2), np.full((2, 2), 1e308)],
+                              [np.zeros(2), np.zeros(2)])
+        with pytest.raises(ArithmeticError, match="not finite"):
+            baseline_tracin_last(model, moons, np.array([5.0, 5.0]))
+
+    def test_memo_hit_equals_cold_call(self, trained, moons):
+        fresh = Dataset(moons.features.copy(), moons.labels.copy(), moons.num_classes)
+        for baseline in (baseline_tracin_last, baseline_rep_similarity):
+            for i in (0, 1, 2):
+                warm = baseline(trained, moons, moons.features[i])
+                assert baseline(trained, fresh, moons.features[i]) == warm
 
 
 class TestTracinBaseline:
