@@ -13,20 +13,15 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .data import Dataset
 from .errors import UnsupportedAugmentationError
 from .explain import (
+    METHOD_VARIANTS,
     ExplainerConfig,
-    _check_cache,
-    _last_layer_features,
-    _rep_sim_block,
-    _stein_scores,
-    _top,
-    _tracin_block,
+    _block_ranker,
     build_cache,
     self_influence_ranking,
 )
@@ -55,9 +50,6 @@ __all__ = [
     "write_csv_report",
 ]
 
-# the cache variant each retrieval method ranks with; None needs no cache
-METHOD_VARIANTS = {"hd-explain": "raw", "hd-explain-star": "last-layer",
-                   "tracin-last": None, "rep-sim": None}
 METHODS = tuple(METHOD_VARIANTS)
 HIT_KS = (1, 3, 5)
 _BLOCK_VALUES = 1 << 18  # (m, n) scores per block of trial points
@@ -172,27 +164,6 @@ def _augment(dataset: Dataset, augmentation: str, index: int, seed: int) -> np.n
     )
 
 
-def _block_scorer(method: str, model: MLPClassifier, cache: ScoreCache | None,
-                  dataset: Dataset, config: ExplainerConfig):
-    """The method's scorer: (m, d) test rows -> (m, n) scores over the training rows."""
-    if method not in METHOD_VARIANTS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    want = METHOD_VARIANTS[method]
-    if want is None:
-        score = _tracin_block if method == "tracin-last" else _rep_sim_block
-        return partial(score, model, _last_layer_features(model, dataset))
-    if cache is None:
-        raise ValueError(f"method {method!r} needs a score cache")
-    if cache.variant != want:
-        raise ValueError(f"method {method!r} needs a {want!r} cache, got {cache.variant!r}")
-    if cache.n != dataset.n:
-        raise ValueError(f"cache has n={cache.n} records, dataset has n={dataset.n}")
-    if config.kernel is None:
-        raise ValueError(f"method {method!r} needs a kernel")
-    _check_cache(model, cache)
-    return lambda x: _stein_scores(model, cache, config.kernel, x)[2]
-
-
 def hit_rate_experiment(model: MLPClassifier, cache: ScoreCache | None, dataset: Dataset,
                         augmentation: str, trials_per_point: int, sample_size: int,
                         config: ExplainerConfig, seed: int,
@@ -214,23 +185,21 @@ def hit_rate_experiment(model: MLPClassifier, cache: ScoreCache | None, dataset:
     ks = sorted(set(HIT_KS) | {config.top_k})
     query_k = min(max(ks), dataset.n)
     ks = [k for k in ks if k <= query_k]
-    score = _block_scorer(method, model, cache, dataset, config)
+    rank = _block_ranker(method, model, cache, dataset, config.kernel, query_k)
 
     rng = np.random.default_rng(seed)
     sources = np.repeat(rng.choice(dataset.n, size=sample_size, replace=False), trials_per_point)
-    points = np.stack([_augment(dataset, augmentation, int(source), seed ^ trial_index)
-                       for trial_index, source in enumerate(sources)])
-
     total = sources.size
     block = max(1, _BLOCK_VALUES // dataset.n)
     top = np.empty((total, query_k), dtype=np.int64)
     block_ms, sizes = [], []
     for start in range(0, total, block):
-        chunk = points[start:start + block]
+        points = np.stack([_augment(dataset, augmentation, int(sources[t]), seed ^ t)
+                           for t in range(start, min(start + block, total))])
         t0 = time.perf_counter()
-        top[start:start + block] = _top(score(chunk), query_k)
+        top[start:start + len(points)] = rank(points)
         block_ms.append((time.perf_counter() - t0) * 1000.0)
-        sizes.append(len(chunk))
+        sizes.append(len(points))
 
     found = top == sources[:, None]
     per_query_ms = np.divide(block_ms, sizes)
@@ -239,7 +208,7 @@ def hit_rate_experiment(model: MLPClassifier, cache: ScoreCache | None, dataset:
     return MetricsReport(
         method=method,
         hit_rate={k: int(found[:, :k].any(axis=1).sum()) / total for k in ks},
-        coverage={k: np.unique(top[:, :k]).size / (total * k) for k in ks},
+        coverage={k: coverage(top[:, :k].tolist()) for k in ks},
         mean_ms=sum(block_ms) / total,
         ci95_ms=float(ci95),
         trials=total,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import StaleCacheError
-from .nnet import MLPClassifier, _residual
+from .nnet import MLPClassifier
 from .stein import (
     BaseKernel,
     ScoreCache,
@@ -29,9 +29,11 @@ from .stein import (
     _stein_diagonal,
     _stein_rows,
     make_stein_points,
+    stein_kernel_profile,
 )
 
 __all__ = [
+    "METHOD_VARIANTS",
     "ExplainerConfig",
     "Explanation",
     "build_cache",
@@ -41,6 +43,10 @@ __all__ = [
     "baseline_tracin_last",
     "baseline_rep_similarity",
 ]
+
+# the cache variant each retrieval method ranks with; None needs no cache
+METHOD_VARIANTS = {"hd-explain": "raw", "hd-explain-star": "last-layer",
+                   "tracin-last": None, "rep-sim": None}
 
 
 @dataclass
@@ -135,8 +141,11 @@ def explain(model: MLPClassifier, cache: ScoreCache, x_test, config: ExplainerCo
     _check_cache(model, cache)
 
     start = time.perf_counter()
-    predicted, proba, values = _stein_scores(model, cache, config.kernel, x_test[None, :])
-    ranked = _ranked_list(values[0], cache.labels, k=config.top_k)
+    with np.errstate(all="ignore"):  # overflow surfaces as the ArithmeticError below
+        predicted, proba, z, s = _stein_rows(model, x_test, None, cache.variant)
+        values = stein_kernel_profile(config.kernel, cache.z, cache.scores, z[0], s[0],
+                                      row_stats=cache.row_stats)
+    ranked = _ranked_list(_finite(values), cache.labels, k=config.top_k)
     elapsed = time.perf_counter() - start
     return Explanation(
         test_features=x_test,
@@ -184,31 +193,32 @@ def _ranked_list(values: np.ndarray, *columns: np.ndarray, k: int | None = None)
     return list(zip(order.tolist(), values[order].tolist(), *(c[order].tolist() for c in columns)))
 
 
-# Block scorers: (m, d) test rows -> (m, n) scores over the training rows. The
-# public queries are their m = 1 case; the hit-rate protocol calls them on
-# blocks. Non-finite scores raise ArithmeticError (numpy's warnings about the
-# overflow that causes them are silenced).
+# Block scorers: (m, d) test rows -> (m, n) scores over the training rows.
+# explain and the baselines are their m = 1 case (explain through
+# stein_kernel_profile, the one-row wrapper of _stein_block); the hit-rate
+# protocol calls them on blocks through _block_ranker. Non-finite scores raise
+# ArithmeticError (numpy's warnings about the overflow that causes them are
+# silenced).
 
-def _stein_scores(model: MLPClassifier, cache: ScoreCache, kernel: BaseKernel, x):
-    """Predicted labels, probabilities and the Stein values against the cache,
-    counting m * n pair evaluations."""
+def _stein_scores(model: MLPClassifier, cache: ScoreCache, kernel: BaseKernel, x) -> np.ndarray:
+    """Stein values of each test row, completed with its predicted label,
+    against the cache, counting m * n pair evaluations."""
     with np.errstate(all="ignore"):
-        labels, proba, z, s = _stein_rows(model, x, None, cache.variant)
+        _, _, z, s = _stein_rows(model, x, None, cache.variant)
         values = _stein_block(kernel, cache.z, cache.scores, cache.row_stats, z, s, _row_stats(z, s))
-    return labels, proba, _finite(values)
+    return _finite(values)
 
 
 class _LastLayer:
     """The baselines' training-side features for one (model, dataset), from
-    one last-layer pass: the final hidden representations ``reps``, the
+    one forward pass: the final hidden representations ``reps``, the
     residuals ``resid`` (``e_y - p`` at the ground-truth labels) and, derived
     on first use, the representation ``norms``."""
 
     def __init__(self, model: MLPClassifier, dataset: Dataset):
         x, y = dataset.features, dataset.labels
         self._source = (weakref.ref(x), weakref.ref(y))
-        _, proba, _, self.reps, _ = model.score(x, y, "last-layer")
-        self.resid = _residual(proba, y)
+        _, self.reps, self.resid = model.representation_and_residual(x, y)
 
     def built_from(self, dataset: Dataset) -> bool:
         return self._source[0]() is dataset.features and self._source[1]() is dataset.labels
@@ -231,16 +241,17 @@ def _read_only(arr: np.ndarray) -> bool:
     return True
 
 
-def _last_layer_features(model: MLPClassifier, dataset: Dataset) -> _LastLayer:
+def _training_features(model: MLPClassifier, dataset: Dataset) -> _LastLayer:
     """The baselines' training-side features, memoized per model while the
     dataset's features and labels are the same read-only arrays."""
-    frozen = _read_only(dataset.features) and _read_only(dataset.labels)
+    if not (_read_only(dataset.features) and _read_only(dataset.labels)):
+        return _LastLayer(model, dataset)
     memo = _LAST_LAYER.get(model)
-    if frozen and memo is not None and memo.built_from(dataset):
+    if memo is not None and memo.built_from(dataset):
         return memo
-    memo = _LastLayer(model, dataset)
-    if frozen:
-        _LAST_LAYER[model] = memo
+    # drop the stale entry first, so the new pass can reuse its memory
+    _LAST_LAYER.pop(model, None)
+    memo = _LAST_LAYER[model] = _LastLayer(model, dataset)
     return memo
 
 
@@ -257,15 +268,15 @@ def _tracin_scores(resid, reps, resid_t, rep_t) -> np.ndarray:
 def _tracin_block(model: MLPClassifier, train: _LastLayer, x) -> np.ndarray:
     """TracIn-last scores, each test row paired with its predicted label."""
     with np.errstate(all="ignore"):
-        labels, proba, _, reps, _ = model.score(x, None, "last-layer")
-        scores = _tracin_scores(train.resid, train.reps, _residual(proba, labels), reps)
+        _, reps, resid = model.representation_and_residual(x)
+        scores = _tracin_scores(train.resid, train.reps, resid, reps)
     return _finite(scores)
 
 
 def _rep_sim_block(model: MLPClassifier, train: _LastLayer, x) -> np.ndarray:
     """Cosine similarity of final hidden representations; a zero norm scores 0."""
     with np.errstate(all="ignore"):
-        reps = model.score(x, None, "last-layer")[3]
+        reps = model.representation_and_residual(x)[1]
         # row by row dot products, so each norm equals np.linalg.norm(row)
         norms = np.sqrt(reps[:, None, :] @ reps[:, :, None])[:, 0]
         denom = train.norms * norms
@@ -282,7 +293,7 @@ def baseline_tracin_last(model: MLPClassifier, dataset: Dataset, x_test) -> list
     ``(train_index, score, train_label)`` tuples, descending, ties by index.
     """
     x_test = _test_point(model, x_test)
-    scores = _tracin_block(model, _last_layer_features(model, dataset), x_test[None, :])
+    scores = _tracin_block(model, _training_features(model, dataset), x_test[None, :])
     return _ranked_list(scores[0], dataset.labels)
 
 
@@ -292,5 +303,30 @@ def baseline_rep_similarity(model: MLPClassifier, dataset: Dataset, x_test) -> l
     Zero-norm representations score 0.
     """
     x_test = _test_point(model, x_test)
-    scores = _rep_sim_block(model, _last_layer_features(model, dataset), x_test[None, :])
+    scores = _rep_sim_block(model, _training_features(model, dataset), x_test[None, :])
     return _ranked_list(scores[0], dataset.labels)
+
+
+def _block_ranker(method: str, model: MLPClassifier, cache: ScoreCache | None, dataset: Dataset,
+                  kernel: BaseKernel | None, k: int):
+    """The hit-rate protocol's ranker for ``method``: (m, d) test rows -> the
+    (m, k) indices of each row's top-k training points, ties by ascending
+    index. The Stein methods need a current ``cache`` of the method's variant
+    (:data:`METHOD_VARIANTS`) over ``dataset`` and a ``kernel``."""
+    if method not in METHOD_VARIANTS:
+        raise ValueError(f"unknown method {method!r}; expected one of {tuple(METHOD_VARIANTS)}")
+    want = METHOD_VARIANTS[method]
+    if want is None:
+        block = _tracin_block if method == "tracin-last" else _rep_sim_block
+        train = _training_features(model, dataset)
+        return lambda x: _top(block(model, train, x), k)
+    if cache is None:
+        raise ValueError(f"method {method!r} needs a score cache")
+    if cache.variant != want:
+        raise ValueError(f"method {method!r} needs a {want!r} cache, got {cache.variant!r}")
+    if cache.n != dataset.n:
+        raise ValueError(f"cache has n={cache.n} records, dataset has n={dataset.n}")
+    if kernel is None:
+        raise ValueError(f"method {method!r} needs a kernel")
+    _check_cache(model, cache)
+    return lambda x: _top(_stein_scores(model, cache, kernel, x), k)

@@ -200,6 +200,20 @@ class MLPClassifier:
         out = (labels, proba, _log_softmax(logits), x if variant == "raw" else acts[-1], grad)
         return tuple(v[0] for v in out) if single else out
 
+    def representation_and_residual(self, x, y=None):
+        """``(labels, reps, resid)`` from one forward pass and no backward
+        pass: the final hidden representation and the residual ``e_y - p``.
+        ``labels`` is ``y``, or the predicted class when ``y`` is None, as in
+        :meth:`score`. A ``(d,)`` row gives row results."""
+        if self.num_hidden_layers < 1:
+            raise UnsupportedVariantError("model has no hidden layer to read a representation from")
+        x, single = self._check_input(x)
+        acts, logits = _forward(self.weights, self.biases, x)
+        proba = _softmax(logits)
+        labels = proba.argmax(axis=1) if y is None else self._check_labels(y, x.shape[0], "input")
+        out = (labels, acts[-1], _residual(proba, labels))
+        return tuple(v[0] for v in out) if single else out
+
     def input_gradient(self, x, y):
         """Gradient of ``log predict_proba(x)[y]`` with respect to ``x``.
 
@@ -210,7 +224,7 @@ class MLPClassifier:
 
     def representation(self, x):
         """Activations of the final hidden layer."""
-        return self.score(x, variant="last-layer")[3]
+        return self.representation_and_residual(x)[1]
 
     def rep_gradient(self, h, y):
         """Gradient of ``log softmax(W h + b)[y]`` with respect to ``h``.

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,8 @@ from hdexplain.explain import (
 )
 from hdexplain.nnet import TrainConfig, train
 from hdexplain.stein import RBFKernel, local_scale_gamma, make_stein_points, SteinPoint, ksd_vstat
+
+explain_module = importlib.import_module("hdexplain.explain")  # the package re-exports the function
 
 
 @pytest.fixture(scope="module")
@@ -213,16 +217,17 @@ class TestBlockProtocol:
                                                       method, block_rows):
         if block_rows is not None:  # several blocks and a short last one
             monkeypatch.setattr(evalharness, "_BLOCK_VALUES", block_rows * moons.n)
-        tops = []
-        real_top = evalharness._top
-        monkeypatch.setattr(evalharness, "_top", lambda v, k: tops.append(real_top(v, k)) or tops[-1])
         variant = METHOD_VARIANTS[method]
         cache = build_cache(trained, moons, variant) if variant else None
         kernel = RBFKernel(local_scale_gamma(cache.z)) if cache else None
         config = ExplainerConfig(kernel=kernel, variant=variant or "raw", top_k=5)
         seed, trials, sample_size = 11, 3, 20
-        report = hit_rate_experiment(trained, cache, moons, "noise", trials, sample_size,
-                                     config, seed, method=method)
+        tops = []
+        real_top = explain_module._top
+        with monkeypatch.context() as patch:  # record each block's top-k
+            patch.setattr(explain_module, "_top", lambda v, k: tops.append(real_top(v, k)) or tops[-1])
+            report = hit_rate_experiment(trained, cache, moons, "noise", trials, sample_size,
+                                         config, seed, method=method)
 
         rng = np.random.default_rng(seed)
         sources = np.repeat(rng.choice(moons.n, size=sample_size, replace=False), trials)

@@ -2,6 +2,8 @@ import gc
 import json
 import weakref
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,8 @@ from hdexplain.stein import (
     local_scale_gamma,
     stein_kernel,
 )
+
+explain_module = importlib.import_module("hdexplain.explain")  # the package re-exports the function
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +151,15 @@ class TestExplain:
         stein.reset_kernel_eval_count()
         explain(trained, cache, moons.features[0], retrieval_config)
         assert stein.kernel_eval_count() == cache.n
+
+    def test_scores_through_the_one_row_profile(self, trained, moons, cache, retrieval_config,
+                                                monkeypatch):
+        calls = []
+        real = explain_module.stein_kernel_profile
+        monkeypatch.setattr(explain_module, "stein_kernel_profile",
+                            lambda *a, **kw: calls.append(a[3].shape) or real(*a, **kw))
+        explain(trained, cache, moons.features[0], retrieval_config)
+        assert calls == [(cache.z.shape[1],)]
 
     def test_variant_mismatch_rejected(self, trained, moons, cache):
         config = ExplainerConfig(kernel=LinearKernel(), variant="last-layer", top_k=1)

@@ -250,6 +250,10 @@ class TestScore:
             assert np.array_equal(got_front, front)
             assert np.array_equal(got_grad, grad)
             assert got_grad.shape == front.shape
+        labels, reps, resid = trained.representation_and_residual(x, y)
+        assert np.array_equal(labels, want_labels)
+        assert np.array_equal(reps, h)
+        assert np.array_equal(resid, np.eye(trained.num_classes)[want_labels] - proba)
 
     def test_predicted_ties_go_to_lowest_index(self):
         labels = zero_model([2, 3, 4]).score(np.zeros((2, 2)))[0]
@@ -274,7 +278,8 @@ class TestScore:
             trained.score(np.zeros(2), 0, "middle")
         flat = zero_model([2, 2])
         for call in (lambda: flat.score(np.zeros(2), 0, "last-layer"),
-                     lambda: flat.representation(np.zeros(2))):
+                     lambda: flat.representation(np.zeros(2)),
+                     lambda: flat.representation_and_residual(np.zeros(2))):
             with pytest.raises(UnsupportedVariantError,
                                match="model has no hidden layer to read a representation from"):
                 call()
