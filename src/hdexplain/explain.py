@@ -182,8 +182,22 @@ def self_influence_ranking(cache: ScoreCache, kernel: BaseKernel) -> list[tuple[
 
 def _top(values: np.ndarray, k: int | None = None) -> np.ndarray:
     """Indices of the ``k`` (all by default) largest values along the last
-    axis, in descending order, ties by ascending index."""
-    return np.argsort(-values, axis=-1, kind="stable")[..., :k]
+    axis of a 1-D or 2-D array, in descending order, ties by ascending index.
+
+    For ``k < n`` only the candidates are sorted: the values at least as large
+    as the k-th largest (more than ``k`` only where values tie with it), taken
+    in ascending index order and stably sorted by value."""
+    neg = -values
+    if k is None or k >= neg.shape[-1]:
+        return np.argsort(neg, axis=-1, kind="stable")[..., :k]
+    kth = np.partition(neg, k - 1, axis=-1)[..., k - 1]
+    if neg.ndim == 1:  # explain's one row: fewer numpy calls than the block form below
+        index = np.flatnonzero(neg <= kth)
+        return index[np.argsort(neg[index], kind="stable")[:k]]
+    rows, index = np.nonzero(neg <= kth[:, None])  # row-major: ascending index within each row
+    order = np.lexsort((neg[rows, index], rows))  # stable: by row, then value, then index
+    counts = np.bincount(rows, minlength=neg.shape[0])
+    return index[order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]]
 
 
 def _ranked_list(values: np.ndarray, *columns: np.ndarray, k: int | None = None) -> list[tuple]:

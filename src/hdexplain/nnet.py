@@ -29,14 +29,74 @@ MODEL_VERSION = 1
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+_FNV_CHUNK = 1 << 16
 
 
 def fnv1a_64(data: bytes) -> int:
-    """64-bit FNV-1a hash of a byte string."""
+    """64-bit FNV-1a hash of a byte string (``bytes``, ``bytearray`` or a
+    contiguous byte ``memoryview``): ``h = (h ^ byte) * P mod 2**64`` over
+    the bytes, from the offset basis.
+
+    Computed in numpy with the same value as that loop. With ``l`` the low
+    byte of ``h``, ``h ^ byte == h + d`` for ``d = (l ^ byte) - l``, so after
+    ``n`` bytes ``h = P**n * h_0 + sum_i P**(n - i) * d_i``: a uint64 dot
+    product (numpy's uint64 arrays wrap mod 2**64) once the low bytes are
+    known, which ``_fnv_xored_bytes`` finds. Bytes are taken in chunks of
+    ``_FNV_CHUNK``, so the memory used is bounded by the chunk.
+    """
+    data = np.frombuffer(data, dtype=np.uint8)
+    powers = _fnv_powers(min(data.size, _FNV_CHUNK))
     h = _FNV_OFFSET
-    for byte in data:
-        h = ((h ^ byte) * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+    for start in range(0, data.size, _FNV_CHUNK):
+        chunk = data[start:start + _FNV_CHUNK]
+        x = _fnv_xored_bytes(chunk, h & 0xFF)
+        d = x.astype(np.int64)
+        d -= x ^ chunk
+        folded = int(np.dot(powers[chunk.size - 1::-1], d.view(np.uint64)))
+        h = (pow(_FNV_PRIME, chunk.size, 1 << 64) * h + folded) & 0xFFFFFFFFFFFFFFFF
     return h
+
+
+def _fnv_powers(m: int) -> np.ndarray:
+    """``P**1 ... P**m`` mod 2**64, by doubling."""
+    powers = np.full(m, _FNV_PRIME, dtype=np.uint64)
+    done = 1
+    while done < m:
+        step = min(done, m - done)
+        np.multiply(powers[:step], powers[done - 1], out=powers[done:done + step])
+        done += step
+    return powers
+
+
+def _fnv_xored_bytes(b: np.ndarray, low: int) -> np.ndarray:
+    """``l_i ^ b_i`` for each byte ``b_i``, where ``l_0 = low`` and
+    ``l_{i+1} = ((l_i ^ b_i) * 0xB3) & 0xFF`` (0xB3 is P's low byte): the
+    low byte of the FNV-1a state before each byte.
+
+    Bit j of ``x * 0xB3`` is bit j of ``x`` XOR a function of the bits of
+    ``x`` below j (the multiplier is odd), so the ``l_i`` are found one bit
+    at a time. Before bit j, ``x_i`` holds ``b_i`` XOR the bits of ``l_i``
+    below j (``x_0`` all of ``l_0``). Bit j of ``x_i * 0xB3`` is then the
+    change of bit j from ``l_i`` to ``l_{i+1}`` (for i = 0 the bit of
+    ``l_1`` itself), so a prefix XOR of those bits gives bit j of every
+    ``l_{i+1}``.
+    """
+    m = b.size
+    x = np.zeros(-(-m // 8) * 8, dtype=np.uint8)  # whole uint64 words; the padding affects only itself
+    x[:m] = b
+    x[0] ^= low
+    t = np.empty_like(x)
+    words = t.view("<u8")  # byte k of a word holds bits 8k..8k+7
+    for j in range(8):
+        np.multiply(x, 0xB3, out=t)
+        t &= 1 << j
+        # inclusive prefix XOR over the bytes of t: within each word, then
+        # the XOR of all earlier words (each word's top byte) carried in
+        for shift in (8, 16, 32):
+            words ^= words << shift
+        words[1:] ^= np.bitwise_xor.accumulate(words[:-1] >> 56) * 0x0101010101010101
+        x[1:] ^= t[:-1]
+    return x[:m]
 
 
 @dataclass

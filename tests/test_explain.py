@@ -17,6 +17,7 @@ from hdexplain.explain import (
     explain,
     explanation_to_json,
     self_influence_ranking,
+    _top,
     _tracin_scores,
 )
 from hdexplain.evalharness import ksd_shift_experiment
@@ -223,6 +224,33 @@ class TestSelfInfluence:
         ds = gen_two_moons(1000, 0.1, seed=3)
         report = label_flip_debug_experiment(ds, 0.05, TrainConfig(seed=3), None, seed=3)
         assert report.precision_at(50) >= 3 * 0.05
+
+
+class TestTop:
+    """``_top`` orders as a full stable sort of the negated values does:
+    descending, ties by ascending index, whatever the path it takes."""
+
+    N = 40
+
+    @pytest.mark.parametrize("k", [1, 5, N - 1, N, None])
+    @pytest.mark.parametrize("values", ["three-levels", "all-equal", "signed-zeros", "distinct"])
+    @pytest.mark.parametrize("shape", [(N,), (9, N)], ids=["row", "block"])
+    def test_equals_the_stable_argsort(self, k, values, shape):
+        rng = np.random.default_rng(len(shape) * 100 + (k or 0))
+        v = {
+            "three-levels": lambda: rng.integers(-1, 2, shape).astype(np.float64),
+            "all-equal": lambda: np.full(shape, 0.25),
+            "signed-zeros": lambda: rng.choice([0.0, -0.0, 0.5], shape),
+            "distinct": lambda: rng.normal(size=shape),
+        }[values]()
+        if len(shape) == 2:
+            v[1] = 0.0  # one all-equal row in every block
+            v[2, :] = -0.0
+            v[2, ::3] = 0.0
+        got = _top(v, k)
+        want = np.argsort(-v, axis=-1, kind="stable")[..., :k]
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
 
 
 class TestForwardPasses:

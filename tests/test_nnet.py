@@ -3,6 +3,7 @@ import pytest
 
 from hdexplain.data import gen_two_moons
 from hdexplain.errors import ModelFormatError, TrainingError, UnsupportedVariantError
+from hdexplain.explain import build_cache
 from hdexplain.nnet import (
     MLPClassifier,
     TrainConfig,
@@ -11,6 +12,14 @@ from hdexplain.nnet import (
     save_model,
     train,
 )
+
+
+def fnv1a_64_loop(data) -> int:
+    """64-bit FNV-1a, one byte at a time: the definition ``fnv1a_64`` must match."""
+    h = 0xCBF29CE484222325
+    for byte in bytes(data):
+        h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
 
 
 def zero_model(dims):
@@ -355,3 +364,35 @@ class TestFNV:
         assert fnv1a_64(b"") == 0xCBF29CE484222325
         assert fnv1a_64(b"a") == 0xAF63DC4C8601EC8C
         assert fnv1a_64(b"foobar") == 0x85944171F73967E8
+
+    # numpy warns on uint64 scalar overflow; none of that may reach the user
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("length", [*range(131), 2**16 - 1, 2**16, 2**16 + 1])
+    def test_equals_the_byte_loop(self, length):
+        data = np.random.default_rng(length).integers(0, 256, length, dtype=np.uint8).tobytes()
+        assert fnv1a_64(data) == fnv1a_64_loop(data)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("data", [
+        np.random.default_rng(7).integers(0, 256, (1 << 20) + 5, dtype=np.uint8).tobytes(),
+        bytes(3 * 2**16 + 17),
+        b"\xff" * (3 * 2**16 + 17),
+    ], ids=["random-1MB", "all-0x00", "all-0xFF"])
+    def test_long_inputs_equal_the_byte_loop(self, data):
+        assert fnv1a_64(data) == fnv1a_64_loop(data)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+    def test_bytes_like_inputs(self, wrap):
+        data = np.random.default_rng(3).integers(0, 256, 2**16 + 9, dtype=np.uint8).tobytes()
+        assert fnv1a_64(wrap(data)) == fnv1a_64_loop(data)
+        assert fnv1a_64(wrap(b"foobar")) == 0x85944171F73967E8
+
+    def test_fingerprints_are_fnv_of_the_model_file(self, trained, moons, tmp_path):
+        # existing caches and the benchmark's checks rely on this equality
+        path = tmp_path / "model.bin"
+        save_model(trained, path)
+        want = fnv1a_64(path.read_bytes())
+        assert want == fnv1a_64_loop(path.read_bytes())
+        assert load_model(path).fingerprint() == want
+        assert build_cache(load_model(path), moons, "raw").model_fingerprint == want
