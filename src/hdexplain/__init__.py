@@ -65,13 +65,11 @@ from .stein import (
     LinearKernel,
     RBFKernel,
     ScoreCache,
-    SteinPoint,
     kernel_by_name,
     ksd_ustat,
     ksd_vstat,
     load_cache,
     local_scale_gamma,
-    make_stein_point,
     make_stein_points,
     median_heuristic_gamma,
     save_cache,

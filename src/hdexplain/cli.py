@@ -247,6 +247,11 @@ def cmd_explain(args) -> int:
         if not 0 <= args.index < dataset.n:
             raise UsageError(f"--index {args.index} out of range [0, {dataset.n})")
         x_test = dataset.features[args.index]
+        # the cache header names no dataset: check what the records can show
+        if (dataset.n != cache.n or not np.array_equal(dataset.labels, cache.labels)
+                or (cache.variant == "raw" and not np.array_equal(cache.z[args.index, :dataset.d], x_test))):
+            raise DataLoadError(f"the configured dataset (n={dataset.n}) is not the one the cache was "
+                                f"built from (n={cache.n}): its size, labels or features differ")
     else:
         raise UsageError("explain needs --point or --index")
     top_k = args.top_k if args.top_k is not None else cfg.explainer.top_k

@@ -1,7 +1,8 @@
-"""Base kernels with exact derivative terms, model score points, the
+"""Base kernels with exact derivative terms, model scored points, the
 Stein-operator-augmented kernel, and kernelized Stein discrepancy estimators.
 
-The Stein kernel of two scored points ``(z_a, s_a)`` and ``(z_b, s_b)`` is
+Scored points are matching ``(n, D)`` arrays: rows ``Z`` and their scores
+``S``. The Stein kernel of two scored points ``(z_a, s_a)`` and ``(z_b, s_b)`` is
 
     trace(grad_a grad_b k)  +  k * (s_a . s_b)
     +  grad_a k . s_b       +  grad_b k . s_a
@@ -9,7 +10,7 @@ The Stein kernel of two scored points ``(z_a, s_a)`` and ``(z_b, s_b)`` is
 which is symmetric and positive semi-definite for the kernels below. For a
 classifier, ``z = [x || onehot(y)]`` and the score concatenates the gradient
 of the class-y log-probability with the full log-probability vector; see
-:func:`make_stein_point`. Training points carry their ground-truth label,
+:func:`make_stein_points`. Training points carry their ground-truth label,
 test points the model's prediction.
 
 Every kernel here is radial, ``k = phi(r2)`` with ``r2 = ||z_a - z_b||^2``, or
@@ -34,7 +35,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import one_hot
 from .errors import ModelFormatError
 
 __all__ = [
@@ -44,9 +44,7 @@ __all__ = [
     "RBFKernel",
     "IMQKernel",
     "kernel_by_name",
-    "SteinPoint",
     "ScoreCache",
-    "make_stein_point",
     "make_stein_points",
     "stein_kernel",
     "stein_kernel_profile",
@@ -85,7 +83,7 @@ def _check_pair(za, zb):
     za = np.asarray(za, dtype=np.float64)
     zb = np.asarray(zb, dtype=np.float64)
     if za.ndim != 1 or zb.ndim != 1 or za.shape != zb.shape:
-        raise ValueError(f"kernel arguments must be equal-length vectors, got {za.shape} and {zb.shape}")
+        raise ValueError(f"arguments must be equal-length vectors, got {za.shape} and {zb.shape}")
     return za, zb
 
 
@@ -216,28 +214,6 @@ def kernel_by_name(name: str, gamma: float | None = None, c: float = 1.0,
     raise ValueError(f"unknown kernel {name!r}; expected linear, rbf, or imq")
 
 
-@dataclass(frozen=True)
-class SteinPoint:
-    """A point ``z`` together with its score vector ``s(z)``, both length D."""
-
-    z: np.ndarray
-    score: np.ndarray
-
-    def __post_init__(self):
-        z = np.ascontiguousarray(self.z, dtype=np.float64)
-        score = np.ascontiguousarray(self.score, dtype=np.float64)
-        if z.ndim != 1 or score.shape != z.shape:
-            raise ValueError("z and score must be equal-length vectors")
-        z.setflags(write=False)
-        score.setflags(write=False)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "score", score)
-
-    @property
-    def dim(self) -> int:
-        return self.z.shape[0]
-
-
 def _stein_rows(model, x, y, variant: str):
     """``(labels, proba, Z, S)`` of a batch from one model pass; ``y=None``
     completes each row with its predicted class."""
@@ -256,31 +232,34 @@ def make_stein_points(model, x, y, variant: str = "raw"):
     return _stein_rows(model, x, y, variant)[2:]
 
 
-def make_stein_point(model, x, y: int, variant: str = "raw") -> SteinPoint:
-    """Scored point for one example; see :func:`make_stein_points`."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("x must be a single feature vector")
-    one_hot(int(y), model.num_classes)  # range check with the standard error
-    z, s = make_stein_points(model, x[None, :], [int(y)], variant)
-    return SteinPoint(z[0], s[0])
-
-
-def stein_kernel(kernel: BaseKernel, pa: SteinPoint, pb: SteinPoint) -> float:
-    """Stein kernel value for a pair of scored points (four-term closed form)."""
-    if pa.dim != pb.dim:
-        raise ValueError(f"dimension mismatch: {pa.dim} vs {pb.dim}")
+def stein_kernel(kernel: BaseKernel, za, sa, zb, sb) -> float:
+    """Stein kernel value of the scored points ``(za, sa)`` and ``(zb, sb)``,
+    all length-D vectors: the scalar four-term reference for the batched core."""
+    za, sa = _check_pair(za, sa)
+    zb, sb = _check_pair(zb, sb)
+    if za.shape != zb.shape:
+        raise ValueError(f"dimension mismatch: {za.shape[0]} vs {zb.shape[0]}")
     _count_evals(1)
-    value = kernel.trace_hessian(pa.z, pb.z)
-    value += kernel.eval(pa.z, pb.z) * float(pa.score @ pb.score)
-    value += float(kernel.grad_a(pa.z, pb.z) @ pb.score)
-    value += float(kernel.grad_b(pa.z, pb.z) @ pa.score)
+    value = kernel.trace_hessian(za, zb)
+    value += kernel.eval(za, zb) * float(sa @ sb)
+    value += float(kernel.grad_a(za, zb) @ sb)
+    value += float(kernel.grad_b(za, zb) @ sa)
     return float(value)
 
 
 # see _sq_dists: the tolerated expansion error is eps / _NEAR (ten ulps)
 _NEAR = 0.1
 _CHUNK_VALUES = 1 << 16  # float64 differences held at a time
+
+
+def _scored_rows(z, scores):
+    """``z`` and ``scores`` as float64 (n, D) matrices of one shape with n >= 1."""
+    z = np.asarray(z, dtype=np.float64)
+    scores = np.asarray(scores, dtype=np.float64)
+    if z.ndim != 2 or z.shape != scores.shape or z.shape[0] < 1:
+        raise ValueError(f"z and scores must be matching (n, D) matrices with n >= 1, "
+                         f"got {z.shape} and {scores.shape}")
+    return z, scores
 
 
 def _row_stats(z: np.ndarray, scores: np.ndarray):
@@ -351,12 +330,9 @@ def stein_kernel_profile(kernel: BaseKernel, rows, row_scores, z, score, *,
     length-n vector, counting n pair evaluations. ``row_stats`` are the rows'
     ``(||z||^2, z.s)`` when already known (``ScoreCache.row_stats``).
     """
-    rows = np.asarray(rows, dtype=np.float64)
-    row_scores = np.asarray(row_scores, dtype=np.float64)
+    rows, row_scores = _scored_rows(rows, row_scores)
     z = np.asarray(z, dtype=np.float64)
     score = np.asarray(score, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape != row_scores.shape:
-        raise ValueError("rows and row_scores must be matching (n, D) matrices")
     if z.shape != (rows.shape[1],) or score.shape != z.shape:
         raise ValueError("z and score must be length-D vectors")
     if row_stats is None:
@@ -367,61 +343,58 @@ def stein_kernel_profile(kernel: BaseKernel, rows, row_scores, z, score, *,
 
 
 def stein_gram(kernel: BaseKernel, rows, row_scores) -> np.ndarray:
-    """Full (n, n) Stein-kernel Gram matrix of a set of scored points."""
-    rows = np.asarray(rows, dtype=np.float64)
-    row_scores = np.asarray(row_scores, dtype=np.float64)
+    """Full (n, n) Stein-kernel Gram matrix of the scored rows (n, D)."""
+    rows, row_scores = _scored_rows(rows, row_scores)
     stats = _row_stats(rows, row_scores)
     return _stein_block(kernel, rows, row_scores, stats, rows, row_scores, stats)
 
 
 class KSDEstimate(NamedTuple):
-    """A discrepancy estimate with the standard error of its pair terms.
+    """A discrepancy estimate with the standard error of the U-statistic.
 
-    ``std_error`` is the sample standard deviation of the off-diagonal pair
-    values divided by the square root of the number of unordered pairs.
+    ``std_error`` is the square root of the order-2 U-statistic variance
+    ``2 / (n (n - 1)) [2 (n - 2) zeta1 + zeta2]`` (Hoeffding 1948; Serfling
+    1980, 5.2), estimated from the Gram matrix: ``zeta2`` is the variance of
+    the off-diagonal pair values and ``zeta1`` the variance of the Gram row
+    means over j != i, less ``zeta2 / (n - 1)`` and clipped at 0. Under the
+    null ``zeta1`` vanishes; under a shift its term dominates. 0 for n < 3.
     """
 
     value: float
     std_error: float
 
 
-def _stack_points(points):
-    points = list(points)
-    if not points:
-        raise ValueError("need at least one scored point")
-    dim = points[0].dim
-    if any(p.dim != dim for p in points):
-        raise ValueError("all points must share one dimension")
-    z = np.stack([p.z for p in points])
-    s = np.stack([p.score for p in points])
-    return z, s
-
-
-def _offdiag_std_error(gram: np.ndarray) -> float:
+def _ustat_std_error(gram: np.ndarray) -> float:
+    """``KSDEstimate.std_error`` from a Stein Gram matrix, through its sums."""
     n = gram.shape[0]
     if n < 3:
         return 0.0
-    iu = np.triu_indices(n, k=1)
-    values = gram[iu]
-    return float(values.std(ddof=1) / np.sqrt(values.size))
+    diag = np.diagonal(gram)
+    row_means = (gram.sum(axis=1) - diag) / (n - 1)
+    dev = gram - row_means.mean()
+    dev_diag = np.diagonal(dev)
+    pairs = n * (n - 1) // 2
+    zeta2 = max((np.einsum("ij,ij->", dev, dev) - dev_diag @ dev_diag) / 2.0, 0.0) / (pairs - 1)
+    zeta1 = max(row_means.var(ddof=1) - zeta2 / (n - 1), 0.0)
+    return float(np.sqrt(2.0 / (n * (n - 1)) * (2.0 * (n - 2) * zeta1 + zeta2)))
 
 
-def ksd_vstat(points, kernel: BaseKernel) -> KSDEstimate:
-    """V-statistic estimate: the mean of the full Stein Gram matrix."""
-    z, s = _stack_points(points)
-    gram = stein_gram(kernel, z, s)
-    return KSDEstimate(float(gram.mean()), _offdiag_std_error(gram))
+def ksd_vstat(kernel: BaseKernel, z, scores) -> KSDEstimate:
+    """V-statistic estimate: the mean of the full Stein Gram matrix of the
+    scored rows (n, D)."""
+    gram = stein_gram(kernel, z, scores)
+    return KSDEstimate(float(gram.mean()), _ustat_std_error(gram))
 
 
-def ksd_ustat(points, kernel: BaseKernel) -> KSDEstimate:
-    """U-statistic estimate: the mean over off-diagonal pairs (needs n >= 2)."""
-    z, s = _stack_points(points)
-    n = z.shape[0]
+def ksd_ustat(kernel: BaseKernel, z, scores) -> KSDEstimate:
+    """U-statistic estimate: the mean over off-diagonal pairs of the scored
+    rows (n, D), n >= 2."""
+    gram = stein_gram(kernel, z, scores)
+    n = gram.shape[0]
     if n < 2:
         raise ValueError("U-statistic needs at least 2 points")
-    gram = stein_gram(kernel, z, s)
     total = gram.sum() - np.trace(gram)
-    return KSDEstimate(float(total / (n * (n - 1))), _offdiag_std_error(gram))
+    return KSDEstimate(float(total / (n * (n - 1))), _ustat_std_error(gram))
 
 
 def _subsample_sq_dists(z_vectors, max_points: int, seed: int, rule: str) -> np.ndarray:
@@ -497,13 +470,8 @@ class ScoreCache:
     def __post_init__(self):
         if self.variant not in _VARIANT_CODES:
             raise ValueError(f"unknown cache variant {self.variant!r}")
-        self.z = np.ascontiguousarray(self.z, dtype=np.float64)
-        self.scores = np.ascontiguousarray(self.scores, dtype=np.float64)
+        self.z, self.scores = map(np.ascontiguousarray, _scored_rows(self.z, self.scores))
         self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
-        if self.z.ndim != 2 or self.z.shape != self.scores.shape:
-            raise ValueError("z and scores must be matching (n, D) matrices")
-        if self.z.shape[0] < 1:
-            raise ValueError("cache needs at least one record")
         if self.labels.shape != (self.z.shape[0],):
             raise ValueError("labels must have one entry per record")
         self.row_stats = _row_stats(self.z, self.scores)
@@ -521,9 +489,6 @@ class ScoreCache:
     @property
     def dim(self) -> int:
         return self.z.shape[1]
-
-    def point(self, i: int) -> SteinPoint:
-        return SteinPoint(self.z[i], self.scores[i])
 
     def serialize(self) -> bytes:
         n, dim = self.z.shape

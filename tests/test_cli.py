@@ -6,6 +6,7 @@ import struct
 import pytest
 
 from hdexplain.cli import main
+from hdexplain.data import Dataset, gen_two_moons, save_csv
 
 
 def run(*argv):
@@ -152,6 +153,22 @@ class TestExplainCommand:
                    "--index", "4", "--format", "structured") == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["topk"][0]["train_index"] == 4
+
+    @pytest.mark.parametrize("case", ["size", "labels", "features"])
+    def test_index_into_another_dataset_is_rejected(self, tmp_path, trained_artifacts, capsys, case):
+        config, model_path, cache_path = trained_artifacts
+        moons = gen_two_moons(60, 0.1, seed=1)  # the cache's dataset
+        if case == "labels":
+            relabeled = tmp_path / "relabeled.csv"
+            save_csv(Dataset(moons.features, 1 - moons.labels, 2), relabeled)
+            dataset, seed = {"source": f"csv:{relabeled}"}, 1
+        else:
+            # two moons labels depend only on n: seed 2 at n = 60 moves only the features
+            dataset, seed = {"source": "synthetic:two_moons", "n": 200 if case == "size" else 60}, 2
+        other = write_config(tmp_path, {"dataset": dataset, "seed": seed}, name="other.json")
+        assert run("explain", "--config", other, "--model", model_path, "--cache", cache_path,
+                   "--index", "40") == 3
+        assert "not the one the cache was built from" in capsys.readouterr().err
 
 
 class TestEvaluateCommand:

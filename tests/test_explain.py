@@ -28,8 +28,8 @@ from hdexplain.stein import (
     LinearKernel,
     RBFKernel,
     ScoreCache,
-    SteinPoint,
     local_scale_gamma,
+    make_stein_points,
     stein_kernel,
 )
 
@@ -141,11 +141,9 @@ class TestExplain:
         config = ExplainerConfig(kernel=retrieval_config.kernel, top_k=5)
         x_test = moons.features[10] + 0.01
         result = explain(trained, cache, x_test, config)
-        from hdexplain.stein import make_stein_point
-
-        test_point = make_stein_point(trained, x_test, result.predicted_label, "raw")
+        (z,), (s,) = make_stein_points(trained, x_test[None, :], [result.predicted_label], "raw")
         for index, value, _ in result.ranked:
-            fresh = stein_kernel(config.kernel, cache.point(index), test_point)
+            fresh = stein_kernel(config.kernel, cache.z[index], cache.scores[index], z, s)
             assert abs(fresh - value) <= 1e-10
 
     def test_query_cost_is_exactly_n_kernel_evaluations(self, trained, moons, cache, retrieval_config):

@@ -12,14 +12,12 @@ from hdexplain.stein import (
     LinearKernel,
     RBFKernel,
     ScoreCache,
-    SteinPoint,
     kernel_by_name,
     kernel_eval_count,
     ksd_ustat,
     ksd_vstat,
     load_cache,
     local_scale_gamma,
-    make_stein_point,
     make_stein_points,
     median_heuristic_gamma,
     reset_kernel_eval_count,
@@ -184,18 +182,18 @@ def zero_model():
 
 class TestSteinPoints:
     def test_zero_model_point(self):
-        point = make_stein_point(zero_model(), np.array([0.0, 0.0]), 1, "raw")
-        assert point.z.tolist() == [0.0, 0.0, 0.0, 1.0]
-        assert np.allclose(point.score[:2], 0.0)
-        assert np.allclose(point.score[2:], -np.log(2.0))
+        z, scores = make_stein_points(zero_model(), np.array([[0.0, 0.0]]), [1], "raw")
+        assert z.tolist() == [[0.0, 0.0, 0.0, 1.0]]
+        assert np.allclose(scores[0, :2], 0.0)
+        assert np.allclose(scores[0, 2:], -np.log(2.0))
 
     def test_raw_dimension_is_d_plus_l(self, trained):
-        point = make_stein_point(trained, np.array([0.1, 0.2]), 0, "raw")
-        assert point.dim == 2 + 2
+        z, scores = make_stein_points(trained, np.array([[0.1, 0.2]]), [0], "raw")
+        assert z.shape == scores.shape == (1, 2 + 2)
 
     def test_last_layer_dimension(self, trained):
-        point = make_stein_point(trained, np.array([0.1, 0.2]), 0, "last-layer")
-        assert point.dim == trained.layer_dims[-2] + 2
+        z, scores = make_stein_points(trained, np.array([[0.1, 0.2]]), [0], "last-layer")
+        assert z.shape == scores.shape == (1, trained.layer_dims[-2] + 2)
 
     def test_score_log_prob_block_normalized(self, trained, moons):
         z, scores = make_stein_points(trained, moons.features, moons.labels, "raw")
@@ -212,29 +210,29 @@ class TestSteinPoints:
 
     def test_unknown_variant(self, trained):
         with pytest.raises(UnsupportedVariantError):
-            make_stein_point(trained, np.zeros(2), 0, "middle")
+            make_stein_points(trained, np.zeros((1, 2)), [0], "middle")
 
     def test_last_layer_requires_hidden(self):
         flat = MLPClassifier([2, 2], [np.zeros((2, 2))], [np.zeros(2)])
         with pytest.raises(UnsupportedVariantError):
-            make_stein_point(flat, np.zeros(2), 0, "last-layer")
+            make_stein_points(flat, np.zeros((1, 2)), [0], "last-layer")
 
 
 class TestSteinKernel:
     def test_analytic_gaussian_probe_is_zero(self):
         # D=1 linear kernel with the standard normal score s(z) = -z:
         # trace 1, k*s_a*s_b = 4, grad_a k . s_b = -4, grad_b k . s_a = -1
-        pa = SteinPoint(np.array([1.0]), np.array([-1.0]))
-        pb = SteinPoint(np.array([2.0]), np.array([-2.0]))
-        assert stein_kernel(LinearKernel(), pa, pb) == 0.0
+        pa = (np.array([1.0]), np.array([-1.0]))
+        pb = (np.array([2.0]), np.array([-2.0]))
+        assert stein_kernel(LinearKernel(), *pa, *pb) == 0.0
 
     @pytest.mark.parametrize("name,kernel", ALL_KERNELS)
     def test_symmetry(self, name, kernel):
         rng = np.random.default_rng(17)
         for _ in range(50):
-            pa = SteinPoint(rng.normal(0, 1, 4), rng.normal(0, 2, 4))
-            pb = SteinPoint(rng.normal(0, 1, 4), rng.normal(0, 2, 4))
-            assert abs(stein_kernel(kernel, pa, pb) - stein_kernel(kernel, pb, pa)) <= 1e-10
+            pa = (rng.normal(0, 1, 4), rng.normal(0, 2, 4))
+            pb = (rng.normal(0, 1, 4), rng.normal(0, 2, 4))
+            assert abs(stein_kernel(kernel, *pa, *pb) - stein_kernel(kernel, *pb, *pa)) <= 1e-10
 
     @pytest.mark.parametrize("name", ["linear", "rbf", "imq"])
     def test_gram_is_symmetric_psd_on_trained_points(self, name, trained, moons):
@@ -257,23 +255,27 @@ class TestSteinKernel:
             j = int(rng.integers(0, 40))
             profile = stein_kernel_profile(kernel, z, scores, z[j], scores[j])
             for i in range(40):
-                direct = stein_kernel(kernel, SteinPoint(z[i], scores[i]), SteinPoint(z[j], scores[j]))
+                direct = stein_kernel(kernel, z[i], scores[i], z[j], scores[j])
                 assert abs(profile[i] - direct) <= 1e-10, kernel_name
 
     def test_dimension_mismatch(self):
-        pa = SteinPoint(np.zeros(3), np.zeros(3))
-        pb = SteinPoint(np.zeros(4), np.zeros(4))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            stein_kernel(LinearKernel(), np.zeros(3), np.zeros(3), np.zeros(4), np.zeros(4))
+
+    def test_score_must_match_its_point(self):
         with pytest.raises(ValueError):
-            stein_kernel(LinearKernel(), pa, pb)
+            stein_kernel(LinearKernel(), np.zeros(3), np.zeros(4), np.zeros(3), np.zeros(3))
+        with pytest.raises(ValueError):
+            stein_kernel(LinearKernel(), np.zeros((1, 3)), np.zeros((1, 3)), np.zeros(3), np.zeros(3))
 
 
-def term_scale(kernel, pa, pb):
+def term_scale(kernel, za, sa, zb, sb):
     """Sum of the magnitudes of the four Stein terms: the scale that rounding
     in either path is relative to, also where the terms cancel."""
-    return (abs(kernel.trace_hessian(pa.z, pb.z))
-            + abs(kernel.eval(pa.z, pb.z) * float(pa.score @ pb.score))
-            + abs(float(kernel.grad_a(pa.z, pb.z) @ pb.score))
-            + abs(float(kernel.grad_b(pa.z, pb.z) @ pa.score)))
+    return (abs(kernel.trace_hessian(za, zb))
+            + abs(kernel.eval(za, zb) * float(sa @ sb))
+            + abs(float(kernel.grad_a(za, zb) @ sb))
+            + abs(float(kernel.grad_b(za, zb) @ sa)))
 
 
 @pytest.fixture(scope="module", params=["random", "trained"])
@@ -291,14 +293,14 @@ class TestFusedCore:
     @pytest.mark.parametrize("name,kernel", ALL_KERNELS)
     def test_profile_matches_scalar_stein_kernel(self, name, kernel, scored_rows):
         z, scores = scored_rows
-        points = [SteinPoint(z[i], scores[i]) for i in range(len(z))]
         for j in (0, 7, 23):
             profile = stein_kernel_profile(kernel, z, scores, z[j], scores[j])
-            for i, p in enumerate(points):
-                direct = stein_kernel(kernel, p, points[j])
-                assert abs(profile[i] - direct) <= 1e-12 * term_scale(kernel, p, points[j]), (name, i, j)
+            for i in range(len(z)):
+                pair = (z[i], scores[i], z[j], scores[j])
+                direct = stein_kernel(kernel, *pair)
+                assert abs(profile[i] - direct) <= 1e-12 * term_scale(kernel, *pair), (name, i, j)
             # the self-point: r2 = 0 exactly, not a rounded expansion
-            direct = stein_kernel(kernel, points[j], points[j])
+            direct = stein_kernel(kernel, z[j], scores[j], z[j], scores[j])
             assert abs(profile[j] - direct) <= 1e-12 * abs(direct), name
 
     @pytest.mark.parametrize("name,kernel", ALL_KERNELS)
@@ -309,17 +311,16 @@ class TestFusedCore:
         scores = rng.normal(0, 1, size=(6, 3))
         q, t = z[2] + 1e-3 * rng.normal(0, 1, 3), rng.normal(0, 1, 3)
         profile = stein_kernel_profile(kernel, z, scores, q, t)
-        query = SteinPoint(q, t)
         for i in range(6):
-            p = SteinPoint(z[i], scores[i])
-            assert abs(profile[i] - stein_kernel(kernel, p, query)) <= 1e-12 * term_scale(kernel, p, query)
+            pair = (z[i], scores[i], q, t)
+            assert abs(profile[i] - stein_kernel(kernel, *pair)) <= 1e-12 * term_scale(kernel, *pair)
 
     def test_far_pair_underflows_to_zero(self):
         kernel = RBFKernel(0.7)
         z = np.array([[0.0, 0.0, 0.0], [40.0, -40.0, 40.0], [0.5, 0.1, -0.2]])
         scores = np.array([[1.0, -2.0, 0.5], [3.0, 1.0, -1.0], [0.2, 0.2, 0.2]])
         profile = stein_kernel_profile(kernel, z, scores, z[0], scores[0])
-        far = stein_kernel(kernel, SteinPoint(z[1], scores[1]), SteinPoint(z[0], scores[0]))
+        far = stein_kernel(kernel, z[1], scores[1], z[0], scores[0])
         assert far == 0.0 and profile[1] == 0.0
         assert np.all(np.isfinite(profile))
 
@@ -340,7 +341,7 @@ class TestFusedCore:
         cache = ScoreCache(0, "raw", z, scores, np.zeros(len(z), dtype=np.int64))
         ranking = self_influence_ranking(cache, kernel)
         for i, value in ranking:
-            direct = stein_kernel(kernel, cache.point(i), cache.point(i))
+            direct = stein_kernel(kernel, cache.z[i], cache.scores[i], cache.z[i], cache.scores[i])
             assert abs(value - direct) <= 1e-12 * abs(direct), (name, i)
 
     def test_radial_self_influence_ranks_by_score_norm(self, scored_rows):
@@ -377,48 +378,97 @@ class TestFusedCore:
 
 
 def gaussian_points(rng, n, shift=0.0):
+    """(z, s) rows of N(shift, I_2) samples under the standard normal score -x."""
     x = rng.normal(0, 1, size=(n, 2)) + shift
-    return [SteinPoint(x[i], -x[i]) for i in range(n)]
+    return x, -x
 
 
 class TestKSDEstimators:
     def test_single_point_vstat(self):
-        point = SteinPoint(np.array([0.5, 1.0]), np.array([-0.5, -1.0]))
+        z, s = np.array([0.5, 1.0]), np.array([-0.5, -1.0])
         kernel = RBFKernel(0.5)
-        estimate = ksd_vstat([point], kernel)
-        assert estimate.value == stein_kernel(kernel, point, point)
+        estimate = ksd_vstat(kernel, z[None, :], s[None, :])
+        assert estimate.value == stein_kernel(kernel, z, s, z, s)
 
     def test_ustat_needs_two_points(self):
-        point = SteinPoint(np.zeros(2), np.zeros(2))
         with pytest.raises(ValueError):
-            ksd_ustat([point], RBFKernel(0.5))
+            ksd_ustat(RBFKernel(0.5), np.zeros((1, 2)), np.zeros((1, 2)))
 
     def test_empty_input(self):
+        for estimator in (ksd_vstat, ksd_ustat, stein_gram):
+            with pytest.raises(ValueError):
+                estimator(RBFKernel(0.5), np.zeros((0, 2)), np.zeros((0, 2)))
+
+    def test_mismatched_shapes(self):
+        for estimator in (ksd_vstat, ksd_ustat, stein_gram):
+            with pytest.raises(ValueError):
+                estimator(RBFKernel(0.5), np.zeros((4, 2)), np.zeros((4, 3)))
+            with pytest.raises(ValueError):
+                estimator(RBFKernel(0.5), np.zeros((4, 2)), np.zeros((3, 2)))
+
+    def test_vector_input_rejected(self):
         with pytest.raises(ValueError):
-            ksd_vstat([], RBFKernel(0.5))
+            ksd_vstat(RBFKernel(0.5), np.zeros(2), np.zeros(2))
+
+    def test_profile_checks_rows_and_query(self):
+        kernel = RBFKernel(0.5)
+        for rows, row_scores, q in ((np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(2)),
+                                    (np.zeros((4, 2)), np.zeros((4, 3)), np.zeros(2)),
+                                    (np.zeros((4, 2)), np.zeros((4, 2)), np.zeros(3))):
+            with pytest.raises(ValueError):
+                stein_kernel_profile(kernel, rows, row_scores, q, q)
 
     def test_stein_identity_null(self):
         # samples from the scored distribution: U-statistic consistent with 0
         for kernel in (RBFKernel(0.5), IMQKernel(1.0, -0.5)):
-            estimate = ksd_ustat(gaussian_points(np.random.default_rng(0), 1000), kernel)
+            estimate = ksd_ustat(kernel, *gaussian_points(np.random.default_rng(0), 1000))
             assert abs(estimate.value) <= 3 * estimate.std_error, type(kernel).__name__
 
     def test_shifted_distribution_detected(self):
         kernel = RBFKernel(0.5)
-        null = ksd_ustat(gaussian_points(np.random.default_rng(0), 1000), kernel)
-        shifted = ksd_ustat(gaussian_points(np.random.default_rng(1), 1000, shift=1.5), kernel)
+        null = ksd_ustat(kernel, *gaussian_points(np.random.default_rng(0), 1000))
+        shifted = ksd_ustat(kernel, *gaussian_points(np.random.default_rng(1), 1000, shift=1.5))
         assert shifted.value > 3 * null.std_error
+
+    def test_std_error_matches_the_spread_under_a_shift(self):
+        # off the null the U-statistic is non-degenerate: its spread is the
+        # 4 zeta1 / n term, which the pair variance alone misses
+        kernel = RBFKernel(0.5)
+        estimates = [ksd_ustat(kernel, *gaussian_points(np.random.default_rng(seed), 300, shift=1.5))
+                     for seed in range(30)]
+        empirical = np.std([e.value for e in estimates], ddof=1)
+        ratio = np.median([e.std_error for e in estimates]) / empirical
+        assert 1 / 1.5 <= ratio <= 1.5, ratio
+
+    @pytest.mark.parametrize("n", [3, 4, 9, 60])
+    def test_std_error_is_the_order_two_variance(self, n):
+        # the pair-by-pair form of 2 / (n (n - 1)) [2 (n - 2) zeta1 + zeta2]
+        z, s = gaussian_points(np.random.default_rng(n), n, shift=0.7)
+        kernel = RBFKernel(0.5)
+        gram = stein_gram(kernel, z, s)
+        zeta2 = gram[np.triu_indices(n, k=1)].var(ddof=1)
+        row_means = np.array([np.delete(gram[i], i).mean() for i in range(n)])
+        zeta1 = max(row_means.var(ddof=1) - zeta2 / (n - 1), 0.0)
+        expected = np.sqrt(2 / (n * (n - 1)) * (2 * (n - 2) * zeta1 + zeta2))
+        for estimator in (ksd_vstat, ksd_ustat):
+            assert estimator(kernel, z, s).std_error == pytest.approx(expected, rel=1e-10)
+
+    def test_std_error_is_zero_below_three_points(self):
+        z, s = gaussian_points(np.random.default_rng(2), 2)
+        assert ksd_ustat(RBFKernel(0.5), z, s).std_error == 0.0
+        assert ksd_vstat(RBFKernel(0.5), z, s).std_error == 0.0
 
     def test_vstat_ustat_identity(self):
         # n^2 V = n(n-1) U + sum of diagonal terms, exactly
         rng = np.random.default_rng(7)
         for _ in range(10):
             n = int(rng.integers(2, 30))
-            points = [SteinPoint(rng.normal(0, 1, 3), rng.normal(0, 1, 3)) for _ in range(n)]
+            points = [(rng.normal(0, 1, 3), rng.normal(0, 1, 3)) for _ in range(n)]
+            z, s = (np.array(rows) for rows in zip(*points))
             kernel = IMQKernel(1.0, -0.5)
-            v = ksd_vstat(points, kernel).value
-            u = ksd_ustat(points, kernel).value
-            diag = sum(stein_kernel(kernel, p, p) for p in points)
+            v = ksd_vstat(kernel, z, s).value
+            u = ksd_ustat(kernel, z, s).value
+            diag = sum(stein_kernel(kernel, zi, si, zi, si) for zi, si in points)
             rhs = (n - 1) / n * u + diag / n**2
             assert abs(v - rhs) <= 1e-10 * max(1.0, abs(v))
 
