@@ -1,18 +1,23 @@
 """Command-line surface: train, cache, explain, evaluate, debug, ksd-shift.
 
-All commands read one JSON config document (``--config``) whose keys are
-validated strictly; command-line flags override file values. Artifacts are
-validated on read and written atomically. Exit codes: 0 success, 2 usage
-error, 3 data/format error, 4 runtime/numeric error.
+All commands read one JSON config document (``--config``) whose keys and
+value types are validated strictly; command-line flags override file values.
+Artifacts are validated on read and written atomically. Exit codes: 0
+success, 2 usage error, 3 data/format error, 4 runtime/numeric error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
+import functools
+import io
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -84,24 +89,37 @@ class RunConfig:
     seed: int = 0
 
 
-_SECTIONS = {
-    "dataset": DatasetConfig,
-    "model": ModelConfig,
-    "explainer": ExplainerSpec,
-    "experiment": ExperimentConfig,
-}
+@functools.cache
+def _field_types(cls) -> dict:
+    # once per class: get_type_hints evaluates the string annotations on every call
+    return typing.get_type_hints(cls)
 
 
-def _build_section(cls, values: dict):
-    known = {f.name for f in fields(cls)}
-    unknown = set(values) - known
-    if unknown:
-        raise UsageError(f"unknown config keys in {cls.__name__}: {sorted(unknown)}")
-    return cls(**values)
+def _build(tp, value, where: str):
+    """``value`` checked against the declared type ``tp``; objects become dataclasses."""
+    if is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise UsageError(f"{where} must be an object")
+        hints = _field_types(tp)
+        unknown = set(value) - set(hints)
+        if unknown:
+            raise UsageError(f"unknown keys in {where}: {sorted(unknown)}")
+        return tp(**{key: _build(hints[key], v, f"{where}.{key}") for key, v in value.items()})
+    args = typing.get_args(tp)
+    if type(None) in args:  # X | None
+        return None if value is None else _build(args[0], value, where)
+    if typing.get_origin(tp) is list:
+        if not isinstance(value, list):
+            raise UsageError(f"{where} must be a list, got {value!r}")
+        return [_build(args[0], v, f"{where}[{i}]") for i, v in enumerate(value)]
+    accepted = (int, float) if tp is float else tp
+    if not isinstance(value, accepted) or (isinstance(value, bool) and tp is not bool):
+        raise UsageError(f"{where} must be {tp.__name__}, got {value!r}")
+    return value
 
 
 def load_run_config(path=None) -> RunConfig:
-    """Load a RunConfig from a JSON file; missing sections keep their defaults."""
+    """Load a RunConfig from a JSON file; missing keys keep their defaults."""
     if path is None:
         return RunConfig()
     try:
@@ -111,21 +129,7 @@ def load_run_config(path=None) -> RunConfig:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise UsageError(f"config file {path} must hold a JSON object")
-    unknown = set(doc) - set(_SECTIONS) - {"seed"}
-    if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {}
-    for name, cls in _SECTIONS.items():
-        section = doc.get(name, {})
-        if not isinstance(section, dict):
-            raise UsageError(f"config section {name!r} must be an object")
-        kwargs[name] = _build_section(cls, section)
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
-        raise UsageError("config key 'seed' must be an integer")
-    return RunConfig(seed=seed, **kwargs)
+    return _build(RunConfig, doc, "config")
 
 
 def dataset_from_config(cfg: RunConfig) -> Dataset:
@@ -150,16 +154,10 @@ def dataset_from_config(cfg: RunConfig) -> Dataset:
 
 
 def train_config_from(cfg: RunConfig) -> TrainConfig:
-    m = cfg.model
-    return TrainConfig(
-        epochs=m.epochs,
-        batch_size=m.batch_size,
-        learning_rate=m.learning_rate,
-        momentum=m.momentum,
-        seed=cfg.seed,
-        l2_weight_decay=m.l2_weight_decay,
-        validation_fraction=m.validation_fraction,
-    )
+    """The model section's fields that TrainConfig shares by name, and the run seed."""
+    names = {f.name for f in fields(TrainConfig)}
+    return TrainConfig(seed=cfg.seed, **{f.name: getattr(cfg.model, f.name)
+                                         for f in fields(ModelConfig) if f.name in names})
 
 
 def kernel_from_config(cfg: RunConfig, cache: ScoreCache):
@@ -173,9 +171,14 @@ def kernel_from_config(cfg: RunConfig, cache: ScoreCache):
 def _atomic_write_bytes(path, data: bytes) -> None:
     path = os.fspath(path)
     tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise DataLoadError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _emit(args, summary: dict) -> None:
@@ -187,10 +190,24 @@ def _emit(args, summary: dict) -> None:
             print(f"{key}: {value}")
 
 
-def cmd_train(args) -> int:
-    cfg = load_run_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
+def _report(args, cfg: RunConfig, rows: list[dict], table: list[str], **extra) -> int:
+    """Write the CSV of ``rows`` and its manifest, then print the rows or the table."""
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=list(rows[0]))
+    writer.writeheader()
+    writer.writerows(rows)
+    _atomic_write_bytes(args.out, text.getvalue().encode("utf-8"))
+    manifest = {**asdict(cfg), "command": args.command, **extra}
+    _atomic_write_bytes(args.out + ".manifest.json",
+                        (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    if args.format == "structured":
+        print(json.dumps({"out": args.out, "rows": rows}, indent=2))
+    else:
+        print("\n".join([*table, f"report -> {args.out}"]))
+    return 0
+
+
+def cmd_train(args, cfg: RunConfig) -> int:
     dataset = dataset_from_config(cfg)
     model = train(dataset, train_config_from(cfg), hidden_dims=cfg.model.hidden_dims)
     _atomic_write_bytes(args.out, model.serialize())
@@ -205,10 +222,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_cache(args) -> int:
-    cfg = load_run_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
+def cmd_cache(args, cfg: RunConfig) -> int:
     variant = args.variant or cfg.explainer.variant
     model = load_model(args.model)
     dataset = dataset_from_config(cfg)
@@ -234,15 +248,12 @@ def _parse_point(text: str, expected_dim: int) -> np.ndarray:
     return np.asarray(values)
 
 
-def cmd_explain(args) -> int:
-    cfg = load_run_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
+def cmd_explain(args, cfg: RunConfig) -> int:
     model = load_model(args.model)
     cache = load_cache(args.cache)
     if args.point is not None:
         x_test = _parse_point(args.point, model.input_dim)
-    elif args.index is not None:
+    else:
         dataset = dataset_from_config(cfg)
         if not 0 <= args.index < dataset.n:
             raise UsageError(f"--index {args.index} out of range [0, {dataset.n})")
@@ -252,8 +263,6 @@ def cmd_explain(args) -> int:
                 or (cache.variant == "raw" and not np.array_equal(cache.z[args.index, :dataset.d], x_test))):
             raise DataLoadError(f"the configured dataset (n={dataset.n}) is not the one the cache was "
                                 f"built from (n={cache.n}): its size, labels or features differ")
-    else:
-        raise UsageError("explain needs --point or --index")
     top_k = args.top_k if args.top_k is not None else cfg.explainer.top_k
     kernel = kernel_from_config(cfg, cache)
     config = ExplainerConfig(kernel=kernel, variant=cache.variant, top_k=top_k)
@@ -270,26 +279,17 @@ def cmd_explain(args) -> int:
             lines.append(f"{rank:>4}  {idx:>11}  {value:>18.10g}  {label:>11}")
         lines.append(f"elapsed_ms: {result.elapsed * 1000.0:.3f}")
         text = "\n".join(lines)
-    print(text)
     if args.out:
         _atomic_write_bytes(args.out, (explanation_to_json(result) + "\n").encode("utf-8"))
+    print(text)
     return 0
 
 
-def _manifest(cfg: RunConfig, extra: dict) -> dict:
-    doc = asdict(cfg)
-    doc.update(extra)
-    return doc
-
-
-def cmd_evaluate(args) -> int:
-    cfg = load_run_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
+def cmd_evaluate(args, cfg: RunConfig) -> int:
     methods = cfg.experiment.methods
-    unknown = [m for m in methods if m not in evalharness.METHODS]
-    if unknown:
-        raise UsageError(f"unknown methods {unknown}; expected subset of {list(evalharness.METHODS)}")
+    if not methods or not set(methods) <= set(evalharness.METHODS):
+        raise UsageError(f"experiment.methods {methods} must be a non-empty subset of "
+                         f"{list(evalharness.METHODS)}")
 
     dataset = dataset_from_config(cfg)
     model = train(dataset, train_config_from(cfg), hidden_dims=cfg.model.hidden_dims)
@@ -301,8 +301,7 @@ def cmd_evaluate(args) -> int:
             caches[variant] = build_cache(model, dataset, variant)
             kernels[variant] = kernel_from_config(cfg, caches[variant])
 
-    rows = []
-    reports = []
+    rows, table = [], []
     for method in methods:
         variant = evalharness.METHOD_VARIANTS[method]
         config = ExplainerConfig(kernel=kernels.get(variant), top_k=cfg.explainer.top_k)
@@ -311,26 +310,14 @@ def cmd_evaluate(args) -> int:
             cfg.experiment.trials, cfg.experiment.sample_size, config, cfg.seed,
             method=method,
         )
-        reports.append(report)
         rows.extend(report.csv_rows())
-    fieldnames = ["method", "k", "hit_rate", "coverage", "mean_ms", "ci95_ms", "trials", "seed"]
-    evalharness.write_csv_report(args.out, fieldnames, rows, _manifest(cfg, {"command": "evaluate"}))
-    if args.format == "structured":
-        print(json.dumps({"out": args.out, "rows": rows}, indent=2))
-    else:
-        for report in reports:
-            for k in sorted(report.hit_rate):
-                print(f"{report.method}: hit@{k}={report.hit_rate[k]:.4f} "
-                      f"coverage@{k}={report.coverage[k]:.4f}")
-            print(f"{report.method}: mean_ms={report.mean_ms:.3f} ci95_ms={report.ci95_ms:.3f}")
-        print(f"report -> {args.out}")
-    return 0
+        table.extend(f"{method}: hit@{k}={report.hit_rate[k]:.4f} coverage@{k}={report.coverage[k]:.4f}"
+                     for k in sorted(report.hit_rate))
+        table.append(f"{method}: mean_ms={report.mean_ms:.3f} ci95_ms={report.ci95_ms:.3f}")
+    return _report(args, cfg, rows, table)
 
 
-def cmd_debug(args) -> int:
-    cfg = load_run_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
+def cmd_debug(args, cfg: RunConfig) -> int:
     dataset = dataset_from_config(cfg)
     if cfg.explainer.kernel == "rbf" and cfg.explainer.gamma is None:
         kernel = None  # median-heuristic RBF over the corrupted cache
@@ -346,41 +333,20 @@ def cmd_debug(args) -> int:
          "flips": report.flip_count, "n": dataset.n, "seed": cfg.seed}
         for m, p, r in report.points
     ]
-    manifest = _manifest(cfg, {
-        "command": "debug",
-        "flips": report.flip_count,
-        "flipped_indices": report.flipped_indices,
-    })
-    evalharness.write_csv_report(args.out, ["method", "m", "precision", "recall", "flips", "n", "seed"],
-                                 rows, manifest)
-    if args.format == "structured":
-        print(json.dumps({"out": args.out, "rows": rows}, indent=2))
-    else:
-        for m, p, r in report.points:
-            print(f"precision@{m}={p:.4f} recall@{m}={r:.4f}")
-        print(f"report -> {args.out}")
-    return 0
+    table = [f"precision@{m}={p:.4f} recall@{m}={r:.4f}" for m, p, r in report.points]
+    return _report(args, cfg, rows, table, flips=report.flip_count,
+                   flipped_indices=report.flipped_indices)
 
 
-def cmd_ksd_shift(args) -> int:
-    cfg = load_run_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
+def cmd_ksd_shift(args, cfg: RunConfig) -> int:
     dataset = dataset_from_config(cfg)
     model = train(dataset, train_config_from(cfg), hidden_dims=cfg.model.hidden_dims)
     cache = build_cache(model, dataset, "raw")
     kernel = kernel_from_config(cfg, cache)
     results = evalharness.ksd_shift_experiment(model, dataset, cfg.experiment.shifts, kernel)
     rows = [{"shift": float(s), "ksd_vstat": v} for s, v in results]
-    evalharness.write_csv_report(args.out, ["shift", "ksd_vstat"], rows,
-                                 _manifest(cfg, {"command": "ksd-shift"}))
-    if args.format == "structured":
-        print(json.dumps({"out": args.out, "rows": rows}, indent=2))
-    else:
-        for row in rows:
-            print(f"shift={row['shift']:g} ksd_vstat={row['ksd_vstat']:.6g}")
-        print(f"report -> {args.out}")
-    return 0
+    table = [f"shift={row['shift']:g} ksd_vstat={row['ksd_vstat']:.6g}" for row in rows]
+    return _report(args, cfg, rows, table)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -411,8 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, None)
     p.add_argument("--model", required=True)
     p.add_argument("--cache", required=True)
-    p.add_argument("--point", help="inline features, comma separated")
-    p.add_argument("--index", type=int, help="explain the dataset point at this index")
+    query = p.add_mutually_exclusive_group(required=True)
+    query.add_argument("--point", help="inline features, comma separated")
+    query.add_argument("--index", type=int, help="explain the dataset point at this index")
     p.add_argument("--top-k", type=int, dest="top_k")
     p.set_defaults(func=cmd_explain)
 
@@ -438,7 +405,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        cfg = load_run_config(args.config)
+        if args.seed is not None:
+            cfg.seed = args.seed
+        return args.func(args, cfg)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

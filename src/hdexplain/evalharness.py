@@ -10,7 +10,6 @@ so trial order (or parallel execution) cannot change results.
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass
 
@@ -47,7 +46,6 @@ __all__ = [
     "hit_rate_experiment",
     "label_flip_debug_experiment",
     "ksd_shift_experiment",
-    "write_csv_report",
 ]
 
 METHODS = tuple(METHOD_VARIANTS)
@@ -284,29 +282,3 @@ def ksd_shift_experiment(model: MLPClassifier, dataset: Dataset, shifts,
         results.append((shift, float(stein_gram(kernel, z, scores).mean())))
     return results
 
-
-def write_csv_report(path, fieldnames, rows, manifest: dict | None = None) -> None:
-    """Atomically write a CSV report, plus a JSON manifest alongside it.
-
-    Files are written to a temporary name and renamed into place so a failed
-    run never leaves a truncated report. The manifest lands at
-    ``<path>.manifest.json``.
-    """
-    import csv as _csv
-    import json as _json
-
-    path = os.fspath(path)
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-    os.replace(tmp, path)
-    if manifest is not None:
-        mpath = path + ".manifest.json"
-        mtmp = mpath + ".tmp"
-        with open(mtmp, "w", encoding="utf-8") as fh:
-            _json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(mtmp, mpath)

@@ -19,6 +19,24 @@ def write_config(tmp_path, doc, name="config.json"):
     return str(path)
 
 
+def assert_rows_match_csv(stdout, csv_path, count):
+    """The structured stdout is one JSON document whose rows are the CSV's rows."""
+    def number(text):
+        for parse in (int, float):
+            try:
+                return parse(text)
+            except ValueError:
+                pass
+        return text
+
+    doc = json.loads(stdout)
+    assert doc["out"] == str(csv_path)
+    with open(csv_path, newline="") as fh:
+        table = [{k: number(v) for k, v in row.items()} for row in csv.DictReader(fh)]
+    assert len(table) == count
+    assert doc["rows"] == table
+
+
 @pytest.fixture()
 def quick_config(tmp_path):
     return write_config(tmp_path, {
@@ -62,6 +80,25 @@ class TestTrainCommand:
         config = write_config(tmp_path, {"dataset": {"sauce": "typo"}})
         assert run("train", "--config", config, "--out", str(tmp_path / "m.bin")) == 2
 
+    def test_unwritable_out_is_a_data_error(self, tmp_path, quick_config, capsys):
+        out = str(tmp_path / "missing" / "m.bin")
+        assert run("train", "--config", quick_config, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert out in err and ".tmp" not in err
+
+    def test_failed_rename_leaves_no_temporary(self, tmp_path, quick_config):
+        out = tmp_path / "taken"
+        out.mkdir()  # a directory cannot be replaced by the model file
+        assert run("train", "--config", quick_config, "--out", str(out)) == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
+
+    def test_structured_stdout_is_one_document(self, tmp_path, quick_config, capsys):
+        assert run("train", "--config", quick_config, "--out", str(tmp_path / "m.bin"),
+                   "--format", "structured") == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["out"] == str(tmp_path / "m.bin")
+        assert doc["layer_dims"][0] == 2 and 0.0 <= doc["train_accuracy"] <= 1.0
+
 
 class TestCacheCommand:
     def test_reports_dimensions(self, tmp_path, quick_config, capsys):
@@ -78,6 +115,15 @@ class TestCacheCommand:
         again = str(tmp_path / "cache2.bin")
         assert run("cache", "--config", config, "--model", model_path, "--out", again) == 0
         assert open(cache_path, "rb").read() == open(again, "rb").read()
+
+    def test_structured_stdout_is_one_document(self, tmp_path, trained_artifacts, capsys):
+        config, model_path, _ = trained_artifacts
+        out = str(tmp_path / "c.bin")
+        assert run("cache", "--config", config, "--model", model_path, "--out", out,
+                   "--variant", "last-layer", "--format", "structured") == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["out"] == out and doc["n"] == 60
+        assert len(doc["model_fingerprint"]) == 16
 
     def test_missing_model(self, tmp_path, quick_config):
         assert run("cache", "--config", quick_config, "--model", str(tmp_path / "none.bin"),
@@ -154,6 +200,32 @@ class TestExplainCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["topk"][0]["train_index"] == 4
 
+    def test_point_and_index_are_exclusive(self, trained_artifacts, capsys):
+        config, model_path, cache_path = trained_artifacts
+        base = ("explain", "--config", config, "--model", model_path, "--cache", cache_path)
+        assert run(*base, "--point", "0.5,0.5", "--index", "3") == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert run(*base) == 2
+
+    def test_unwritable_out_is_a_data_error(self, tmp_path, trained_artifacts, capsys):
+        config, model_path, cache_path = trained_artifacts
+        out = str(tmp_path / "missing" / "e.json")
+        assert run("explain", "--config", config, "--model", model_path, "--cache", cache_path,
+                   "--point", "0.5,0.5", "--out", out) == 3
+        captured = capsys.readouterr()
+        assert out in captured.err and ".tmp" not in captured.err
+        assert captured.out == ""  # no ranking from a failed command
+
+    def test_structured_stdout_is_one_document(self, tmp_path, trained_artifacts, capsys):
+        config, model_path, cache_path = trained_artifacts
+        out = tmp_path / "e.json"
+        assert run("explain", "--config", config, "--model", model_path, "--cache", cache_path,
+                   "--index", "5", "--format", "structured", "--out", str(out)) == 0
+        doc = json.loads(capsys.readouterr().out)
+        saved = json.loads(out.read_text())
+        assert {k: v for k, v in doc.items() if k != "elapsed_ms"} == \
+            {k: v for k, v in saved.items() if k != "elapsed_ms"}
+
     @pytest.mark.parametrize("case", ["size", "labels", "features"])
     def test_index_into_another_dataset_is_rejected(self, tmp_path, trained_artifacts, capsys, case):
         config, model_path, cache_path = trained_artifacts
@@ -217,6 +289,23 @@ class TestEvaluateCommand:
         assert not os.path.exists(str(out_path) + ".tmp")
 
 
+    def test_structured_rows_match_the_csv(self, tmp_path, capsys):
+        config = write_config(tmp_path, {
+            "dataset": {"source": "synthetic:two_moons", "n": 40, "noise_std": 0.1},
+            "model": {"epochs": 5},
+            "experiment": {"trials": 2, "sample_size": 5, "methods": ["hd-explain-star", "rep-sim"]},
+        })
+        out_path = tmp_path / "report.csv"
+        assert run("evaluate", "--config", config, "--out", str(out_path), "--format", "structured") == 0
+        assert_rows_match_csv(capsys.readouterr().out, out_path, 6)
+
+    def test_no_methods_is_a_usage_error(self, tmp_path):
+        config = write_config(tmp_path, {"experiment": {"methods": []}})
+        out_path = tmp_path / "report.csv"
+        assert run("evaluate", "--config", config, "--out", str(out_path)) == 2
+        assert not out_path.exists()
+
+
 class TestDebugCommand:
     def test_manifest_reports_flips(self, tmp_path):
         config = write_config(tmp_path, {
@@ -233,6 +322,17 @@ class TestDebugCommand:
         assert [int(row["m"]) for row in rows] == [25, 50, 100]
 
 
+    def test_structured_rows_match_the_csv(self, tmp_path, capsys):
+        config = write_config(tmp_path, {
+            "dataset": {"source": "synthetic:two_moons", "n": 200, "noise_std": 0.1},
+            "model": {"epochs": 5},
+            "seed": 3,
+        })
+        out_path = tmp_path / "debug.csv"
+        assert run("debug", "--config", config, "--out", str(out_path), "--format", "structured") == 0
+        assert_rows_match_csv(capsys.readouterr().out, out_path, 3)
+
+
 class TestKsdShiftCommand:
     def test_rows_and_zero_first(self, tmp_path):
         config = write_config(tmp_path, {
@@ -246,6 +346,63 @@ class TestKsdShiftCommand:
         rows = list(csv.DictReader(open(out_path)))
         assert len(rows) == 3
         assert float(rows[0]["shift"]) == 0.0
+
+
+    def test_structured_rows_match_the_csv(self, tmp_path, capsys):
+        config = write_config(tmp_path, {
+            "dataset": {"source": "synthetic:two_moons", "n": 50, "noise_std": 0.1},
+            "model": {"epochs": 5},
+            "experiment": {"shifts": [0.25, 1]},
+        })
+        out_path = tmp_path / "shift.csv"
+        assert run("ksd-shift", "--config", config, "--out", str(out_path), "--format", "structured") == 0
+        assert_rows_match_csv(capsys.readouterr().out, out_path, 3)
+
+    def test_vector_shift_is_rejected_before_training(self, tmp_path, monkeypatch):
+        config = write_config(tmp_path, {"experiment": {"shifts": [[0.1, 0.2]]}})
+        monkeypatch.setattr("hdexplain.cli.train", lambda *a, **k: pytest.fail("trained"))
+        out_path = tmp_path / "shift.csv"
+        assert run("ksd-shift", "--config", config, "--out", str(out_path)) == 2
+        assert not out_path.exists()
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize("doc", [
+        {"dataset": {"n": "60"}},
+        {"model": {"hidden_dims": 5}},
+        {"model": {"hidden_dims": [8, 8.5]}},
+        {"model": {"epochs": 2.5}},
+        {"explainer": {"top_k": "3"}},
+        {"explainer": {"gamma": "0.5"}},
+        {"dataset": {"standardize": 1}},
+        {"experiment": {"shifts": [[0.1, 0.2]]}},
+        {"experiment": {"methods": "hd-explain"}},
+        {"seed": True},
+        {"model": []},
+        [],
+    ], ids=lambda doc: json.dumps(doc, separators=(",", ":")))
+    def test_mistyped_value_is_a_usage_error(self, tmp_path, doc, capsys):
+        config = write_config(tmp_path, doc)
+        out_path = tmp_path / "m.bin"
+        assert run("train", "--config", config, "--out", str(out_path)) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    def test_int_float_and_null_where_declared(self, tmp_path):
+        from hdexplain.cli import load_run_config
+
+        doc = {"dataset": {"noise_std": 0}, "model": {"hidden_dims": None},
+               "explainer": {"gamma": 2}, "experiment": {"shifts": [0, 1.5]}}
+        cfg = load_run_config(write_config(tmp_path, doc))
+        assert cfg.dataset.noise_std == 0 and cfg.explainer.gamma == 2
+        assert cfg.model.hidden_dims is None and cfg.experiment.shifts == [0, 1.5]
+
+    def test_defaults_round_trip(self, tmp_path):
+        from dataclasses import asdict
+
+        from hdexplain.cli import RunConfig, load_run_config
+
+        assert load_run_config(write_config(tmp_path, asdict(RunConfig()))) == RunConfig()
 
 
 class TestCommonBehavior:
