@@ -247,7 +247,7 @@ def load_idx(images_path, labels_path) -> Dataset:
         raise DataLoadError(f"IDX count mismatch: {n} images vs {n_labels} labels")
     if n < 1:
         raise DataLoadError(f"{images_path}: empty IDX file")
-    features = np.frombuffer(pixels, dtype=np.uint8).reshape(n, h * w).astype(np.float64) / 255.0
+    features = np.divide(np.frombuffer(pixels, dtype=np.uint8).reshape(n, h * w), 255.0)
     labels = np.frombuffer(label_bytes, dtype=np.uint8).astype(np.int64)
     num_classes = max(int(labels.max()) + 1, 2)
     return Dataset(features, labels, num_classes=num_classes, image_shape=(h, w, 1))

@@ -29,6 +29,9 @@ exactly a ranking by score norm.
 
 from __future__ import annotations
 
+import math
+import mmap
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -160,15 +163,20 @@ class RadialKernel(BaseKernel):
         return float(-2.0 * diff.shape[0] * k1 - 4.0 * r2 * k2)
 
 
+def _positive_finite(name: str, value) -> float:
+    value = float(value)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
 class RBFKernel(RadialKernel):
     """k(a, b) = exp(-gamma * ||a - b||^2)."""
 
     name = "rbf"
 
     def __init__(self, gamma: float):
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
-        self.gamma = float(gamma)
+        self.gamma = _positive_finite("gamma", gamma)
 
     def radial(self, r2):
         k = np.exp(-self.gamma * r2)
@@ -182,11 +190,9 @@ class IMQKernel(RadialKernel):
     name = "imq"
 
     def __init__(self, c: float = 1.0, beta: float = -0.5):
-        if c <= 0:
-            raise ValueError("c must be positive")
+        self.c = _positive_finite("c", c)
         if not -1.0 < beta < 0.0:
             raise ValueError("beta must lie in (-1, 0)")
-        self.c = float(c)
         self.beta = float(beta)
 
     def radial(self, r2):
@@ -400,6 +406,8 @@ def ksd_ustat(kernel: BaseKernel, z, scores) -> KSDEstimate:
 def _subsample_sq_dists(z_vectors, max_points: int, seed: int, rule: str) -> np.ndarray:
     """Squared pairwise distances of at most ``max_points`` rows (uniform
     seeded subsample), clipped at 0."""
+    if max_points < 2:
+        raise ValueError(f"{rule} needs max_points >= 2, got {max_points}")
     z = np.asarray(z_vectors, dtype=np.float64)
     if z.ndim == 1:
         z = z[:, None]
@@ -409,8 +417,45 @@ def _subsample_sq_dists(z_vectors, max_points: int, seed: int, rule: str) -> np.
         idx = np.random.default_rng(seed).choice(z.shape[0], size=max_points, replace=False)
         z = z[idx]
     sq_norms = np.einsum("ij,ij->i", z, z)
-    sq_dists = sq_norms[:, None] + sq_norms[None, :] - 2.0 * (z @ z.T)
+    gram = z @ z.T
+    gram *= 2.0
+    sq_dists = np.add.outer(sq_norms, sq_norms)
+    sq_dists -= gram  # (|z_i|^2 + |z_j|^2) - 2 z_i.z_j
     return np.clip(sq_dists, 0.0, None, out=sq_dists)
+
+
+# below this many values a full median is about as cheap as the bracket
+_SELECT_MIN = 1 << 12
+
+
+def _median_sqrt(v: np.ndarray) -> float:
+    """``np.median(np.sqrt(v))`` of a vector of non-negative values, bit for bit.
+
+    sqrt is monotone, so the middle roots are the roots of the middle values;
+    for an even count np.median returns the mean of the two. The middle values
+    are selected exactly (Floyd & Rivest, CACM 1975): a partitioned strided
+    sample brackets their ranks, the values below the bracket are counted and
+    only those inside it are partitioned. A bracket that misses either rank, a
+    non-finite value or a small input takes the full median.
+    """
+    m = v.size
+    # a NaN or inf anywhere makes the sum non-finite
+    if m < _SELECT_MIN or not np.isfinite(v.sum()):
+        return float(np.median(np.sqrt(v)))
+    lo_rank, hi_rank = (m - 1) // 2, m // 2
+    sample = v[::int(m ** (1 / 3))]  # about m^(2/3) values
+    centre = lo_rank * sample.size // m
+    spread = 2 * math.isqrt(sample.size)  # four standard deviations of the sample rank
+    a, b = max(centre - spread, 0), min(centre + spread, sample.size - 1)
+    low, high = np.partition(sample, (a, b))[[a, b]]
+    below = v < low
+    n_below = np.count_nonzero(below)
+    inside = v[(v <= high) ^ below]  # low <= v <= high, as v < low implies v <= high
+    k_lo, k_hi = lo_rank - n_below, hi_rank - n_below
+    if k_lo < 0 or k_hi >= inside.size:
+        return float(np.median(np.sqrt(v)))
+    middle = np.sqrt(np.partition(inside, (k_lo, k_hi))[[k_lo, k_hi]])
+    return float(middle[0] if m % 2 else (middle[0] + middle[1]) / 2.0)
 
 
 def _gamma_for_scale(m: float) -> float:
@@ -422,11 +467,12 @@ def median_heuristic_gamma(z_vectors, max_points: int = 1000, seed: int = 0) -> 
     """RBF bandwidth rule gamma = 1 / (2 m^2) with m the median pairwise distance.
 
     At most ``max_points`` rows are kept (uniform seeded subsample). Falls
-    back to gamma = 1 when all points coincide.
+    back to gamma = 1 when all points coincide. The median is selected
+    exactly; it equals ``np.median`` of the distances bit for bit.
     """
     sq_dists = _subsample_sq_dists(z_vectors, max_points, seed, "median heuristic")
-    iu = np.triu_indices(sq_dists.shape[0], k=1)
-    return _gamma_for_scale(float(np.median(np.sqrt(sq_dists[iu]))))
+    r = np.arange(sq_dists.shape[0])
+    return _gamma_for_scale(_median_sqrt(sq_dists[r[:, None] < r]))
 
 
 def local_scale_gamma(z_vectors, max_points: int = 1000, seed: int = 0) -> float:
@@ -441,7 +487,7 @@ def local_scale_gamma(z_vectors, max_points: int = 1000, seed: int = 0) -> float
     """
     sq_dists = _subsample_sq_dists(z_vectors, max_points, seed, "local scale")
     np.fill_diagonal(sq_dists, np.inf)
-    return _gamma_for_scale(float(np.median(np.sqrt(sq_dists.min(axis=1)))))
+    return _gamma_for_scale(_median_sqrt(sq_dists.min(axis=1)))
 
 
 CACHE_MAGIC = b"HDXC"
@@ -504,7 +550,9 @@ class ScoreCache:
         return b"".join((header, body))
 
     @classmethod
-    def deserialize(cls, data: bytes) -> "ScoreCache":
+    def deserialize(cls, data) -> "ScoreCache":
+        """Parse a v1 binary from ``data`` (bytes or any buffer, such as an
+        mmap); the arrays are copied out of it and hold no reference to it."""
         header_size = 4 + struct.calcsize("<IBQQQ")
         if len(data) < header_size:
             raise ModelFormatError("cache binary truncated before header")
@@ -515,19 +563,19 @@ class ScoreCache:
             raise ModelFormatError(f"unsupported cache version {version}")
         if variant_code not in _VARIANT_NAMES:
             raise ModelFormatError(f"unknown cache variant code {variant_code}")
-        record = np.dtype([("z", "<f8", (dim,)), ("score", "<f8", (dim,)), ("label", "<u4")])
-        expected = header_size + n * record.itemsize
+        # check the size first: numpy cannot build a record dtype for every dim a header holds
+        expected = header_size + n * (16 * dim + 4)
         if len(data) != expected:
             raise ModelFormatError(f"cache binary has {len(data)} bytes, expected {expected}")
+        record = np.dtype([("z", "<f8", (dim,)), ("score", "<f8", (dim,)), ("label", "<u4")])
         body = np.frombuffer(data, dtype=record, count=n, offset=header_size)
+        z, scores, labels = body["z"].copy(), body["score"].copy(), body["label"].astype(np.int64)
+        # release the buffer before validating: a traceback holding ``body``
+        # would keep an mmap from closing
+        del body
         try:
-            return cls(
-                model_fingerprint=fingerprint,
-                variant=_VARIANT_NAMES[variant_code],
-                z=body["z"].copy(),
-                scores=body["score"].copy(),
-                labels=body["label"].astype(np.int64),
-            )
+            return cls(model_fingerprint=fingerprint, variant=_VARIANT_NAMES[variant_code],
+                       z=z, scores=scores, labels=labels)
         except ValueError as exc:
             raise ModelFormatError(f"invalid cache contents: {exc}") from exc
 
@@ -538,9 +586,12 @@ def save_cache(cache: ScoreCache, path) -> None:
 
 
 def load_cache(path) -> ScoreCache:
+    """Read a cache file: it is mapped read-only and its arrays copied out once."""
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            if os.fstat(fh.fileno()).st_size == 0:  # an empty file cannot be mapped
+                return ScoreCache.deserialize(b"")
+            with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as data:
+                return ScoreCache.deserialize(data)
     except OSError as exc:
         raise ModelFormatError(f"cannot read cache file {path}: {exc}") from exc
-    return ScoreCache.deserialize(data)

@@ -177,6 +177,38 @@ class TestExplainCommand:
                    "--index", "3") == 3
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case, message", [("empty", "truncated before header"),
+                                               ("truncated", "expected"),
+                                               ("directory", "cannot read cache file"),
+                                               ("missing", "cannot read cache file")])
+    def test_unreadable_cache_is_a_format_error(self, tmp_path, trained_artifacts, capsys, case,
+                                                message):
+        config, model_path, cache_path = trained_artifacts
+        bad_path = tmp_path / "bad_cache.bin"
+        if case == "empty":
+            bad_path.write_bytes(b"")
+        elif case == "truncated":
+            bad_path.write_bytes(open(cache_path, "rb").read()[:-1])
+        elif case == "directory":
+            bad_path.mkdir()
+        assert run("explain", "--config", config, "--model", model_path, "--cache", str(bad_path),
+                   "--point", "0.1,0.2") == 3
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
+    def test_non_finite_gamma_is_a_usage_error(self, tmp_path, trained_artifacts, capsys, gamma):
+        config, model_path, cache_path = trained_artifacts
+        doc = json.loads(open(config).read())
+        doc["explainer"]["gamma"] = gamma  # json writes NaN and Infinity, and reads them back
+        bad = write_config(tmp_path, doc, name="bad_gamma.json")
+        assert ("NaN" if gamma != gamma else "Infinity") in open(bad).read()
+        assert run("explain", "--config", bad, "--model", model_path, "--cache", cache_path,
+                   "--point", "0.1,0.2") == 2
+        captured = capsys.readouterr()
+        assert "gamma must be positive and finite" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.filterwarnings("error")
     def test_non_finite_ranking_is_an_arithmetic_error(self, trained_artifacts, capsys):
         config, model_path, cache_path = trained_artifacts

@@ -155,6 +155,12 @@ class TestIDX:
         assert ds.features[0, 0] == 1.0
         assert abs(ds.features[1, 3] - 51 / 255) < 1e-15
 
+    def test_every_pixel_value_scales_as_value_over_255(self, tmp_path):
+        images = np.arange(256, dtype=np.uint8).reshape(4, 8, 8)
+        paths = _write_idx_pair(tmp_path, images, [0, 1, 0, 1])
+        want = images.reshape(4, 64).astype(np.float64) / 255.0
+        assert load_idx(*paths).features.tobytes() == want.tobytes()
+
     def test_count_mismatch(self, tmp_path):
         images = np.zeros((10, 4, 4), dtype=np.uint8)
         paths = _write_idx_pair(tmp_path, images, [0, 1] * 4 + [0])

@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -16,6 +17,7 @@ from hdexplain.stein import (
     kernel_eval_count,
     ksd_ustat,
     ksd_vstat,
+    _median_sqrt,
     load_cache,
     local_scale_gamma,
     make_stein_points,
@@ -112,6 +114,17 @@ class TestKernelValues:
             IMQKernel(1.0, -1.0)
         with pytest.raises(ValueError):
             IMQKernel(1.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_are_named(self, bad):
+        with pytest.raises(ValueError, match="gamma"):
+            RBFKernel(bad)
+        with pytest.raises(ValueError, match="gamma"):
+            kernel_by_name("rbf", gamma=bad)
+        with pytest.raises(ValueError, match="c must"):
+            IMQKernel(c=bad)
+        with pytest.raises(ValueError, match="beta"):
+            IMQKernel(1.0, bad)
 
     def test_kernel_by_name(self):
         assert isinstance(kernel_by_name("linear"), LinearKernel)
@@ -506,6 +519,122 @@ class TestBandwidthRules:
     def test_local_scale_identical_points_fallback(self):
         assert local_scale_gamma(np.zeros((4, 2))) == 1.0
 
+    @pytest.mark.parametrize("rule", [median_heuristic_gamma, local_scale_gamma])
+    @pytest.mark.parametrize("max_points", [1, 0, -3])
+    def test_max_points_below_two_rejected(self, rule, max_points):
+        with pytest.raises(ValueError, match="max_points"):
+            rule(np.arange(10.0), max_points=max_points)
+
+
+def reference_sq_dists(z, max_points=1000, seed=0):
+    """The subsample and the distance matrix written the plain way."""
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim == 1:
+        z = z[:, None]
+    if z.shape[0] > max_points:
+        z = z[np.random.default_rng(seed).choice(z.shape[0], size=max_points, replace=False)]
+    norms = np.einsum("ij,ij->i", z, z)
+    return np.clip(norms[:, None] + norms[None, :] - 2.0 * (z @ z.T), 0.0, None)
+
+
+def reference_gamma(m):
+    return 1.0 if m == 0.0 else 1.0 / (2.0 * m * m)
+
+
+def reference_median_gamma(z, max_points=1000, seed=0):
+    sq = reference_sq_dists(z, max_points, seed)
+    return reference_gamma(float(np.median(np.sqrt(sq[np.triu_indices(sq.shape[0], k=1)]))))
+
+
+def reference_local_gamma(z, max_points=1000, seed=0):
+    sq = reference_sq_dists(z, max_points, seed)
+    np.fill_diagonal(sq, np.inf)
+    return reference_gamma(float(np.median(np.sqrt(sq.min(axis=1)))))
+
+
+def same_float(a, b):
+    """Equal bit for bit, NaN included."""
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def bandwidth_inputs(kind, n, rng):
+    if kind == "gaussian":
+        return rng.normal(0.0, 1.0, size=(n, 3))
+    if kind == "grid":  # few distinct distances: heavy ties at the median, duplicate rows
+        return rng.integers(0, 3, size=(n, 2)).astype(np.float64)
+    if kind == "duplicates":
+        base = rng.normal(0.0, 1.0, size=(max(n // 3, 1), 4))
+        return base[rng.integers(0, base.shape[0], size=n)]
+    if kind == "identical":  # integers, so that the distances are exactly 0
+        return np.tile(rng.integers(-5, 6, size=(1, 3)).astype(np.float64), (n, 1))
+    z = rng.normal(0.0, 1.0, size=(n, 3))
+    z[n // 2, 1] = np.nan  # kind == "nan-row"
+    return z
+
+
+class TestBandwidthSelection:
+    """Both rules against the plain ``np.median(np.sqrt(...))``, bit for bit.
+    The pair counts n (n - 1) / 2 are odd and even on both sides of the
+    size where the bracketed selection starts (4096 pairs)."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 91, 92, 101, 102, 999, 1000, 1500])
+    @pytest.mark.parametrize("kind", ["gaussian", "grid", "duplicates", "identical", "nan-row"])
+    def test_equals_plain_median(self, kind, n):
+        z = bandwidth_inputs(kind, n, np.random.default_rng(n))
+        for rule, reference in ((median_heuristic_gamma, reference_median_gamma),
+                                (local_scale_gamma, reference_local_gamma)):
+            got, want = rule(z), reference(z)
+            assert same_float(got, want), (rule.__name__, got, want)
+        if kind == "identical":
+            assert median_heuristic_gamma(z) == 1.0
+        if kind == "nan-row" and n <= 1000:  # a larger subsample can leave the row out
+            assert np.isnan(median_heuristic_gamma(z)) and np.isnan(local_scale_gamma(z))
+
+    @pytest.mark.parametrize("max_points", [2, 3, 150])
+    def test_subsample_equals_plain_median(self, max_points):
+        z = np.random.default_rng(8).normal(0.0, 2.0, size=(400, 5))
+        for seed in (0, 3):
+            assert same_float(median_heuristic_gamma(z, max_points, seed),
+                              reference_median_gamma(z, max_points, seed))
+            assert same_float(local_scale_gamma(z, max_points, seed),
+                              reference_local_gamma(z, max_points, seed))
+
+    def test_random_inputs_with_ties(self):
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            n, d = int(rng.integers(2, 160)), int(rng.integers(1, 4))
+            z = rng.integers(-2, 3, size=(n, d)) * float(rng.uniform(0.1, 3.0))
+            assert same_float(median_heuristic_gamma(z), reference_median_gamma(z))
+            assert same_float(local_scale_gamma(z), reference_local_gamma(z))
+
+    @pytest.mark.parametrize("m", [4096, 4097, 30001])
+    @pytest.mark.parametrize("case", ["sample-low", "sample-high", "all-equal", "infinite", "nan"])
+    def test_median_sqrt_on_adversarial_vectors(self, m, case):
+        rng = np.random.default_rng(m)
+        v = rng.uniform(1.0, 2.0, size=m)
+        step = int(m ** (1 / 3))
+        if case == "sample-low":  # the strided sample sits below every other value
+            v[::step] = 0.0
+        elif case == "sample-high":
+            v[::step] = 5.0
+        elif case == "all-equal":
+            v[:] = 0.25
+        elif case == "infinite":
+            v[: m // 2 + 1] = np.inf
+        else:
+            v[m // 3] = np.nan
+        assert same_float(_median_sqrt(v), np.median(np.sqrt(v)))
+
+    def test_spread_values_need_no_full_median(self, monkeypatch):
+        v = np.random.default_rng(12).exponential(size=50_000)
+        want = np.median(np.sqrt(v))
+
+        def full_median(*args, **kwargs):
+            raise AssertionError("the bracket missed on spread values")
+
+        monkeypatch.setattr(np, "median", full_median)
+        assert same_float(_median_sqrt(v), want)
+
 
 class TestScoreCache:
     def test_round_trip(self, trained, moons, tmp_path):
@@ -568,3 +697,81 @@ class TestScoreCache:
         cache = ScoreCache(1, "raw", np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2, dtype=int))
         with pytest.raises(ModelFormatError):
             ScoreCache.deserialize(cache.serialize()[:-8])
+
+
+def small_cache_bytes():
+    rng = np.random.default_rng(3)
+    cache = ScoreCache(7, "raw", rng.normal(size=(5, 3)), rng.normal(size=(5, 3)), np.arange(5) % 2)
+    return cache, cache.serialize()
+
+
+def broken_cache_file(tmp_path, case):
+    """A path that ``load_cache`` must reject, and the message it must give."""
+    _, data = small_cache_bytes()
+    path = tmp_path / "cache.bin"
+    if case == "empty":
+        path.write_bytes(b"")
+        return path, "truncated before header"
+    if case == "header-only":
+        path.write_bytes(data[:20])
+        return path, "truncated before header"
+    if case == "truncated":
+        path.write_bytes(data[:-8])
+        return path, "expected"
+    if case == "huge-dim":  # too large for a numpy record dtype
+        path.write_bytes(data[:25] + struct.pack("<Q", 2**40) + data[33:])
+        return path, "expected"
+    if case == "non-finite":
+        path.write_bytes(data[:33] + struct.pack("<d", np.nan) + data[41:])  # z[0, 0]
+        return path, "finite"
+    if case == "directory":
+        path.mkdir()
+        return path, "cannot read cache file"
+    return tmp_path / "missing.bin", "cannot read cache file"  # case == "missing"
+
+
+CACHE_FILE_FAULTS = ["empty", "header-only", "truncated", "huge-dim", "non-finite", "directory",
+                     "missing"]
+
+
+class TestLoadCache:
+    @pytest.mark.parametrize("case", CACHE_FILE_FAULTS)
+    def test_bad_files_are_format_errors(self, tmp_path, case):
+        path, message = broken_cache_file(tmp_path, case)
+        with pytest.raises(ModelFormatError, match=message):
+            load_cache(path)
+
+    def test_equals_deserialized_bytes(self, tmp_path):
+        cache, data = small_cache_bytes()
+        path = tmp_path / "cache.bin"
+        path.write_bytes(data)
+        back, parsed = load_cache(path), ScoreCache.deserialize(data)
+        assert back.model_fingerprint == 7 and back.variant == "raw"
+        for got, want in ((back.z, cache.z), (back.scores, cache.scores), (back.labels, cache.labels),
+                          (back.z, parsed.z), (back.scores, parsed.scores)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_arrays_are_owned_contiguous_read_only(self, tmp_path):
+        path = tmp_path / "cache.bin"
+        path.write_bytes(small_cache_bytes()[1])
+        back = load_cache(path)
+        for arr in (back.z, back.scores, back.labels, *back.row_stats):
+            assert arr.flags.owndata and arr.flags.c_contiguous and not arr.flags.writeable
+
+    @pytest.mark.parametrize("how", ["rewrite", "replace"])
+    def test_file_changes_after_load_leave_arrays_unchanged(self, tmp_path, how):
+        cache, data = small_cache_bytes()
+        path = tmp_path / "cache.bin"
+        path.write_bytes(data)
+        back = load_cache(path)
+        other = ScoreCache(8, "raw", -cache.z, -cache.scores, 1 - cache.labels).serialize()
+        if how == "rewrite":
+            with open(path, "r+b") as fh:
+                fh.write(other)
+        else:
+            replacement = tmp_path / "other.bin"
+            replacement.write_bytes(other)
+            os.replace(replacement, path)
+        assert np.array_equal(back.z, cache.z) and np.array_equal(back.scores, cache.scores)
+        assert np.array_equal(back.labels, cache.labels)
+        assert np.array_equal(load_cache(path).z, -cache.z)
