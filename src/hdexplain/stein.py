@@ -29,6 +29,7 @@ exactly a ranking by score norm.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import mmap
 import os
@@ -424,10 +425,6 @@ def _subsample_sq_dists(z_vectors, max_points: int, seed: int, rule: str) -> np.
     return np.clip(sq_dists, 0.0, None, out=sq_dists)
 
 
-# below this many values a full median is about as cheap as the bracket
-_SELECT_MIN = 1 << 12
-
-
 def _median_sqrt(v: np.ndarray) -> float:
     """``np.median(np.sqrt(v))`` of a vector of non-negative values, bit for bit.
 
@@ -435,12 +432,12 @@ def _median_sqrt(v: np.ndarray) -> float:
     for an even count np.median returns the mean of the two. The middle values
     are selected exactly (Floyd & Rivest, CACM 1975): a partitioned strided
     sample brackets their ranks, the values below the bracket are counted and
-    only those inside it are partitioned. A bracket that misses either rank, a
-    non-finite value or a small input takes the full median.
+    only those inside it are partitioned. A bracket that misses either rank or
+    a non-finite value takes the full median.
     """
     m = v.size
     # a NaN or inf anywhere makes the sum non-finite
-    if m < _SELECT_MIN or not np.isfinite(v.sum()):
+    if not np.isfinite(v.sum()):
         return float(np.median(np.sqrt(v)))
     lo_rank, hi_rank = (m - 1) // 2, m // 2
     sample = v[::int(m ** (1 / 3))]  # about m^(2/3) values
@@ -563,7 +560,10 @@ class ScoreCache:
             raise ModelFormatError(f"unsupported cache version {version}")
         if variant_code not in _VARIANT_NAMES:
             raise ModelFormatError(f"unknown cache variant code {variant_code}")
-        # check the size first: numpy cannot build a record dtype for every dim a header holds
+        # check the count and size first: numpy cannot build a record dtype for
+        # every dim a header holds
+        if n == 0:
+            raise ModelFormatError("cache binary holds no records")
         expected = header_size + n * (16 * dim + 4)
         if len(data) != expected:
             raise ModelFormatError(f"cache binary has {len(data)} bytes, expected {expected}")
@@ -581,16 +581,27 @@ class ScoreCache:
 
 
 def save_cache(cache: ScoreCache, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(cache.serialize())
+    """Write a cache file through a temporary file and a rename, so a reader
+    that has the old file mapped never sees it shrink."""
+    path = os.fspath(path)
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(cache.serialize())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_cache(path) -> ScoreCache:
     """Read a cache file: it is mapped read-only and its arrays copied out once."""
     try:
         with open(path, "rb") as fh:
-            if os.fstat(fh.fileno()).st_size == 0:  # an empty file cannot be mapped
-                return ScoreCache.deserialize(b"")
+            # an empty file cannot be mapped; pipes and FIFOs report size 0 too
+            if os.fstat(fh.fileno()).st_size == 0:
+                return ScoreCache.deserialize(fh.read())
             with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as data:
                 return ScoreCache.deserialize(data)
     except OSError as exc:

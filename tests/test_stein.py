@@ -1,5 +1,7 @@
+import mmap
 import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -573,9 +575,8 @@ def bandwidth_inputs(kind, n, rng):
 
 
 class TestBandwidthSelection:
-    """Both rules against the plain ``np.median(np.sqrt(...))``, bit for bit.
-    The pair counts n (n - 1) / 2 are odd and even on both sides of the
-    size where the bracketed selection starts (4096 pairs)."""
+    """Both rules against the plain ``np.median(np.sqrt(...))``, bit for bit,
+    on odd and even pair counts n (n - 1) / 2 from 1 to 499,500."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 91, 92, 101, 102, 999, 1000, 1500])
     @pytest.mark.parametrize("kind", ["gaussian", "grid", "duplicates", "identical", "nan-row"])
@@ -607,7 +608,7 @@ class TestBandwidthSelection:
             assert same_float(median_heuristic_gamma(z), reference_median_gamma(z))
             assert same_float(local_scale_gamma(z), reference_local_gamma(z))
 
-    @pytest.mark.parametrize("m", [4096, 4097, 30001])
+    @pytest.mark.parametrize("m", [1, 2, 3, 64, 4097, 30001])
     @pytest.mark.parametrize("case", ["sample-low", "sample-high", "all-equal", "infinite", "nan"])
     def test_median_sqrt_on_adversarial_vectors(self, m, case):
         rng = np.random.default_rng(m)
@@ -625,8 +626,9 @@ class TestBandwidthSelection:
             v[m // 3] = np.nan
         assert same_float(_median_sqrt(v), np.median(np.sqrt(v)))
 
-    def test_spread_values_need_no_full_median(self, monkeypatch):
-        v = np.random.default_rng(12).exponential(size=50_000)
+    @pytest.mark.parametrize("m", [1000, 50_000])
+    def test_spread_values_need_no_full_median(self, monkeypatch, m):
+        v = np.random.default_rng(12).exponential(size=m)
         want = np.median(np.sqrt(v))
 
         def full_median(*args, **kwargs):
@@ -721,6 +723,9 @@ def broken_cache_file(tmp_path, case):
     if case == "huge-dim":  # too large for a numpy record dtype
         path.write_bytes(data[:25] + struct.pack("<Q", 2**40) + data[33:])
         return path, "expected"
+    if case == "no-records-huge-dim":  # n = 0 matches a header-only file
+        path.write_bytes(data[:17] + struct.pack("<QQ", 0, 2**40))
+        return path, "no records"
     if case == "non-finite":
         path.write_bytes(data[:33] + struct.pack("<d", np.nan) + data[41:])  # z[0, 0]
         return path, "finite"
@@ -730,8 +735,8 @@ def broken_cache_file(tmp_path, case):
     return tmp_path / "missing.bin", "cannot read cache file"  # case == "missing"
 
 
-CACHE_FILE_FAULTS = ["empty", "header-only", "truncated", "huge-dim", "non-finite", "directory",
-                     "missing"]
+CACHE_FILE_FAULTS = ["empty", "header-only", "truncated", "huge-dim", "no-records-huge-dim",
+                     "non-finite", "directory", "missing"]
 
 
 class TestLoadCache:
@@ -750,6 +755,24 @@ class TestLoadCache:
         for got, want in ((back.z, cache.z), (back.scores, cache.scores), (back.labels, cache.labels),
                           (back.z, parsed.z), (back.scores, parsed.scores)):
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("records", [5, 2000])  # 2000 records overfill a pipe buffer
+    def test_reads_a_pipe(self, tmp_path, records):
+        rng = np.random.default_rng(records)
+        cache = ScoreCache(7, "raw", rng.normal(size=(records, 3)), rng.normal(size=(records, 3)),
+                           np.arange(records) % 2)
+        fifo = tmp_path / "cache.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(cache.serialize(),))
+        writer.start()
+        try:
+            back = load_cache(fifo)
+        finally:
+            writer.join()
+        assert back.z.tobytes() == cache.z.tobytes()
+        assert back.scores.tobytes() == cache.scores.tobytes()
+        assert np.array_equal(back.labels, cache.labels)
 
     def test_arrays_are_owned_contiguous_read_only(self, tmp_path):
         path = tmp_path / "cache.bin"
@@ -775,3 +798,27 @@ class TestLoadCache:
         assert np.array_equal(back.z, cache.z) and np.array_equal(back.scores, cache.scores)
         assert np.array_equal(back.labels, cache.labels)
         assert np.array_equal(load_cache(path).z, -cache.z)
+
+    def test_save_over_a_mapped_file_leaves_the_mapping_whole(self, tmp_path):
+        cache, data = small_cache_bytes()
+        path = tmp_path / "cache.bin"
+        path.write_bytes(data)
+        smaller = ScoreCache(8, "raw", cache.z[:2], cache.scores[:2], cache.labels[:2])
+        with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as old:
+            save_cache(smaller, path)
+            assert old[:] == data  # a truncation in place would shrink the mapped file
+        assert path.read_bytes() == smaller.serialize()
+        assert os.listdir(tmp_path) == ["cache.bin"]
+
+    def test_failed_save_leaves_no_temporary(self, tmp_path, monkeypatch):
+        cache, data = small_cache_bytes()
+        path = tmp_path / "cache.bin"
+        path.write_bytes(data)
+
+        def fail(*args):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            save_cache(ScoreCache(8, "raw", cache.z, cache.scores, cache.labels), path)
+        assert path.read_bytes() == data and os.listdir(tmp_path) == ["cache.bin"]
