@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +25,6 @@ __all__ = [
 ]
 
 
-@dataclass
 class Dataset:
     """A feature matrix with dense integer class labels.
 
@@ -39,18 +37,17 @@ class Dataset:
     feature_std : per-column standard deviation of the raw features,
         measured before any normalization and carried through
         :func:`standardize` so noise augmentation keeps its raw scale.
-        Computed from ``features`` when not supplied.
+        When not supplied it is computed from ``features`` on first use; a
+        supplied value is checked here.
     """
 
-    features: np.ndarray
-    labels: np.ndarray
-    num_classes: int
-    image_shape: tuple[int, int, int] | None = None
-    feature_std: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.features = np.ascontiguousarray(self.features, dtype=np.float64)
-        self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
+    def __init__(self, features, labels, num_classes: int,
+                 image_shape: tuple[int, int, int] | None = None,
+                 feature_std: np.ndarray | None = None):
+        self.features = np.ascontiguousarray(features, dtype=np.float64)
+        self.labels = np.ascontiguousarray(labels, dtype=np.int64)
+        self.num_classes = num_classes
+        self.image_shape = image_shape
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
         n, d = self.features.shape
@@ -67,17 +64,23 @@ class Dataset:
             if h * w * c != d:
                 raise ValueError(f"image_shape {self.image_shape} does not match d={d}")
             self.image_shape = (int(h), int(w), int(c))
-        if self.feature_std is None:
-            self.feature_std = self.features.std(axis=0)
-        else:
-            self.feature_std = np.ascontiguousarray(self.feature_std, dtype=np.float64)
-            if self.feature_std.shape != (d,):
+        if feature_std is not None:
+            feature_std = np.ascontiguousarray(feature_std, dtype=np.float64)
+            if feature_std.shape != (d,):
                 raise ValueError("feature_std must have one entry per column")
-            if np.any(self.feature_std < 0):
+            if np.any(feature_std < 0):
                 raise ValueError("feature_std entries must be non-negative")
+            feature_std.setflags(write=False)
+        self._feature_std = feature_std
         self.features.setflags(write=False)
         self.labels.setflags(write=False)
-        self.feature_std.setflags(write=False)
+
+    @property
+    def feature_std(self) -> np.ndarray:
+        if self._feature_std is None:
+            self._feature_std = self.features.std(axis=0)
+            self._feature_std.setflags(write=False)
+        return self._feature_std
 
     @property
     def n(self) -> int:

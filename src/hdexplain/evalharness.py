@@ -50,7 +50,9 @@ __all__ = [
 
 METHODS = tuple(METHOD_VARIANTS)
 HIT_KS = (1, 3, 5)
-_BLOCK_VALUES = 1 << 18  # (m, n) scores per block of trial points
+# (m, n) scores per block of trial points: it bounds the block's score matrix
+# and its two matrix products (the Stein core bounds its own elementwise scratch)
+_BLOCK_VALUES = 1 << 18
 
 
 @dataclass

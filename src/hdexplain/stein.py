@@ -256,7 +256,12 @@ def stein_kernel(kernel: BaseKernel, za, sa, zb, sb) -> float:
 
 # see _sq_dists: the tolerated expansion error is eps / _NEAR (ten ulps)
 _NEAR = 0.1
-_CHUNK_VALUES = 1 << 16  # float64 differences held at a time
+# Values per chunk of the elementwise stage of _stein_block (and per batch of
+# near-pair differences in _sq_dists): each temporary is then at most 64 KiB of
+# float64, below glibc's 128 KiB mmap threshold, so its scratch is reused from
+# the heap (not mapped and page-faulted afresh, as an (m, n) temporary is) and
+# stays in L2.
+_CHUNK_VALUES = 1 << 13
 
 
 def _scored_rows(z, scores):
@@ -284,7 +289,8 @@ def _stein_values(kernel: BaseKernel, dim: int, r2, zq, st, zt, sq, zs, qt):
 
 
 def _sq_dists(kernel: RadialKernel, rows, queries, zz, qq, zq) -> np.ndarray:
-    """(m, n) squared distances ``||z||^2 + ||q||^2 - 2 z.q``, clipped at 0.
+    """Squared distances ``||z||^2 + ||q||^2 - 2 z.q`` of query rows against
+    rows, shaped as ``zq``, clipped at 0.
 
     Its rounding error, about eps (||z||^2 + ||q||^2), moves the kernel by that
     over ``l2 + r2`` with ``l2 = phi(0) / |phi'(0)|`` (1 / gamma for RBF). Where
@@ -307,18 +313,36 @@ def _stein_block(kernel: BaseKernel, rows, row_scores, row_stats, queries, query
     """(m, n) Stein values of query rows (Q, T) against rows (Z, S), counting
     n * m pair evaluations. The stats are each side's ``(||z||^2, z.s)``; the
     products are ``[Q; T] @ Z^T`` and ``[Q; T] @ S^T`` (linear: Q Z^T, T S^T).
+
+    The products are whole; the elementwise stage runs over chunks of at most
+    ``_CHUNK_VALUES`` values (runs of whole rows, or pieces of one row when a
+    row holds more) written into the result, so its scratch is bounded by the
+    chunk. The chunks only partition elementwise operations: the values do not
+    depend on the chunk size.
     """
-    m = queries.shape[0]
-    _count_evals(rows.shape[0] * m)
+    (m, dim), n = queries.shape, rows.shape[0]
+    _count_evals(n * m)
     (zz, zs), (qq, qt) = row_stats, (v[:, None] for v in query_stats)
-    if isinstance(kernel, LinearKernel):
+    linear = isinstance(kernel, LinearKernel)
+    if linear:
         zq, st = queries @ rows.T, query_scores @ row_scores.T
-        return _stein_values(kernel, rows.shape[1], None, zq, st, None, None, zs, qt)
-    left = np.concatenate([queries, query_scores])
-    with_z, with_s = left @ rows.T, left @ row_scores.T
-    zq, zt, sq, st = with_z[:m], with_z[m:], with_s[:m], with_s[m:]
-    r2 = _sq_dists(kernel, rows, queries, zz, qq, zq)
-    return _stein_values(kernel, rows.shape[1], r2, zq, st, zt, sq, zs, qt)
+    else:
+        left = np.concatenate([queries, query_scores])
+        with_z, with_s = left @ rows.T, left @ row_scores.T
+        zq, zt, sq, st = with_z[:m], with_z[m:], with_s[:m], with_s[m:]
+    out = np.empty((m, n))
+    height, width = max(1, _CHUNK_VALUES // n), min(n, _CHUNK_VALUES)
+    for a in range(0, m, height):
+        for b in range(0, n, width):
+            r, c = slice(a, a + height), slice(b, b + width)
+            if linear:
+                out[r, c] = _stein_values(kernel, dim, None, zq[r, c], st[r, c], None, None,
+                                          zs[c], qt[r])
+            else:
+                r2 = _sq_dists(kernel, rows[c], queries[r], zz[c], qq[r], zq[r, c])
+                out[r, c] = _stein_values(kernel, dim, r2, zq[r, c], st[r, c], zt[r, c],
+                                          sq[r, c], zs[c], qt[r])
+    return out
 
 
 def _stein_diagonal(kernel: BaseKernel, scores, row_stats) -> np.ndarray:

@@ -259,3 +259,21 @@ class TestDatasetInvariants:
         ds = gen_two_moons(10, 0.1, seed=0)
         with pytest.raises(ValueError):
             ds.features[0, 0] = 99.0
+
+    def test_unsupplied_feature_std_is_the_column_std(self):
+        ds = gen_two_moons(50, 0.3, seed=1)
+        std = ds.feature_std
+        assert std.tobytes() == ds.features.std(axis=0).tobytes()
+        assert ds.feature_std is std
+        with pytest.raises(ValueError):
+            std[0] = 1.0
+
+    @pytest.mark.parametrize("bad", [np.ones(3), np.array([1.0, -0.5])])
+    def test_bad_feature_std_raises_at_construction(self, bad):
+        with pytest.raises(ValueError):
+            Dataset(np.zeros((3, 2)), np.array([0, 1, 0]), 2, feature_std=bad)
+
+    def test_supplied_feature_std_is_kept_read_only(self):
+        ds = Dataset(np.zeros((3, 2)), np.array([0, 1, 0]), 2, feature_std=[0.5, 2.0])
+        assert ds.feature_std.tolist() == [0.5, 2.0]
+        assert not ds.feature_std.flags.writeable

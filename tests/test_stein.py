@@ -2,6 +2,7 @@ import mmap
 import os
 import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from hdexplain.data import gen_two_moons
 from hdexplain.errors import ModelFormatError, UnsupportedVariantError
 from hdexplain.explain import self_influence_ranking
+from hdexplain import stein
 from hdexplain.nnet import MLPClassifier, TrainConfig, train
 from hdexplain.stein import (
     IMQKernel,
@@ -20,6 +22,9 @@ from hdexplain.stein import (
     ksd_ustat,
     ksd_vstat,
     _median_sqrt,
+    _row_stats,
+    _sq_dists,
+    _stein_block,
     load_cache,
     local_scale_gamma,
     make_stein_points,
@@ -390,6 +395,89 @@ class TestFusedCore:
         assert kernel_eval_count() == n
         stein_gram(kernel, z, scores)
         assert kernel_eval_count() == n + n * n
+
+
+class TestChunkedCore:
+    """The elementwise stage runs in chunks of ``stein._CHUNK_VALUES`` values:
+    where the chunks fall must not change a value."""
+
+    THREE_ROWS = 3 * 23  # of the 23-row sets below, leaving a partial last chunk
+
+    @pytest.fixture
+    def rows(self):
+        rng = np.random.default_rng(21)
+        return rng.normal(0, 1.5, size=(23, 5)), rng.normal(0, 2, size=(23, 5))
+
+    # three rows per chunk, or pieces of 7 values of one row
+    @pytest.mark.parametrize("chunk", [THREE_ROWS, 7])
+    @pytest.mark.parametrize("name,kernel", ALL_KERNELS)
+    def test_chunked_values_equal_one_chunk(self, monkeypatch, rows, name, kernel, chunk):
+        z, s = rows
+        q, t = z[5:16] + 0.1, s[5:16]
+        block_args = (kernel, z, s, _row_stats(z, s), q, t, _row_stats(q, t))
+        assert 23 * 23 <= stein._CHUNK_VALUES
+        gram, block = stein_gram(kernel, z, s), _stein_block(*block_args)
+        monkeypatch.setattr(stein, "_CHUNK_VALUES", chunk)
+        assert stein_gram(kernel, z, s).tobytes() == gram.tobytes(), name
+        assert _stein_block(*block_args).tobytes() == block.tobytes(), name
+
+    @pytest.mark.parametrize("name,kernel", ALL_KERNELS)
+    def test_chunked_gram_rows_are_profiles(self, monkeypatch, rows, name, kernel):
+        z, s = rows
+        monkeypatch.setattr(stein, "_CHUNK_VALUES", self.THREE_ROWS)
+        gram = stein_gram(kernel, z, s)
+        scale = np.abs(gram).max()
+        for i in range(len(z)):
+            profile = stein_kernel_profile(kernel, z, s, z[i], s[i])
+            assert np.abs(gram[i] - profile).max() <= 1e-12 * scale, (name, i)
+
+    def test_near_pair_is_recomputed_in_a_later_chunk(self, monkeypatch):
+        # ||z||^2 ~ 1e6 and ||z_17 - z_10||^2 ~ 3e-6: the pair sits in the
+        # fourth and sixth three-row chunks, and the expansion keeps no digits
+        rng = np.random.default_rng(22)
+        z, s = rng.normal(0, 600, size=(23, 3)), rng.normal(0, 1, size=(23, 3))
+        z[17] = z[10] + 1e-3 * rng.normal(0, 1, 3)
+        direct = float(np.sum((z[17] - z[10]) ** 2))
+        expansion = z[17] @ z[17] + z[10] @ z[10] - 2.0 * z[17] @ z[10]
+        assert abs(expansion - direct) > 1e-6 * direct
+        chunks = []
+
+        def recorded(*args):
+            chunks.append(_sq_dists(*args))
+            return chunks[-1]
+
+        monkeypatch.setattr(stein, "_CHUNK_VALUES", self.THREE_ROWS)
+        monkeypatch.setattr(stein, "_sq_dists", recorded)
+        kernel = RBFKernel(0.7)
+        gram = stein_gram(kernel, z, s)
+        assert len(chunks) == 8
+        r2 = np.vstack(chunks)
+        for i, j in ((17, 10), (10, 17)):
+            assert abs(r2[i, j] - direct) <= 1e-12 * direct, (i, j)
+            pair = (z[j], s[j], z[i], s[i])
+            assert abs(gram[i, j] - stein_kernel(kernel, *pair)) <= 1e-12 * term_scale(kernel, *pair)
+
+
+class TestCoreMemory:
+    """Beyond the result and the two products, the Stein core allocates only
+    scratch bounded by the chunk."""
+
+    @pytest.mark.parametrize("name,kernel", ALL_KERNELS)
+    def test_gram_scratch_is_bounded(self, name, kernel):
+        n = 500
+        rng = np.random.default_rng(23)
+        z, s = rng.normal(0, 1, size=(n, 4)), rng.normal(0, 1, size=(n, 4))
+        stein_gram(kernel, z, s)
+        tracemalloc.start()
+        try:
+            stein_gram(kernel, z, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        result = n * n * 8
+        # radial: [Q; T] @ Z^T and [Q; T] @ S^T, (2n, n) each; linear: (n, n) each
+        products = 2 * result * (1 if name == "linear" else 2)
+        assert peak - result - products < 2**20, (name, peak)
 
 
 def gaussian_points(rng, n, shift=0.0):
