@@ -29,7 +29,7 @@ from .errors import (
     StaleCacheError,
     TrainingError,
 )
-from .explain import ExplainerConfig, build_cache, explain, explanation_to_json
+from .explain import ExplainerConfig, _check_cache, build_cache, explain, explanation_to_json
 from .nnet import TrainConfig, load_model, train
 from .stein import ScoreCache, kernel_by_name, load_cache, median_heuristic_gamma
 
@@ -258,9 +258,15 @@ def cmd_explain(args, cfg: RunConfig) -> int:
         if not 0 <= args.index < dataset.n:
             raise UsageError(f"--index {args.index} out of range [0, {dataset.n})")
         x_test = dataset.features[args.index]
-        # the cache header names no dataset: check what the records can show
+        # the cache header names no dataset: check what the records can show. A
+        # last-layer row starts with the model's representation of its point
+        # (so a stale model is reported first), from a batch forward pass; a
+        # 1-row pass takes other BLAS kernels and differs in the last bits only,
+        # far below 1e-9 for tanh activations bounded by 1.
+        _check_cache(model, cache)
+        own, tol = (x_test, 0.0) if cache.variant == "raw" else (model.representation(x_test), 1e-9)
         if (dataset.n != cache.n or not np.array_equal(dataset.labels, cache.labels)
-                or (cache.variant == "raw" and not np.array_equal(cache.z[args.index, :dataset.d], x_test))):
+                or not np.allclose(cache.z[args.index, :own.size], own, rtol=0.0, atol=tol)):
             raise DataLoadError(f"the configured dataset (n={dataset.n}) is not the one the cache was "
                                 f"built from (n={cache.n}): its size, labels or features differ")
     top_k = args.top_k if args.top_k is not None else cfg.explainer.top_k

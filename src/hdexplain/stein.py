@@ -262,6 +262,10 @@ _NEAR = 0.1
 # the heap (not mapped and page-faulted afresh, as an (m, n) temporary is) and
 # stays in L2.
 _CHUNK_VALUES = 1 << 13
+# Values of cache rows per tile of a one-query block's products in _stein_block
+# (256 KiB of float64). Kept apart from _CHUNK_VALUES: the tiles split the
+# products, the chunks only the elementwise stage.
+_TILE_VALUES = 1 << 15
 
 
 def _scored_rows(z, scores):
@@ -314,11 +318,20 @@ def _stein_block(kernel: BaseKernel, rows, row_scores, row_stats, queries, query
     n * m pair evaluations. The stats are each side's ``(||z||^2, z.s)``; the
     products are ``[Q; T] @ Z^T`` and ``[Q; T] @ S^T`` (linear: Q Z^T, T S^T).
 
-    The products are whole; the elementwise stage runs over chunks of at most
-    ``_CHUNK_VALUES`` values (runs of whole rows, or pieces of one row when a
-    row holds more) written into the result, so its scratch is bounded by the
-    chunk. The chunks only partition elementwise operations: the values do not
-    depend on the chunk size.
+    The elementwise stage runs over chunks of at most ``_CHUNK_VALUES`` values
+    (runs of whole rows, or pieces of one row when a row holds more) written
+    into the result, so its scratch is bounded by the chunk. The chunks only
+    partition elementwise operations: the values do not depend on the chunk
+    size.
+
+    Radial products with one query (m == 1) are computed over tiles of at most
+    ``_TILE_VALUES`` values of rows: with a 2-row left operand OpenBLAS takes
+    its packed GEMM path, which is slower per row over the whole cache than
+    over tiles of a few hundred KiB (README). A one-query value may then
+    differ in its last bits from the same pair in a block of several queries,
+    whose products stay whole (tiling gains less as the block grows and
+    loses from about eight queries); the linear kernel's 1-row products
+    already run as GEMV.
     """
     (m, dim), n = queries.shape, rows.shape[0]
     _count_evals(n * m)
@@ -328,7 +341,15 @@ def _stein_block(kernel: BaseKernel, rows, row_scores, row_stats, queries, query
         zq, st = queries @ rows.T, query_scores @ row_scores.T
     else:
         left = np.concatenate([queries, query_scores])
-        with_z, with_s = left @ rows.T, left @ row_scores.T
+        if m == 1:
+            with_z, with_s = np.empty((2, n)), np.empty((2, n))
+            step = max(1, _TILE_VALUES // dim)
+            for b in range(0, n, step):
+                c = slice(b, b + step)
+                np.matmul(left, rows[c].T, out=with_z[:, c])
+                np.matmul(left, row_scores[c].T, out=with_s[:, c])
+        else:
+            with_z, with_s = left @ rows.T, left @ row_scores.T
         zq, zt, sq, st = with_z[:m], with_z[m:], with_s[:m], with_s[m:]
     out = np.empty((m, n))
     height, width = max(1, _CHUNK_VALUES // n), min(n, _CHUNK_VALUES)
@@ -396,16 +417,24 @@ class KSDEstimate(NamedTuple):
 
 
 def _ustat_std_error(gram: np.ndarray) -> float:
-    """``KSDEstimate.std_error`` from a Stein Gram matrix, through its sums."""
+    """``KSDEstimate.std_error`` from a Stein Gram matrix, through its sums.
+    The squared deviations are summed over runs of rows of at most
+    ``_CHUNK_VALUES`` values, so no n x n temporary is made."""
     n = gram.shape[0]
     if n < 3:
         return 0.0
     diag = np.diagonal(gram)
     row_means = (gram.sum(axis=1) - diag) / (n - 1)
-    dev = gram - row_means.mean()
-    dev_diag = np.diagonal(dev)
+    mean = row_means.mean()
+    step = max(1, _CHUNK_VALUES // n)
+    scratch, squares = np.empty((step, n)), 0.0
+    for a in range(0, n, step):
+        rows = gram[a:a + step]
+        dev = np.subtract(rows, mean, out=scratch[:len(rows)]).ravel()
+        squares += float(dev @ dev)
+    dev_diag = diag - mean
     pairs = n * (n - 1) // 2
-    zeta2 = max((np.einsum("ij,ij->", dev, dev) - dev_diag @ dev_diag) / 2.0, 0.0) / (pairs - 1)
+    zeta2 = max((squares - dev_diag @ dev_diag) / 2.0, 0.0) / (pairs - 1)
     zeta1 = max(row_means.var(ddof=1) - zeta2 / (n - 1), 0.0)
     return float(np.sqrt(2.0 / (n * (n - 1)) * (2.0 * (n - 2) * zeta1 + zeta2)))
 

@@ -274,6 +274,23 @@ class TestExplainCommand:
                    "--index", "40") == 3
         assert "not the one the cache was built from" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed, code", [(1, 0), (2, 3)])
+    def test_last_layer_index_checks_the_features(self, tmp_path, trained_artifacts, capsys,
+                                                   seed, code):
+        # the cache's dataset (seed 1), or one of the same size and labels whose
+        # features differ (seed 2): only the representations can tell them apart
+        config, model_path, _ = trained_artifacts
+        cache_path = str(tmp_path / "last.bin")
+        assert run("cache", "--config", config, "--model", model_path, "--variant", "last-layer",
+                   "--out", cache_path) == 0
+        capsys.readouterr()
+        other = write_config(tmp_path, {"dataset": {"source": "synthetic:two_moons", "n": 60,
+                                                    "noise_std": 0.1}, "seed": seed}, name="other.json")
+        assert run("explain", "--config", other, "--model", model_path, "--cache", cache_path,
+                   "--index", "40") == code
+        err = capsys.readouterr().err
+        assert ("not the one the cache was built from" in err) == (code == 3)
+
 
 class TestEvaluateCommand:
     def test_two_methods_six_rows(self, tmp_path, capsys):

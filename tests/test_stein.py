@@ -9,7 +9,7 @@ import pytest
 
 from hdexplain.data import gen_two_moons
 from hdexplain.errors import ModelFormatError, UnsupportedVariantError
-from hdexplain.explain import self_influence_ranking
+from hdexplain.explain import _top, self_influence_ranking
 from hdexplain import stein
 from hdexplain.nnet import MLPClassifier, TrainConfig, train
 from hdexplain.stein import (
@@ -416,10 +416,30 @@ class TestChunkedCore:
         q, t = z[5:16] + 0.1, s[5:16]
         block_args = (kernel, z, s, _row_stats(z, s), q, t, _row_stats(q, t))
         assert 23 * 23 <= stein._CHUNK_VALUES
+        one_args = (kernel, z, s, _row_stats(z, s), q[:1], t[:1], _row_stats(q[:1], t[:1]))
         gram, block = stein_gram(kernel, z, s), _stein_block(*block_args)
+        one = _stein_block(*one_args)
         monkeypatch.setattr(stein, "_CHUNK_VALUES", chunk)
         assert stein_gram(kernel, z, s).tobytes() == gram.tobytes(), name
         assert _stein_block(*block_args).tobytes() == block.tobytes(), name
+        assert _stein_block(*one_args).tobytes() == one.tobytes(), name
+
+    # five rows per tile (a partial last tile of three), or one row per tile
+    @pytest.mark.parametrize("tile", [5 * 5, 3])
+    @pytest.mark.parametrize("name,kernel", ALL_KERNELS)
+    def test_tiled_query_equals_whole_products(self, monkeypatch, rows, name, kernel, tile):
+        # one query's products run over tiles of stein._TILE_VALUES values of
+        # rows; the tiles split the sums BLAS forms, so agreement is to rounding
+        z, s = rows
+        q, t = z[7] + 0.1, s[7]
+        assert 23 * 5 <= stein._TILE_VALUES
+        whole = stein_kernel_profile(kernel, z, s, q, t)
+        monkeypatch.setattr(stein, "_TILE_VALUES", tile)
+        tiled = stein_kernel_profile(kernel, z, s, q, t)
+        for j in range(len(z)):
+            scale = term_scale(kernel, z[j], s[j], q, t)
+            assert abs(tiled[j] - whole[j]) <= 1e-12 * scale, (name, j)
+        assert _top(tiled, 5).tolist() == _top(whole, 5).tolist(), name
 
     @pytest.mark.parametrize("name,kernel", ALL_KERNELS)
     def test_chunked_gram_rows_are_profiles(self, monkeypatch, rows, name, kernel):
@@ -555,6 +575,15 @@ class TestKSDEstimators:
         expected = np.sqrt(2 / (n * (n - 1)) * (2 * (n - 2) * zeta1 + zeta2))
         for estimator in (ksd_vstat, ksd_ustat):
             assert estimator(kernel, z, s).std_error == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("chunk", [7, 3 * 60])  # one row, or three rows, per chunk
+    def test_std_error_does_not_depend_on_the_chunk(self, monkeypatch, chunk):
+        z, s = gaussian_points(np.random.default_rng(60), 60, shift=0.7)
+        kernel = RBFKernel(0.5)
+        assert 60 * 60 <= stein._CHUNK_VALUES
+        whole = ksd_ustat(kernel, z, s).std_error
+        monkeypatch.setattr(stein, "_CHUNK_VALUES", chunk)
+        assert ksd_ustat(kernel, z, s).std_error == pytest.approx(whole, rel=1e-12)
 
     def test_std_error_is_zero_below_three_points(self):
         z, s = gaussian_points(np.random.default_rng(2), 2)
