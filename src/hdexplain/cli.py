@@ -9,12 +9,10 @@ success, 2 usage error, 3 data/format error, 4 runtime/numeric error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import functools
 import io
 import json
-import os
 import sys
 import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
@@ -31,7 +29,7 @@ from .errors import (
 )
 from .explain import ExplainerConfig, _check_cache, build_cache, explain, explanation_to_json
 from .nnet import TrainConfig, load_model, train
-from .stein import ScoreCache, kernel_by_name, load_cache, median_heuristic_gamma
+from .stein import ScoreCache, _write_atomic, kernel_by_name, load_cache, median_heuristic_gamma
 
 __all__ = ["RunConfig", "main"]
 
@@ -168,16 +166,10 @@ def kernel_from_config(cfg: RunConfig, cache: ScoreCache):
     return kernel_by_name(spec.kernel, gamma=gamma, c=spec.imq_c, beta=spec.imq_beta)
 
 
-def _atomic_write_bytes(path, data: bytes) -> None:
-    path = os.fspath(path)
-    tmp = path + ".tmp"
+def _atomic_write_bytes(path, data) -> None:
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
+        _write_atomic(path, data)
     except OSError as exc:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
         raise DataLoadError(f"cannot write {path}: {exc.strerror}") from exc
 
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ModelFormatError, TrainingError, UnsupportedVariantError
+from .stein import _write_atomic
 
 __all__ = [
     "TrainConfig",
@@ -444,9 +445,9 @@ def train(dataset: Dataset, config: TrainConfig, hidden_dims=None) -> MLPClassif
 
 
 def save_model(model: MLPClassifier, path) -> None:
-    data = model.serialize()
-    with open(path, "wb") as fh:
-        fh.write(data)
+    """Write a model file atomically: a reader or a failed write never leaves
+    a truncated model at ``path``."""
+    _write_atomic(path, model.serialize())
 
 
 def load_model(path) -> MLPClassifier:

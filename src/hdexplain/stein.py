@@ -33,6 +33,7 @@ import contextlib
 import math
 import mmap
 import os
+import secrets
 import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -544,6 +545,12 @@ CACHE_MAGIC = b"HDXC"
 CACHE_VERSION = 1
 _VARIANT_CODES = {"raw": 0, "last-layer": 1}
 _VARIANT_NAMES = {v: k for k, v in _VARIANT_CODES.items()}
+_CACHE_HEADER = "<IBQQQ"  # after the magic: version, variant, fingerprint, n, D
+_CACHE_HEADER_SIZE = 4 + struct.calcsize(_CACHE_HEADER)
+
+
+def _record_dtype(dim: int) -> np.dtype:
+    return np.dtype([("z", "<f8", (dim,)), ("score", "<f8", (dim,)), ("label", "<u4")])
 
 
 @dataclass
@@ -586,29 +593,31 @@ class ScoreCache:
     def dim(self) -> int:
         return self.z.shape[1]
 
-    def serialize(self) -> bytes:
+    def serialize(self) -> bytearray:
+        """The v1 file image, built in one buffer: the header, then one
+        ``(z, score, label)`` record per row filled in place."""
         n, dim = self.z.shape
-        header = CACHE_MAGIC + struct.pack(
-            "<IBQQQ", CACHE_VERSION, _VARIANT_CODES[self.variant],
-            self.model_fingerprint, n, dim,
-        )
-        record = np.dtype([("z", "<f8", (dim,)), ("score", "<f8", (dim,)), ("label", "<u4")])
-        body = np.empty(n, dtype=record)
+        record = _record_dtype(dim)
+        out = bytearray(_CACHE_HEADER_SIZE + n * record.itemsize)
+        out[:4] = CACHE_MAGIC
+        struct.pack_into(_CACHE_HEADER, out, 4, CACHE_VERSION, _VARIANT_CODES[self.variant],
+                         self.model_fingerprint, n, dim)
+        body = np.frombuffer(out, dtype=record, count=n, offset=_CACHE_HEADER_SIZE)
         body["z"] = self.z
         body["score"] = self.scores
-        body["label"] = self.labels.astype(np.uint32)
-        return b"".join((header, body))
+        body["label"] = self.labels
+        return out
 
     @classmethod
     def deserialize(cls, data) -> "ScoreCache":
         """Parse a v1 binary from ``data`` (bytes or any buffer, such as an
         mmap); the arrays are copied out of it and hold no reference to it."""
-        header_size = 4 + struct.calcsize("<IBQQQ")
+        header_size = _CACHE_HEADER_SIZE
         if len(data) < header_size:
             raise ModelFormatError("cache binary truncated before header")
         if data[:4] != CACHE_MAGIC:
             raise ModelFormatError(f"bad cache magic {data[:4]!r}, expected {CACHE_MAGIC!r}")
-        version, variant_code, fingerprint, n, dim = struct.unpack("<IBQQQ", data[4:header_size])
+        version, variant_code, fingerprint, n, dim = struct.unpack(_CACHE_HEADER, data[4:header_size])
         if version != CACHE_VERSION:
             raise ModelFormatError(f"unsupported cache version {version}")
         if variant_code not in _VARIANT_NAMES:
@@ -620,8 +629,7 @@ class ScoreCache:
         expected = header_size + n * (16 * dim + 4)
         if len(data) != expected:
             raise ModelFormatError(f"cache binary has {len(data)} bytes, expected {expected}")
-        record = np.dtype([("z", "<f8", (dim,)), ("score", "<f8", (dim,)), ("label", "<u4")])
-        body = np.frombuffer(data, dtype=record, count=n, offset=header_size)
+        body = np.frombuffer(data, dtype=_record_dtype(dim), count=n, offset=header_size)
         z, scores, labels = body["z"].copy(), body["score"].copy(), body["label"].astype(np.int64)
         # release the buffer before validating: a traceback holding ``body``
         # would keep an mmap from closing
@@ -633,19 +641,40 @@ class ScoreCache:
             raise ModelFormatError(f"invalid cache contents: {exc}") from exc
 
 
-def save_cache(cache: ScoreCache, path) -> None:
-    """Write a cache file through a temporary file and a rename, so a reader
-    that has the old file mapped never sees it shrink."""
+def _write_atomic(path, data) -> None:
+    """Write ``data`` to ``path`` through a temporary file in the same
+    directory and a rename: a reader, such as a process that has the old
+    file mapped, sees the old file or the new one, never a partial one.
+
+    Each call creates its own temporary (exclusively, mode 0o666 less the
+    umask), so concurrent writers of one path cannot write into each other's
+    file; the last rename wins. The temporary is removed on any failure. Its
+    final size is reserved before writing, because on ext4 renaming a file
+    whose blocks are not yet allocated over an existing one starts writeback
+    inside the rename (``auto_da_alloc``); where the filesystem refuses, the
+    write goes ahead without it. Nothing is fsynced.
+    """
     path = os.fspath(path)
-    tmp = path + ".tmp"
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    # O_BINARY: Windows would otherwise translate newlines
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(cache.serialize())
+        with open(fd, "wb") as fh:
+            if hasattr(os, "posix_fallocate"):
+                with contextlib.suppress(OSError):  # also EINVAL for empty data
+                    os.posix_fallocate(fd, 0, len(data))
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
+
+
+def save_cache(cache: ScoreCache, path) -> None:
+    """Write a cache file atomically (see ``_write_atomic``), so a reader
+    that has the old file mapped never sees it shrink."""
+    _write_atomic(path, cache.serialize())
 
 
 def load_cache(path) -> ScoreCache:

@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import os
 import struct
@@ -7,6 +8,8 @@ import pytest
 
 from hdexplain.cli import main
 from hdexplain.data import Dataset, gen_two_moons, save_csv
+from hdexplain.explain import build_cache
+from hdexplain.nnet import load_model
 
 
 def run(*argv):
@@ -115,6 +118,30 @@ class TestCacheCommand:
         again = str(tmp_path / "cache2.bin")
         assert run("cache", "--config", config, "--model", model_path, "--out", again) == 0
         assert open(cache_path, "rb").read() == open(again, "rb").read()
+
+    @pytest.mark.parametrize("variant", ["raw", "last-layer"])
+    def test_file_is_the_serialized_cache(self, tmp_path, trained_artifacts, variant):
+        config, model_path, _ = trained_artifacts
+        out = tmp_path / "c.bin"
+        assert run("cache", "--config", config, "--model", model_path, "--variant", variant,
+                   "--out", str(out)) == 0
+        moons = gen_two_moons(60, 0.1, seed=1)  # the configured dataset
+        assert out.read_bytes() == build_cache(load_model(model_path), moons, variant).serialize()
+
+    def test_refused_preallocation_writes_the_same_bytes(self, tmp_path, trained_artifacts,
+                                                         monkeypatch):
+        config, model_path, cache_path = trained_artifacts
+        calls = []
+
+        def refuse(fd, offset, length):
+            calls.append(length)
+            raise OSError(errno.EOPNOTSUPP, "Operation not supported")
+
+        monkeypatch.setattr(os, "posix_fallocate", refuse, raising=False)
+        again = tmp_path / "cache2.bin"
+        assert run("cache", "--config", config, "--model", model_path, "--out", str(again)) == 0
+        assert calls == [os.path.getsize(cache_path)]
+        assert again.read_bytes() == open(cache_path, "rb").read()
 
     def test_structured_stdout_is_one_document(self, tmp_path, trained_artifacts, capsys):
         config, model_path, _ = trained_artifacts

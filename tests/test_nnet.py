@@ -1,3 +1,7 @@
+import builtins
+import errno
+import os
+
 import numpy as np
 import pytest
 
@@ -326,6 +330,36 @@ class TestSerialization:
         path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(ModelFormatError, match="truncated"):
             load_model(path)
+
+    def test_failed_write_keeps_the_old_model(self, trained, tmp_path, monkeypatch):
+        path = tmp_path / "model.bin"
+        save_model(zero_model([2, 3, 2]), path)
+        old = path.read_bytes()
+        real_open = builtins.open
+
+        class HalfWritten:
+            """A file whose write stores half the data, then fails as a full disk does."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                self.fh.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(builtins, "open", lambda *args, **kwargs: HalfWritten(real_open(*args, **kwargs)))
+            with pytest.raises(OSError, match="No space left"):
+                save_model(trained, path)
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["model.bin"]
 
     def test_fingerprint_stable_across_save_load(self, trained, tmp_path):
         path = tmp_path / "model.bin"

@@ -1,8 +1,12 @@
+import builtins
+import errno
+import inspect
 import mmap
 import os
 import struct
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ from hdexplain.data import gen_two_moons
 from hdexplain.errors import ModelFormatError, UnsupportedVariantError
 from hdexplain.explain import _top, self_influence_ranking
 from hdexplain import stein
-from hdexplain.nnet import MLPClassifier, TrainConfig, train
+from hdexplain.nnet import MLPClassifier, TrainConfig, save_model, train
 from hdexplain.stein import (
     IMQKernel,
     LinearKernel,
@@ -817,6 +821,31 @@ class TestScoreCache:
         with pytest.raises(ModelFormatError):
             ScoreCache.deserialize(cache.serialize()[:-8])
 
+    @pytest.mark.parametrize("variant", ["raw", "last-layer"])
+    @pytest.mark.parametrize("n, dim", [(1, 1), (1, 6), (5, 3), (64, 40), (300, 794)])
+    def test_serialize_equals_the_joined_image(self, variant, n, dim):
+        rng = np.random.default_rng(n * dim)
+        labels = rng.integers(0, 10, n)
+        cache = ScoreCache(0xFEEDBEEFCAFE1234, variant, rng.normal(size=(n, dim)),
+                           rng.normal(size=(n, dim)), labels)
+        data = cache.serialize()
+        assert type(data) is bytearray
+        assert data == joined_cache_image(cache)
+
+
+def joined_cache_image(cache):
+    """The v1 file image as a header joined to a filled record array: the
+    bytes ``ScoreCache.serialize`` must keep."""
+    n, dim = cache.z.shape
+    header = b"HDXC" + struct.pack("<IBQQQ", 1, {"raw": 0, "last-layer": 1}[cache.variant],
+                                   cache.model_fingerprint, n, dim)
+    record = np.dtype([("z", "<f8", (dim,)), ("score", "<f8", (dim,)), ("label", "<u4")])
+    body = np.empty(n, dtype=record)
+    body["z"] = cache.z
+    body["score"] = cache.scores
+    body["label"] = cache.labels.astype(np.uint32)
+    return b"".join((header, body))
+
 
 def small_cache_bytes():
     rng = np.random.default_rng(3)
@@ -939,3 +968,98 @@ class TestLoadCache:
         with pytest.raises(OSError, match="rename failed"):
             save_cache(ScoreCache(8, "raw", cache.z, cache.scores, cache.labels), path)
         assert path.read_bytes() == data and os.listdir(tmp_path) == ["cache.bin"]
+
+
+class TestWriteAtomic:
+    """``save_cache``, ``save_model`` and the CLI's outputs share one writer."""
+
+    def test_preallocates_the_final_size(self, tmp_path, monkeypatch):
+        cache, data = small_cache_bytes()
+        calls = []
+        monkeypatch.setattr(os, "posix_fallocate",
+                            lambda fd, offset, length: calls.append((offset, length)), raising=False)
+        save_cache(cache, tmp_path / "cache.bin")
+        assert calls == [(0, len(data))]
+        assert (tmp_path / "cache.bin").read_bytes() == data
+
+    def test_refused_preallocation_writes_the_same_bytes(self, tmp_path, trained, monkeypatch):
+        cache, data = small_cache_bytes()
+        calls = []
+
+        def refuse(fd, offset, length):
+            calls.append(length)
+            raise OSError(errno.EOPNOTSUPP, "Operation not supported")
+
+        monkeypatch.setattr(os, "posix_fallocate", refuse, raising=False)
+        save_cache(cache, tmp_path / "cache.bin")
+        save_model(trained, tmp_path / "model.bin")
+        assert calls == [len(data), len(trained.serialize())]
+        assert (tmp_path / "cache.bin").read_bytes() == data
+        assert (tmp_path / "model.bin").read_bytes() == trained.serialize()
+        assert sorted(os.listdir(tmp_path)) == ["cache.bin", "model.bin"]
+
+    def test_concurrent_writers_each_use_their_own_temporary(self, tmp_path, monkeypatch):
+        first, first_data = small_cache_bytes()
+        second = ScoreCache(8, "raw", -first.z, -first.scores, 1 - first.labels)
+        path = tmp_path / "cache.bin"
+        opened, resume, errors = threading.Event(), threading.Event(), []
+        real_open = builtins.open
+
+        def pausing_open(*args, **kwargs):
+            fh = real_open(*args, **kwargs)
+            if threading.current_thread() is writer:  # writer A stops with its temporary open
+                opened.set()
+                resume.wait(10)
+            return fh
+
+        def write_first():
+            try:
+                save_cache(first, path)
+            except BaseException as exc:
+                errors.append(exc)
+
+        writer = threading.Thread(target=write_first)
+        monkeypatch.setattr(builtins, "open", pausing_open)
+        writer.start()
+        try:
+            assert opened.wait(10)
+            save_cache(second, path)  # writer B runs to completion meanwhile
+        finally:
+            resume.set()
+            writer.join(10)
+            monkeypatch.undo()
+        assert not writer.is_alive() and errors == []
+        assert path.read_bytes() == first_data  # A renamed last, over B's whole file
+        assert os.listdir(tmp_path) == ["cache.bin"]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_file_mode_follows_the_umask(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            save_cache(small_cache_bytes()[0], tmp_path / "cache.bin")
+        finally:
+            os.umask(old)
+        assert (tmp_path / "cache.bin").stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def test_peak_memory_is_one_file_image(self, tmp_path):
+        rng = np.random.default_rng(5)
+        cache = ScoreCache(1, "raw", rng.normal(size=(2000, 160)), rng.normal(size=(2000, 160)),
+                           np.arange(2000) % 10)
+        path = tmp_path / "cache.bin"
+        tracemalloc.start()
+        try:
+            save_cache(cache, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size >= 5_000_000
+        assert peak <= 1.05 * size
+
+    def test_one_rename_in_the_package(self):
+        """A second copy of the writer would bring a second ``os.replace``."""
+        package = Path(stein.__file__).parent
+        counts = {path.name: path.read_text(encoding="utf-8").count("os.replace")
+                  for path in package.rglob("*.py")}
+        assert {name: count for name, count in counts.items() if count} == {"stein.py": 1}
+        assert "os.replace(" in inspect.getsource(stein._write_atomic)
