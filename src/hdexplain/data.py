@@ -7,11 +7,13 @@ for a fixed seed.
 from __future__ import annotations
 
 import csv
+import io
 import struct
 
 import numpy as np
 
 from .errors import DataLoadError
+from .stein import _write_atomic
 
 __all__ = [
     "Dataset",
@@ -193,12 +195,15 @@ def save_csv(dataset: Dataset, path, label_column: str = "label") -> None:
     """Write a dataset as a headered CSV that :func:`load_csv` round-trips exactly.
 
     Feature values are written with ``repr`` so text round-trips are bit-exact.
+    The text is built in memory and written atomically (see
+    ``stein._write_atomic``), so a failed write never leaves a truncated file.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(dataset.d)] + [label_column])
-        for row, label in zip(dataset.features, dataset.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow([f"x{i}" for i in range(dataset.d)] + [label_column])
+    for row, label in zip(dataset.features, dataset.labels):
+        writer.writerow([repr(float(v)) for v in row] + [int(label)])
+    _write_atomic(path, text.getvalue().encode("utf-8"))
 
 
 _IDX_IMAGE_RANK = 3

@@ -142,12 +142,32 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
+def _softmax_and_log_softmax(logits: np.ndarray):
+    """``(_softmax(logits), _log_softmax(logits))`` from one shift, ``exp`` and
+    sum, bit-equal to both."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    total = exp.sum(axis=-1, keepdims=True)
+    return exp / total, shifted - np.log(total)
+
+
+def _forward_into(weights, biases, x: np.ndarray, outs):
+    """Activations ``[x, a_1, ..., a_L]`` of the tanh layers and the class
+    logits, each layer written into its ``(rows, width)`` buffer in ``outs``,
+    or into a new array where that entry is None."""
+    acts = [x]
+    for i, (w, b, out) in enumerate(zip(weights, biases, outs)):
+        z = np.matmul(acts[-1], w, out=out)
+        z += b
+        if i < len(weights) - 1:
+            np.tanh(z, out=z)
+        acts.append(z)
+    return acts[:-1], acts[-1]
+
+
 def _forward(weights, biases, x: np.ndarray):
     """Activations ``[x, a_1, ..., a_L]`` of the tanh layers and the class logits."""
-    acts = [x]
-    for w, b in zip(weights[:-1], biases[:-1]):
-        acts.append(np.tanh(acts[-1] @ w + b))
-    return acts, acts[-1] @ weights[-1] + biases[-1]
+    return _forward_into(weights, biases, x, [None] * len(weights))
 
 
 def _residual(proba: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -252,13 +272,13 @@ class MLPClassifier:
             raise UnsupportedVariantError("model has no hidden layer to read a representation from")
         x, single = self._check_input(x)
         acts, logits = _forward(self.weights, self.biases, x)
-        proba = _softmax(logits)
+        proba, log_proba = _softmax_and_log_softmax(logits)
         labels = proba.argmax(axis=1) if y is None else self._check_labels(y, x.shape[0], "input")
         grad = _residual(proba, labels) @ self.weights[-1].T
         if variant == "raw":
             for i in range(len(self.weights) - 2, -1, -1):
                 grad = (grad * (1.0 - acts[i + 1] ** 2)) @ self.weights[i].T
-        out = (labels, proba, _log_softmax(logits), x if variant == "raw" else acts[-1], grad)
+        out = (labels, proba, log_proba, x if variant == "raw" else acts[-1], grad)
         return tuple(v[0] for v in out) if single else out
 
     def representation_and_residual(self, x, y=None):
@@ -352,14 +372,17 @@ class MLPClassifier:
         return self._fingerprint
 
 
-def _init_parameters(dims, rng):
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return weights, biases
+def _layer_views(flat: np.ndarray, dims):
+    """``(weights, biases)`` as views of one flat vector that holds every
+    weight matrix first, then every bias vector."""
+    shapes = [*zip(dims[:-1], dims[1:]), *((width,) for width in dims[1:])]
+    views = []
+    start = 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        views.append(flat[start:start + size].reshape(shape))
+        start += size
+    return views[:len(dims) - 1], views[len(dims) - 1:]
 
 
 def _mean_cross_entropy(weights, biases, x, y):
@@ -376,6 +399,10 @@ def train(dataset: Dataset, config: TrainConfig, hidden_dims=None) -> MLPClassif
     datasets. The returned model carries ``train_accuracy``,
     ``validation_accuracy`` (when a split is held out) and the per-epoch
     ``train_loss_history``.
+
+    All parameters live in one flat vector (weights, then biases) that each
+    step updates in place with a handful of whole-vector operations; the
+    forward and backward passes write into buffers made once per call.
     """
     present = np.unique(dataset.labels)
     if present.size < 2:
@@ -385,9 +412,16 @@ def train(dataset: Dataset, config: TrainConfig, hidden_dims=None) -> MLPClassif
     dims = [dataset.d, *[int(v) for v in hidden_dims], dataset.num_classes]
 
     rng = np.random.default_rng(config.seed)
-    weights, biases = _init_parameters(dims, rng)
-    vel_w = [np.zeros_like(w) for w in weights]
-    vel_b = [np.zeros_like(b) for b in biases]
+    n_weights = sum(fan_in * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
+    params = np.zeros(n_weights + sum(dims[1:]))
+    weights, biases = _layer_views(params, dims)
+    for w in weights:
+        limit = np.sqrt(6.0 / sum(w.shape))
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
+    vel = np.zeros_like(params)
+    grad = np.empty_like(params)
+    scratch = np.empty_like(params)
+    grad_w, grad_b = _layer_views(grad, dims)
 
     order = rng.permutation(dataset.n)
     n_val = int(round(config.validation_fraction * dataset.n))
@@ -399,6 +433,12 @@ def train(dataset: Dataset, config: TrainConfig, hidden_dims=None) -> MLPClassif
     if np.unique(y_train).size < 2:
         raise TrainingError("training split has fewer than 2 classes; lower validation_fraction")
 
+    rows = min(config.batch_size, n_train)
+    x_buf = np.empty((rows, dataset.d))
+    out_bufs = [np.empty((rows, width)) for width in dims[1:]]
+    delta_bufs = [np.empty((rows, width)) for width in dims[1:-1]]
+    row_starts = np.arange(rows) * dims[-1]
+
     history = []
     for epoch in range(config.epochs):
         # cosine step-size decay keeps the end-of-training loss descent smooth
@@ -406,34 +446,44 @@ def train(dataset: Dataset, config: TrainConfig, hidden_dims=None) -> MLPClassif
         perm = rng.permutation(n_train)
         for start in range(0, n_train, config.batch_size):
             batch = perm[start:start + config.batch_size]
-            xb = x_train[batch]
-            yb = y_train[batch]
+            m = len(batch)
+            xb = x_train.take(batch, axis=0, out=x_buf[:m], mode="clip")
+            acts, delta = _forward_into(weights, biases, xb, [buf[:m] for buf in out_bufs])
 
-            acts, logits = _forward(weights, biases, xb)
-            # mean cross-entropy gradient with respect to the logits, (p - e_y) / batch
-            delta = -_residual(_softmax(logits), yb) / len(yb)
-            grads_w = [None] * len(weights)
-            grads_b = [None] * len(weights)
+            # mean cross-entropy gradient with respect to the logits,
+            # (p - e_y) / m, in place on the logits; the row maxima are
+            # reduced over a row-major copy of the transpose, since a
+            # reduction along rows only C wide is slow
+            delta -= np.maximum.reduce(delta.T.copy())[:, None]
+            np.exp(delta, out=delta)
+            delta /= np.add.reduce(delta, axis=-1, keepdims=True)
+            delta.reshape(-1)[row_starts[:m] + y_train[batch]] -= 1.0
+            delta /= m
             for i in range(len(weights) - 1, -1, -1):
-                grads_w[i] = acts[i].T @ delta
-                grads_b[i] = delta.sum(axis=0)
+                np.matmul(acts[i].T, delta, out=grad_w[i])
+                np.add.reduce(delta, axis=0, out=grad_b[i])
                 if i > 0:
-                    delta = (delta @ weights[i].T) * (1.0 - acts[i] ** 2)
+                    below = np.matmul(delta, weights[i].T, out=delta_bufs[i - 1][:m])
+                    # tanh' = 1 - a**2, in place: the activation is spent
+                    np.square(acts[i], out=acts[i])
+                    np.subtract(1.0, acts[i], out=acts[i])
+                    below *= acts[i]
+                    delta = below
 
-            for i in range(len(weights)):
-                gw = grads_w[i]
-                if config.l2_weight_decay > 0:
-                    gw = gw + config.l2_weight_decay * weights[i]
-                vel_w[i] = config.momentum * vel_w[i] - lr * gw
-                vel_b[i] = config.momentum * vel_b[i] - lr * grads_b[i]
-                weights[i] = weights[i] + vel_w[i]
-                biases[i] = biases[i] + vel_b[i]
+            # biases are not decayed
+            if config.l2_weight_decay > 0:
+                decay = np.multiply(params[:n_weights], config.l2_weight_decay, out=scratch[:n_weights])
+                grad[:n_weights] += decay
+            vel *= config.momentum
+            vel -= np.multiply(grad, lr, out=scratch)
+            params += vel
 
         epoch_loss = _mean_cross_entropy(weights, biases, x_train, y_train)
         if not np.isfinite(epoch_loss):
             raise TrainingError(f"training diverged at epoch {epoch + 1}: loss is not finite")
         history.append(epoch_loss)
 
+    params.setflags(write=False)  # the model's arrays are views of it
     model = MLPClassifier(dims, weights, biases)
     model.train_loss_history = history
     preds = model.predict_proba(x_train).argmax(axis=1)

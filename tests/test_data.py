@@ -1,3 +1,6 @@
+import csv
+import errno
+import os
 import struct
 
 import numpy as np
@@ -123,6 +126,31 @@ class TestCSV:
         # repr-based formatting keeps the text round trip bit-exact
         assert np.array_equal(back.features, ds.features)
         assert np.array_equal(back.labels, ds.labels)
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "moons.csv"
+        save_csv(gen_two_moons(50, 0.3, seed=1), path)
+        old = path.read_bytes()
+        real_writer = csv.writer
+
+        class FullDisk:
+            """A CSV writer that fails as a full disk does after 20 rows."""
+
+            def __init__(self, fh):
+                self.writer = real_writer(fh)
+                self.rows = 0
+
+            def writerow(self, row):
+                if self.rows == 20:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                self.rows += 1
+                return self.writer.writerow(row)
+
+        monkeypatch.setattr(csv, "writer", FullDisk)
+        with pytest.raises(OSError, match="No space left"):
+            save_csv(gen_two_moons(80, 0.3, seed=2), path)
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["moons.csv"]
 
 
 def _write_idx_pair(tmp_path, images, labels):

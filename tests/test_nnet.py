@@ -5,12 +5,14 @@ import os
 import numpy as np
 import pytest
 
-from hdexplain.data import gen_two_moons
+from hdexplain.data import Dataset, gen_two_moons
 from hdexplain.errors import ModelFormatError, TrainingError, UnsupportedVariantError
 from hdexplain.explain import build_cache
 from hdexplain.nnet import (
     MLPClassifier,
     TrainConfig,
+    _log_softmax,
+    _softmax,
     fnv1a_64,
     load_model,
     save_model,
@@ -53,6 +55,108 @@ def fd_input_gradient(model, x, y, step=1e-5):
 def rel_err(got, want):
     scale = max(np.linalg.norm(want), 1e-12)
     return np.linalg.norm(got - want) / scale
+
+
+def reference_train(dataset, config, hidden_dims=None):
+    """The trainer as it was written before the flat in-place rewrite: a list
+    of per-layer arrays, fresh arrays at every step. ``train`` must equal it
+    bit for bit."""
+
+    def softmax(logits):
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        exp = np.exp(shifted)
+        return exp / exp.sum(axis=-1, keepdims=True)
+
+    def log_softmax(logits):
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+    def forward(weights, biases, x):
+        acts = [x]
+        for w, b in zip(weights[:-1], biases[:-1]):
+            acts.append(np.tanh(acts[-1] @ w + b))
+        return acts, acts[-1] @ weights[-1] + biases[-1]
+
+    def residual(proba, y):
+        resid = -proba
+        resid[np.arange(proba.shape[0]), y] += 1.0
+        return resid
+
+    def init_parameters(dims, rng):
+        weights = []
+        biases = []
+        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+            weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
+            biases.append(np.zeros(fan_out))
+        return weights, biases
+
+    def mean_cross_entropy(weights, biases, x, y):
+        logp = log_softmax(forward(weights, biases, x)[1])
+        return float(-logp[np.arange(len(y)), y].mean())
+
+    if hidden_dims is None:
+        hidden_dims = (128, 64) if dataset.image_shape is not None else (32, 32)
+    dims = [dataset.d, *[int(v) for v in hidden_dims], dataset.num_classes]
+
+    rng = np.random.default_rng(config.seed)
+    weights, biases = init_parameters(dims, rng)
+    vel_w = [np.zeros_like(w) for w in weights]
+    vel_b = [np.zeros_like(b) for b in biases]
+
+    order = rng.permutation(dataset.n)
+    n_val = int(round(config.validation_fraction * dataset.n))
+    val_idx = order[dataset.n - n_val:]
+    train_idx = order[:dataset.n - n_val]
+    x_train = dataset.features[train_idx]
+    y_train = dataset.labels[train_idx]
+    n_train = len(train_idx)
+
+    history = []
+    for epoch in range(config.epochs):
+        lr = config.learning_rate * 0.5 * (1.0 + np.cos(np.pi * epoch / config.epochs))
+        perm = rng.permutation(n_train)
+        for start in range(0, n_train, config.batch_size):
+            batch = perm[start:start + config.batch_size]
+            xb = x_train[batch]
+            yb = y_train[batch]
+
+            acts, logits = forward(weights, biases, xb)
+            delta = -residual(softmax(logits), yb) / len(yb)
+            grads_w = [None] * len(weights)
+            grads_b = [None] * len(weights)
+            for i in range(len(weights) - 1, -1, -1):
+                grads_w[i] = acts[i].T @ delta
+                grads_b[i] = delta.sum(axis=0)
+                if i > 0:
+                    delta = (delta @ weights[i].T) * (1.0 - acts[i] ** 2)
+
+            for i in range(len(weights)):
+                gw = grads_w[i]
+                if config.l2_weight_decay > 0:
+                    gw = gw + config.l2_weight_decay * weights[i]
+                vel_w[i] = config.momentum * vel_w[i] - lr * gw
+                vel_b[i] = config.momentum * vel_b[i] - lr * grads_b[i]
+                weights[i] = weights[i] + vel_w[i]
+                biases[i] = biases[i] + vel_b[i]
+
+        history.append(mean_cross_entropy(weights, biases, x_train, y_train))
+
+    preds = softmax(forward(weights, biases, x_train)[1]).argmax(axis=1)
+    train_accuracy = float((preds == y_train).mean())
+    validation_accuracy = None
+    if n_val > 0:
+        val_preds = softmax(forward(weights, biases, dataset.features[val_idx])[1]).argmax(axis=1)
+        validation_accuracy = float((val_preds == dataset.labels[val_idx]).mean())
+    return weights, biases, history, train_accuracy, validation_accuracy
+
+
+def blobs(n, num_classes, d, seed, image_shape=None):
+    """Gaussian clusters, one per class, with every class present."""
+    rng = np.random.default_rng(seed)
+    labels = np.arange(n) % num_classes
+    centers = rng.normal(0, 2.0, size=(num_classes, d))
+    return Dataset(centers[labels] + rng.normal(size=(n, d)), labels, num_classes, image_shape=image_shape)
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +217,61 @@ class TestTrain:
         with np.errstate(over="warn", invalid="warn"), pytest.warns(RuntimeWarning):
             with pytest.raises(TrainingError, match="epoch 1"):
                 train(moons, TrainConfig(seed=0, epochs=3, learning_rate=1e308))
+
+
+class TestTrainMatchesReference:
+    """``train`` updates one flat parameter vector in place; the models it
+    returns are bit-identical to the per-layer reference loop."""
+
+    @pytest.mark.parametrize("data, config, hidden_dims", [
+        (gen_two_moons(240, 0.1, seed=3), TrainConfig(seed=1, epochs=6, batch_size=60), None),
+        (gen_two_moons(240, 0.1, seed=3), TrainConfig(seed=2, epochs=6, batch_size=50), None),
+        (gen_two_moons(240, 0.1, seed=3), TrainConfig(seed=3, epochs=6, batch_size=500), None),
+        (gen_two_moons(240, 0.1, seed=3),
+         TrainConfig(seed=4, epochs=6, batch_size=32, validation_fraction=0.25), None),
+        (gen_two_moons(240, 0.1, seed=3), TrainConfig(seed=5, epochs=6, l2_weight_decay=0.0), None),
+        (blobs(150, 3, 4, seed=6), TrainConfig(seed=6, epochs=5, batch_size=40), None),
+        (blobs(200, 10, 6, seed=7), TrainConfig(seed=7, epochs=5, batch_size=64), (16, 8, 12)),
+        (gen_two_moons(240, 0.1, seed=3), TrainConfig(seed=8, epochs=1), None),
+        (blobs(150, 3, 5, seed=9), TrainConfig(seed=9, epochs=5, batch_size=32), ()),
+        (blobs(90, 10, 64, seed=10, image_shape=(8, 8, 1)),
+         TrainConfig(seed=10, epochs=3, batch_size=40, validation_fraction=0.2), None),
+    ], ids=["batch-divides-n", "batch-does-not-divide-n", "batch-larger-than-n", "validation-split",
+            "no-weight-decay", "three-classes", "ten-classes", "one-epoch", "no-hidden-layer",
+            "image-default-128-64"])
+    def test_bit_identical_to_the_reference(self, data, config, hidden_dims):
+        model = train(data, config, hidden_dims)
+        weights, biases, history, train_accuracy, validation_accuracy = reference_train(data, config, hidden_dims)
+        assert len(model.weights) == len(weights)
+        for got, want in zip(model.weights + model.biases, weights + biases):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert model.train_loss_history == history
+        assert model.train_accuracy == train_accuracy
+        assert model.validation_accuracy == validation_accuracy
+
+    def test_no_writeable_array_behind_the_model(self, moons):
+        model = train(moons, TrainConfig(seed=2, epochs=2))
+        for array in model.weights + model.biases:
+            while isinstance(array, np.ndarray):
+                assert not array.flags.writeable
+                array = array.base
+
+    def test_memory_is_the_training_set_and_batch_buffers(self):
+        import tracemalloc
+
+        data = blobs(4000, 2, 200, seed=11)
+        # a first call imports modules lazily; only the second is measured
+        train(blobs(20, 2, 3, seed=0), TrainConfig(seed=0, epochs=1))
+        tracemalloc.start()
+        try:
+            train(data, TrainConfig(seed=0, epochs=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the training split is one copy of the features; a second copy
+        # (say, a shuffled one per epoch) would double this
+        assert peak < 1.5 * data.features.nbytes
 
 
 class TestPredictProba:
@@ -267,6 +426,17 @@ class TestScore:
         assert np.array_equal(labels, want_labels)
         assert np.array_equal(reps, h)
         assert np.array_equal(resid, np.eye(trained.num_classes)[want_labels] - proba)
+
+    @pytest.mark.parametrize("num_classes", [2, 3, 10, 17])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0, 1e3, 1e300])
+    def test_probabilities_are_the_softmax_of_the_logits(self, num_classes, scale):
+        # with identity weights the logits are the inputs themselves
+        model = MLPClassifier([num_classes, num_classes], [np.eye(num_classes)], [np.zeros(num_classes)])
+        x = scale * np.random.default_rng(num_classes).normal(size=(50, num_classes))
+        logits = model.logits(x)
+        _, proba, log_proba, _, _ = model.score(x)
+        assert proba.tobytes() == _softmax(logits).tobytes()
+        assert log_proba.tobytes() == _log_softmax(logits).tobytes()
 
     def test_predicted_ties_go_to_lowest_index(self):
         labels = zero_model([2, 3, 4]).score(np.zeros((2, 2)))[0]
