@@ -227,6 +227,17 @@ def _idx_header(fh, path, expected_rank: int) -> tuple[int, ...]:
     return dims
 
 
+def _idx_body(fh, count: int, path, what: str) -> bytes:
+    """The rest of the file, which must hold exactly ``count`` bytes. It is read
+    whole, so a header that claims more than the file holds allocates nothing."""
+    data = fh.read()
+    if len(data) < count:
+        raise DataLoadError(f"truncated IDX file {path}: expected {count} bytes for {what}")
+    if len(data) > count:
+        raise DataLoadError(f"{path}: trailing bytes after {what}")
+    return data
+
+
 def load_idx(images_path, labels_path) -> Dataset:
     """Load a big-endian IDX image/label file pair (u8 rank-3 images, u8 rank-1 labels).
 
@@ -239,18 +250,14 @@ def load_idx(images_path, labels_path) -> Dataset:
         raise DataLoadError(f"cannot read IDX file {images_path}: {exc}") from exc
     with img_fh:
         n, h, w = _idx_header(img_fh, images_path, _IDX_IMAGE_RANK)
-        pixels = _idx_read(img_fh, n * h * w, images_path, "pixel data")
-        if img_fh.read(1):
-            raise DataLoadError(f"{images_path}: trailing bytes after pixel data")
+        pixels = _idx_body(img_fh, n * h * w, images_path, "pixel data")
     try:
         lab_fh = open(labels_path, "rb")
     except OSError as exc:
         raise DataLoadError(f"cannot read IDX file {labels_path}: {exc}") from exc
     with lab_fh:
         (n_labels,) = _idx_header(lab_fh, labels_path, _IDX_LABEL_RANK)
-        label_bytes = _idx_read(lab_fh, n_labels, labels_path, "label data")
-        if lab_fh.read(1):
-            raise DataLoadError(f"{labels_path}: trailing bytes after label data")
+        label_bytes = _idx_body(lab_fh, n_labels, labels_path, "label data")
     if n_labels != n:
         raise DataLoadError(f"IDX count mismatch: {n} images vs {n_labels} labels")
     if n < 1:

@@ -131,21 +131,28 @@ class TrainConfig:
             raise ValueError("validation_fraction must lie in [0, 1)")
 
 
+def _row_max(logits: np.ndarray) -> np.ndarray:
+    """``logits.max(axis=-1, keepdims=True)`` of a 1-D or 2-D array, exactly:
+    reduced over a row-major copy of the transpose, since numpy reduces rows
+    only a few classes wide one at a time."""
+    return np.maximum.reduce(logits.T.copy())[..., None]
+
+
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    shifted = logits - _row_max(logits)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    shifted = logits - _row_max(logits)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def _softmax_and_log_softmax(logits: np.ndarray):
     """``(_softmax(logits), _log_softmax(logits))`` from one shift, ``exp`` and
     sum, bit-equal to both."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    shifted = logits - _row_max(logits)
     exp = np.exp(shifted)
     total = exp.sum(axis=-1, keepdims=True)
     return exp / total, shifted - np.log(total)
@@ -363,7 +370,10 @@ class MLPClassifier:
             biases.append(b.copy())
         if offset != len(data):
             raise ModelFormatError("model binary has trailing bytes")
-        return cls(dims, weights, biases)
+        try:
+            return cls(dims, weights, biases)
+        except ValueError as exc:
+            raise ModelFormatError(f"invalid model contents: {exc}") from exc
 
     def fingerprint(self) -> int:
         """64-bit FNV-1a over the serialized bytes; cached (models are immutable)."""
@@ -451,10 +461,8 @@ def train(dataset: Dataset, config: TrainConfig, hidden_dims=None) -> MLPClassif
             acts, delta = _forward_into(weights, biases, xb, [buf[:m] for buf in out_bufs])
 
             # mean cross-entropy gradient with respect to the logits,
-            # (p - e_y) / m, in place on the logits; the row maxima are
-            # reduced over a row-major copy of the transpose, since a
-            # reduction along rows only C wide is slow
-            delta -= np.maximum.reduce(delta.T.copy())[:, None]
+            # (p - e_y) / m, in place on the logits
+            delta -= _row_max(delta)
             np.exp(delta, out=delta)
             delta /= np.add.reduce(delta, axis=-1, keepdims=True)
             delta.reshape(-1)[row_starts[:m] + y_train[batch]] -= 1.0

@@ -483,30 +483,18 @@ def _median_sqrt(v: np.ndarray) -> float:
     """``np.median(np.sqrt(v))`` of a vector of non-negative values, bit for bit.
 
     sqrt is monotone, so the middle roots are the roots of the middle values;
-    for an even count np.median returns the mean of the two. The middle values
-    are selected exactly (Floyd & Rivest, CACM 1975): a partitioned strided
-    sample brackets their ranks, the values below the bracket are counted and
-    only those inside it are partitioned. A bracket that misses either rank or
-    a non-finite value takes the full median.
+    for an even count np.median returns the mean of the two. One partition at
+    the lower middle rank selects it exactly; every value to its right is at
+    least as large, so the upper middle value is their minimum. ``v`` is left
+    unchanged. A non-finite value takes the full median.
     """
-    m = v.size
     # a NaN or inf anywhere makes the sum non-finite
     if not np.isfinite(v.sum()):
         return float(np.median(np.sqrt(v)))
-    lo_rank, hi_rank = (m - 1) // 2, m // 2
-    sample = v[::int(m ** (1 / 3))]  # about m^(2/3) values
-    centre = lo_rank * sample.size // m
-    spread = 2 * math.isqrt(sample.size)  # four standard deviations of the sample rank
-    a, b = max(centre - spread, 0), min(centre + spread, sample.size - 1)
-    low, high = np.partition(sample, (a, b))[[a, b]]
-    below = v < low
-    n_below = np.count_nonzero(below)
-    inside = v[(v <= high) ^ below]  # low <= v <= high, as v < low implies v <= high
-    k_lo, k_hi = lo_rank - n_below, hi_rank - n_below
-    if k_lo < 0 or k_hi >= inside.size:
-        return float(np.median(np.sqrt(v)))
-    middle = np.sqrt(np.partition(inside, (k_lo, k_hi))[[k_lo, k_hi]])
-    return float(middle[0] if m % 2 else (middle[0] + middle[1]) / 2.0)
+    lo = (v.size - 1) // 2
+    part = np.partition(v, lo)
+    low = np.sqrt(part[lo])
+    return float(low if v.size % 2 else (low + np.sqrt(part[lo + 1:].min())) / 2.0)
 
 
 def _gamma_for_scale(m: float) -> float:

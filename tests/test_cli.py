@@ -79,6 +79,17 @@ class TestTrainCommand:
         assert run("train", "--config", config, "--out", str(tmp_path / "m.bin")) == 3
         assert "/no/such/file.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("file", ["images", "labels"])
+    def test_oversized_idx_header_is_a_data_error(self, tmp_path, capsys, file):
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        shape = (2**20, 2**10, 2**10) if file == "images" else (2, 2, 2)
+        count = 2**32 - 1 if file == "labels" else 2
+        images.write_bytes(b"\x00\x00\x08\x03" + struct.pack(">III", *shape) + bytes(8))
+        labels.write_bytes(b"\x00\x00\x08\x01" + struct.pack(">I", count) + bytes([0, 1]))
+        config = write_config(tmp_path, {"dataset": {"source": f"idx:{images},{labels}"}})
+        assert run("train", "--config", config, "--out", str(tmp_path / "m.bin")) == 3
+        assert "truncated IDX file" in capsys.readouterr().err
+
     def test_unknown_config_key_rejected(self, tmp_path):
         config = write_config(tmp_path, {"dataset": {"sauce": "typo"}})
         assert run("train", "--config", config, "--out", str(tmp_path / "m.bin")) == 2
@@ -203,6 +214,22 @@ class TestExplainCommand:
         assert run("explain", "--config", config, "--model", model_path, "--cache", str(bad_path),
                    "--index", "3") == 3
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dims, values, message", [
+        ([2, 3, 2], [float("nan")] + [0.0] * 16, "model parameters must be finite"),
+        ([2], [], "layer_dims needs at least input and output sizes"),
+        ([2, 0, 2], [0.0, 0.0], "layer dimensions must be positive"),
+    ])
+    def test_invalid_model_contents_are_a_format_error(self, tmp_path, trained_artifacts, capsys,
+                                                       dims, values, message):
+        config, model_path, cache_path = trained_artifacts
+        bad_path = tmp_path / "bad_model.bin"
+        bad_path.write_bytes(b"HDXM" + struct.pack(f"<II{len(dims)}I{len(values)}d", 1, len(dims),
+                                                   *dims, *values))
+        assert run("explain", "--config", config, "--model", str(bad_path), "--cache", cache_path,
+                   "--index", "3") == 3
+        captured = capsys.readouterr()
+        assert f"invalid model contents: {message}" in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("case, message", [("empty", "truncated before header"),
                                                ("truncated", "expected"),

@@ -2,6 +2,7 @@ import csv
 import errno
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -219,6 +220,34 @@ class TestIDX:
         img_path.write_bytes(img_path.read_bytes()[:-5])
         with pytest.raises(DataLoadError, match="truncated"):
             load_idx(img_path, lab_path)
+
+    def test_trailing_bytes(self, tmp_path):
+        images = np.zeros((2, 3, 3), dtype=np.uint8)
+        img_path, lab_path = _write_idx_pair(tmp_path, images, [0, 1])
+        lab_path.write_bytes(lab_path.read_bytes() + b"\x00")
+        with pytest.raises(DataLoadError, match="trailing bytes after label data"):
+            load_idx(img_path, lab_path)
+
+    @pytest.mark.parametrize("file, header", [
+        ("images", (2**31, 2**16, 2**16)),
+        ("images", (2**20, 2**10, 2**10)),
+        ("labels", (2**32 - 1,)),
+    ])
+    def test_oversized_header_allocates_nothing(self, tmp_path, file, header):
+        images = np.zeros((2, 10, 10), dtype=np.uint8)
+        img_path, lab_path = _write_idx_pair(tmp_path, images, [0, 1])
+        path = img_path if file == "images" else lab_path
+        data = bytearray(path.read_bytes())
+        data[4:4 + 4 * len(header)] = struct.pack(f">{len(header)}I", *header)
+        path.write_bytes(bytes(data))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataLoadError, match="truncated IDX file"):
+                load_idx(img_path, lab_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
 
 
 class TestStandardize:

@@ -1,6 +1,7 @@
 import builtins
 import errno
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hdexplain.nnet import (
     TrainConfig,
     _log_softmax,
     _softmax,
+    _softmax_and_log_softmax,
     fnv1a_64,
     load_model,
     save_model,
@@ -438,6 +440,26 @@ class TestScore:
         assert proba.tobytes() == _softmax(logits).tobytes()
         assert log_proba.tobytes() == _log_softmax(logits).tobytes()
 
+    @pytest.mark.parametrize("shape", [(2,), (10,), (1, 2), (1, 10), (500, 2), (64, 3), (2000, 10)])
+    def test_softmax_helpers_equal_the_row_max_form(self, shape):
+        def shifted(logits):
+            return logits - logits.max(axis=-1, keepdims=True)
+
+        def softmax(logits):
+            exp = np.exp(shifted(logits))
+            return exp / exp.sum(axis=-1, keepdims=True)
+
+        def log_softmax(logits):
+            return shifted(logits) - np.log(np.exp(shifted(logits)).sum(axis=-1, keepdims=True))
+
+        logits = 30.0 * np.random.default_rng(shape[-1]).normal(size=shape)
+        logits.flat[1] = logits.flat[0]  # a tie for the maximum in the first row
+        want_p, want_logp = softmax(logits), log_softmax(logits)
+        got_p, got_logp = _softmax_and_log_softmax(logits)
+        for got, want in ((_softmax(logits), want_p), (_log_softmax(logits), want_logp),
+                          (got_p, want_p), (got_logp, want_logp)):
+            assert got.shape == shape and got.tobytes() == want.tobytes()
+
     def test_predicted_ties_go_to_lowest_index(self):
         labels = zero_model([2, 3, 4]).score(np.zeros((2, 2)))[0]
         assert labels.tolist() == [0, 0]
@@ -499,6 +521,18 @@ class TestSerialization:
         save_model(trained, path)
         path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(ModelFormatError, match="truncated"):
+            load_model(path)
+
+    @pytest.mark.parametrize("dims, values, message", [
+        ([2, 3, 2], [float("nan")] + [0.0] * 16, "model parameters must be finite"),
+        ([2], [], "layer_dims needs at least input and output sizes"),
+        ([2, 0, 2], [0.0, 0.0], "layer dimensions must be positive"),
+    ])
+    def test_invalid_contents_are_a_format_error(self, tmp_path, dims, values, message):
+        path = tmp_path / "model.bin"
+        path.write_bytes(b"HDXM" + struct.pack(f"<II{len(dims)}I{len(values)}d", 1, len(dims),
+                                               *dims, *values))
+        with pytest.raises(ModelFormatError, match=f"invalid model contents: {message}"):
             load_model(path)
 
     def test_failed_write_keeps_the_old_model(self, trained, tmp_path, monkeypatch):
