@@ -183,12 +183,18 @@ def load_csv(path, label_column: str = "label") -> Dataset:
             raise DataLoadError(f"{path}: no data rows")
         if len(feature_names) < 1:
             raise DataLoadError(f"{path}: no feature columns besides {label_column!r}")
+    features = np.array(rows, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(features))
+    if bad.size:
+        row, col = bad[0]
+        raise DataLoadError(f"{path}: non-finite value {float(features[row, col])} at line {row + 2}, "
+                            f"column {feature_names[col]!r}")
     distinct = sorted(set(raw_labels))
     if len(distinct) < 2:
         raise DataLoadError(f"{path}: dataset defines only one class ({distinct[0]})")
     remap = {v: i for i, v in enumerate(distinct)}
     labels = np.array([remap[v] for v in raw_labels], dtype=np.int64)
-    return Dataset(np.array(rows, dtype=np.float64), labels, num_classes=len(distinct))
+    return Dataset(features, labels, num_classes=len(distinct))
 
 
 def save_csv(dataset: Dataset, path, label_column: str = "label") -> None:

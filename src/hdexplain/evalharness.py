@@ -182,6 +182,8 @@ def hit_rate_experiment(model: MLPClassifier, cache: ScoreCache | None, dataset:
         raise ValueError(f"sample_size must lie in [1, {dataset.n}]")
     if trials_per_point < 1:
         raise ValueError("trials_per_point must be at least 1")
+    if config.top_k > dataset.n:
+        raise ValueError(f"top_k={config.top_k} exceeds dataset size n={dataset.n}")
     ks = sorted(set(HIT_KS) | {config.top_k})
     query_k = min(max(ks), dataset.n)
     ks = [k for k in ks if k <= query_k]

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .data import Dataset
-from .errors import StaleCacheError
+from .errors import ModelFormatError, StaleCacheError
 from .nnet import MLPClassifier
 from .stein import (
     BaseKernel,
@@ -101,11 +101,21 @@ def build_cache(model: MLPClassifier, dataset: Dataset, variant: str = "raw") ->
 
 
 def _check_cache(model: MLPClassifier, cache: ScoreCache) -> None:
+    """``StaleCacheError`` unless the cache was built for ``model``, and
+    ``ModelFormatError`` unless its rows and labels fit the model."""
     if cache.model_fingerprint != model.fingerprint():
         raise StaleCacheError(
             f"stale cache: built for model {cache.model_fingerprint:016x}, "
             f"got {model.fingerprint():016x}"
         )
+    classes = model.num_classes
+    dim = (model.input_dim if cache.variant == "raw" else model.layer_dims[-2]) + classes
+    if cache.dim != dim:
+        raise ModelFormatError(f"cache rows have D={cache.dim}, the model's {cache.variant} "
+                               f"points have D={dim}")
+    if cache.labels.min() < 0 or cache.labels.max() >= classes:
+        raise ModelFormatError(f"cache labels lie in [{cache.labels.min()}, {cache.labels.max()}], "
+                               f"outside the model's classes [0, {classes})")
 
 
 def _test_point(model: MLPClassifier, x_test) -> np.ndarray:

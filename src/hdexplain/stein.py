@@ -1,4 +1,4 @@
-"""Base kernels with exact derivative terms, model scored points, the
+"""Base kernels and their radial profiles, model scored points, the
 Stein-operator-augmented kernel, and kernelized Stein discrepancy estimators.
 
 Scored points are matching ``(n, D)`` arrays: rows ``Z`` and their scores
@@ -84,34 +84,13 @@ def _count_evals(n: int) -> None:
     _EVAL_COUNT += n
 
 
-def _check_pair(za, zb):
-    za = np.asarray(za, dtype=np.float64)
-    zb = np.asarray(zb, dtype=np.float64)
-    if za.ndim != 1 or zb.ndim != 1 or za.shape != zb.shape:
-        raise ValueError(f"arguments must be equal-length vectors, got {za.shape} and {zb.shape}")
-    return za, zb
-
-
 class BaseKernel:
-    """Scalar kernel interface on a pair of equal-length vectors: the direct
-    reference path. Batched Stein values use the closed form of
-    :func:`_stein_values`, which needs a linear or :class:`RadialKernel`.
+    """A base kernel: its parameters and registry ``name``. The Stein core
+    (:func:`_stein_values`) evaluates it in closed form, so it must be a
+    :class:`LinearKernel` or a :class:`RadialKernel`.
     """
 
     name = "base"
-
-    def eval(self, za, zb) -> float:
-        raise NotImplementedError
-
-    def grad_a(self, za, zb) -> np.ndarray:
-        raise NotImplementedError
-
-    def grad_b(self, za, zb) -> np.ndarray:
-        raise NotImplementedError
-
-    def trace_hessian(self, za, zb) -> float:
-        """Sum over coordinates of the mixed second derivative d2k/da_i db_i."""
-        raise NotImplementedError
 
 
 class LinearKernel(BaseKernel):
@@ -119,50 +98,15 @@ class LinearKernel(BaseKernel):
 
     name = "linear"
 
-    def eval(self, za, zb) -> float:
-        za, zb = _check_pair(za, zb)
-        return float(za @ zb)
-
-    def grad_a(self, za, zb) -> np.ndarray:
-        za, zb = _check_pair(za, zb)
-        return zb.copy()
-
-    def grad_b(self, za, zb) -> np.ndarray:
-        za, zb = _check_pair(za, zb)
-        return za.copy()
-
-    def trace_hessian(self, za, zb) -> float:
-        za, zb = _check_pair(za, zb)
-        return float(za.shape[0])
-
 
 class RadialKernel(BaseKernel):
-    """k(a, b) = phi(||a - b||^2); subclasses define ``radial``. The scalar
-    methods follow by the chain rule: grad_a k = 2 phi' (a - b) = -grad_b k."""
+    """k(a, b) = phi(||a - b||^2); subclasses define ``radial``. By the chain
+    rule grad_a k = 2 phi' (a - b) = -grad_b k and the trace of the mixed
+    Hessian is -2 D phi' - 4 r2 phi''."""
 
     def radial(self, r2):
         """``(phi, phi', phi'')`` at squared distance(s) ``r2``."""
         raise NotImplementedError
-
-    def _diff(self, za, zb):
-        za, zb = _check_pair(za, zb)
-        diff = za - zb
-        return diff, float(diff @ diff)
-
-    def eval(self, za, zb) -> float:
-        return float(self.radial(self._diff(za, zb)[1])[0])
-
-    def grad_a(self, za, zb) -> np.ndarray:
-        diff, r2 = self._diff(za, zb)
-        return 2.0 * self.radial(r2)[1] * diff
-
-    def grad_b(self, za, zb) -> np.ndarray:
-        return -self.grad_a(za, zb)
-
-    def trace_hessian(self, za, zb) -> float:
-        diff, r2 = self._diff(za, zb)
-        _, k1, k2 = self.radial(r2)
-        return float(-2.0 * diff.shape[0] * k1 - 4.0 * r2 * k2)
 
 
 def _positive_finite(name: str, value) -> float:
@@ -242,17 +186,12 @@ def make_stein_points(model, x, y, variant: str = "raw"):
 
 def stein_kernel(kernel: BaseKernel, za, sa, zb, sb) -> float:
     """Stein kernel value of the scored points ``(za, sa)`` and ``(zb, sb)``,
-    all length-D vectors: the scalar four-term reference for the batched core."""
-    za, sa = _check_pair(za, sa)
-    zb, sb = _check_pair(zb, sb)
-    if za.shape != zb.shape:
-        raise ValueError(f"dimension mismatch: {za.shape[0]} vs {zb.shape[0]}")
-    _count_evals(1)
-    value = kernel.trace_hessian(za, zb)
-    value += kernel.eval(za, zb) * float(sa @ sb)
-    value += float(kernel.grad_a(za, zb) @ sb)
-    value += float(kernel.grad_b(za, zb) @ sa)
-    return float(value)
+    all length-D vectors: the one-pair case of :func:`stein_kernel_profile`."""
+    rows, row_scores = (np.asarray(v, dtype=np.float64)[None] for v in (za, sa))
+    zb = np.asarray(zb, dtype=np.float64)
+    if rows.ndim == 2 and zb.ndim == 1 and rows.shape[1] != zb.shape[0]:
+        raise ValueError(f"dimension mismatch: {rows.shape[1]} vs {zb.shape[0]}")
+    return float(stein_kernel_profile(kernel, rows, row_scores, zb, sb)[0])
 
 
 # see _sq_dists: the tolerated expansion error is eps / _NEAR (ten ulps)

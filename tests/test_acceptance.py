@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+import oracle
 from hdexplain.data import gen_two_moons
 from hdexplain.errors import StaleCacheError
 from hdexplain.evalharness import (
@@ -40,6 +41,7 @@ def report(criterion, ok, detail):
 
 
 def fd_kernel_gradient(kernel, za, zb, wrt, step=1e-6):
+    """Central differences of the kernel function: phi(||a - b||^2), or a . b."""
     grad = np.zeros_like(za)
     for j in range(len(za)):
         up_a, up_b, dn_a, dn_b = za.copy(), zb.copy(), za.copy(), zb.copy()
@@ -49,7 +51,8 @@ def fd_kernel_gradient(kernel, za, zb, wrt, step=1e-6):
         else:
             up_b[j] += step
             dn_b[j] -= step
-        grad[j] = (kernel.eval(up_a, up_b) - kernel.eval(dn_a, dn_b)) / (2 * step)
+        grad[j] = (oracle.kernel_value(kernel, up_a, up_b)
+                   - oracle.kernel_value(kernel, dn_a, dn_b)) / (2 * step)
     return grad
 
 
@@ -61,7 +64,7 @@ def fd_trace_hessian(kernel, za, zb, step=1e-4):
             aa, bb = za.copy(), zb.copy()
             aa[j] += sa * step
             bb[j] += sb * step
-            terms.append(kernel.eval(aa, bb))
+            terms.append(oracle.kernel_value(kernel, aa, bb))
         total += (terms[0] - terms[1] - terms[2] + terms[3]) / (4 * step**2)
     return total
 
@@ -127,20 +130,27 @@ def test_a1_derivative_suite(trained, moons):
             return RBFKernel(float(rng.uniform(0.1, 2.0)))
         return IMQKernel(float(rng.uniform(0.5, 2.0)), float(rng.uniform(-0.9, -0.1)))
 
+    # the scores come from their own stream, so the kernel and pair draws are unchanged
+    score_rng = np.random.default_rng(43)
     max_grad_err = 0.0
     max_trace_err = 0.0
+    max_stein_err = 0.0
     for name in ("linear", "rbf", "imq"):
         for _ in range(200):
             kernel = draw_kernel(name)
             za = rng.normal(0, 2, size=4)
             zb = rng.normal(0, 2, size=4)
-            max_grad_err = max(
-                max_grad_err,
-                rel_err(kernel.grad_a(za, zb), fd_kernel_gradient(kernel, za, zb, "a")),
-                rel_err(kernel.grad_b(za, zb), fd_kernel_gradient(kernel, za, zb, "b")),
-            )
-            max_trace_err = max(
-                max_trace_err, rel_err(kernel.trace_hessian(za, zb), fd_trace_hessian(kernel, za, zb)))
+            fd_a = fd_kernel_gradient(kernel, za, zb, "a")
+            fd_b = fd_kernel_gradient(kernel, za, zb, "b")
+            fd_trace = fd_trace_hessian(kernel, za, zb)
+            max_grad_err = max(max_grad_err, rel_err(oracle.grad_a(kernel, za, zb), fd_a),
+                               rel_err(oracle.grad_b(kernel, za, zb), fd_b))
+            max_trace_err = max(max_trace_err, rel_err(oracle.trace_hessian(kernel, za, zb), fd_trace))
+            # the library's Stein value against one built from finite differences alone
+            sa, sb = score_rng.normal(0, 2, size=(2, 4))
+            fd_stein = fd_trace + oracle.kernel_value(kernel, za, zb) * (sa @ sb) + fd_a @ sb + fd_b @ sa
+            max_stein_err = max(max_stein_err, abs(stein.stein_kernel(kernel, za, sa, zb, sb) - fd_stein)
+                                / oracle.term_scale(kernel, za, sa, zb, sb))
 
     max_model_err = 0.0
     step = 1e-5
@@ -180,9 +190,11 @@ def test_a1_derivative_suite(trained, moons):
         max_model_err = max(max_model_err, rel_err(model.rep_gradient(h, y), fd_h))
 
     elapsed = time.perf_counter() - start
-    ok = max_grad_err <= 1e-6 and max_trace_err <= 1e-4 and max_model_err <= 1e-4 and elapsed < 30
+    ok = (max_grad_err <= 1e-6 and max_trace_err <= 1e-4 and max_stein_err <= 1e-4
+          and max_model_err <= 1e-4 and elapsed < 30)
     assert report("A1 derivative suite", ok,
                   f"grad {max_grad_err:.2e}<=1e-6, trace {max_trace_err:.2e}<=1e-4, "
+                  f"stein {max_stein_err:.2e}<=1e-4, "
                   f"model {max_model_err:.2e}<=1e-4, {elapsed:.1f}s<30s")
 
 
@@ -237,7 +249,7 @@ def test_a4_estimator_identity():
         kernel = [LinearKernel(), RBFKernel(0.5), IMQKernel(1.0, -0.5)][trial % 3]
         v = stein.ksd_vstat(kernel, z, s).value
         u = stein.ksd_ustat(kernel, z, s).value
-        diag = sum(stein.stein_kernel(kernel, zi, si, zi, si) for zi, si in points)
+        diag = sum(oracle.stein_kernel(kernel, zi, si, zi, si) for zi, si in points)
         rhs = (n - 1) / n * u + diag / n**2
         worst = max(worst, abs(v - rhs) / max(1.0, abs(v)))
     ok = worst <= 1e-10

@@ -2,6 +2,9 @@
 renamed or deleted entry point fails here rather than only in a benchmark run."""
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import hdexplain
@@ -31,3 +34,18 @@ def test_tracer_installs_and_restores_the_package():
     assert {name: getattr(stein, name) for name in names} == before
     assert {name: getattr(hdexplain, name) for name in names} == exported
     assert callable(stein.kernel_eval_count)
+
+
+def test_traced_benchmark_run_reports_every_per_layer_metric():
+    # a short traced run of the smallest workload; it writes only under bench/out/
+    root = TRACING.parents[1]
+    proc = subprocess.run([sys.executable, str(root / "bench" / "run.py"), "--workload", "moons-eval",
+                           "--seed", "0", "--seconds", "0.3", "--trace", "1"],
+                          cwd=root, stdout=subprocess.PIPE, text=True, timeout=300, check=False)
+    assert proc.returncode == 0
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    declared = [m["name"] for m in json.loads((root / "BENCHMARK.json").read_text())["per_layer"]]
+    assert sorted(set(declared) - set(result["metrics"])) == []
+    # explain's Stein values go through the profile span the tracer times
+    assert result["metrics"]["stein.profile_ms"]["value"] > 0

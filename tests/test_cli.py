@@ -10,6 +10,7 @@ from hdexplain.cli import main
 from hdexplain.data import Dataset, gen_two_moons, save_csv
 from hdexplain.explain import build_cache
 from hdexplain.nnet import load_model
+from hdexplain.stein import ScoreCache, load_cache, save_cache
 
 
 def run(*argv):
@@ -78,6 +79,13 @@ class TestTrainCommand:
         config = write_config(tmp_path, {"dataset": {"source": "csv:/no/such/file.csv"}})
         assert run("train", "--config", config, "--out", str(tmp_path / "m.bin")) == 3
         assert "/no/such/file.csv" in capsys.readouterr().err
+
+    def test_non_finite_csv_cell_is_a_data_error(self, tmp_path, capsys):
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text("a,b,label\n0.0,1.0,0\n1.0,nan,1\n2.0,0.5,1\n")
+        config = write_config(tmp_path, {"dataset": {"source": f"csv:{csv_path}"}})
+        assert run("train", "--config", config, "--out", str(tmp_path / "m.bin")) == 3
+        assert "non-finite value nan at line 3, column 'b'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("file", ["images", "labels"])
     def test_oversized_idx_header_is_a_data_error(self, tmp_path, capsys, file):
@@ -214,6 +222,31 @@ class TestExplainCommand:
         assert run("explain", "--config", config, "--model", model_path, "--cache", str(bad_path),
                    "--index", "3") == 3
         assert "finite" in capsys.readouterr().err
+
+    def test_cache_label_outside_the_model_classes_is_a_format_error(self, tmp_path,
+                                                                    trained_artifacts, capsys):
+        config, model_path, cache_path = trained_artifacts
+        cache = load_cache(cache_path)
+        labels = cache.labels.copy()
+        labels[4] = 7  # the model has 2 classes
+        bad_path = tmp_path / "label_cache.bin"
+        save_cache(ScoreCache(cache.model_fingerprint, cache.variant, cache.z, cache.scores, labels),
+                   bad_path)
+        assert run("explain", "--config", config, "--model", model_path, "--cache", str(bad_path),
+                   "--point", "0.1,0.2") == 3
+        captured = capsys.readouterr()
+        assert "outside the model's classes [0, 2)" in captured.err and captured.out == ""
+
+    def test_cache_of_another_width_is_a_format_error(self, tmp_path, trained_artifacts, capsys):
+        config, model_path, cache_path = trained_artifacts
+        cache = load_cache(cache_path)
+        bad_path = tmp_path / "narrow_cache.bin"
+        save_cache(ScoreCache(cache.model_fingerprint, cache.variant, cache.z[:, 1:],
+                              cache.scores[:, 1:], cache.labels), bad_path)
+        assert run("explain", "--config", config, "--model", model_path, "--cache", str(bad_path),
+                   "--point", "0.1,0.2") == 3
+        captured = capsys.readouterr()
+        assert "cache rows have D=3" in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("dims, values, message", [
         ([2, 3, 2], [float("nan")] + [0.0] * 16, "model parameters must be finite"),

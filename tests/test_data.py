@@ -103,6 +103,13 @@ class TestCSV:
         with pytest.raises(DataLoadError, match=r"line 3.*'b'"):
             load_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"a,b,label\n1.0,2.0,0\n3.0,4.0,1\n1.0,{cell},1\n")
+        with pytest.raises(DataLoadError, match=r"non-finite value .* line 4, column 'b'"):
+            load_csv(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataLoadError):
             load_csv(tmp_path / "nope.csv")

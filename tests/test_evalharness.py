@@ -199,6 +199,19 @@ class TestHitRateExperiment:
             hit_rate_experiment(trained, cache, moons, "noise", 1, moons.n + 1,
                                 retrieval_config, seed=0)
 
+    @pytest.mark.parametrize("method", ["hd-explain", "tracin-last"])
+    def test_top_k_beyond_dataset_size_rejected(self, retrieval_config, method):
+        tiny = gen_two_moons(6, 0.05, seed=4)
+        model = train(tiny, TrainConfig(seed=4, epochs=5))
+        tiny_cache = build_cache(model, tiny, "raw")
+        config = ExplainerConfig(kernel=retrieval_config.kernel, top_k=10)
+        with pytest.raises(ValueError, match="top_k=10 exceeds dataset size n=6"):
+            hit_rate_experiment(model, tiny_cache, tiny, "noise", 1, 6, config, seed=5, method=method)
+        config.top_k = 6
+        report = hit_rate_experiment(model, tiny_cache, tiny, "noise", 1, 6, config, seed=5,
+                                     method=method)
+        assert sorted(report.hit_rate) == [1, 3, 5, 6]
+
     def test_csv_rows_shape(self, trained, moons, cache, retrieval_config):
         report = hit_rate_experiment(trained, cache, moons, "noise", 1, 5,
                                      retrieval_config, seed=9, method="hd-explain")

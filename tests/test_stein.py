@@ -6,11 +6,13 @@ import os
 import struct
 import threading
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oracle
 from hdexplain.data import gen_two_moons
 from hdexplain.errors import ModelFormatError, UnsupportedVariantError
 from hdexplain.explain import _top, self_influence_ranking
@@ -96,25 +98,27 @@ class TestKernelValues:
     def test_rbf_coincident(self):
         k = RBFKernel(2.0)
         z = np.array([0.3, -1.0])
-        assert k.eval(z, z) == 1.0
+        assert oracle.kernel_value(k, z, z) == 1.0
 
     def test_rbf_direct_formula(self):
         k = RBFKernel(0.5)
-        got = k.eval(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
+        got = oracle.kernel_value(k, np.array([0.0, 0.0]), np.array([1.0, 0.0]))
         assert abs(got - np.exp(-0.5)) < 1e-15
 
     def test_imq_coincident_unit_c(self):
         k = IMQKernel(1.0, -0.5)
         z = np.array([2.0, 3.0])
-        assert k.eval(z, z) == 1.0
+        assert oracle.kernel_value(k, z, z) == 1.0
 
     def test_linear_is_dot_product(self):
         k = LinearKernel()
-        assert k.eval(np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
+        assert oracle.kernel_value(k, np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            LinearKernel().eval(np.zeros(2), np.zeros(3))
+        # kernel values are taken only inside the Stein core, which rejects the pair
+        for _, kernel in ALL_KERNELS:
+            with pytest.raises(ValueError):
+                stein_kernel(kernel, np.zeros(2), np.zeros(2), np.zeros(3), np.zeros(3))
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -152,21 +156,21 @@ class TestKernelGradients:
     def test_rbf_imq_gradients_vanish_at_coincidence(self):
         z = np.array([0.5, -0.2, 1.0])
         for _, kernel in ALL_KERNELS[1:]:
-            assert np.allclose(kernel.grad_a(z, z), 0.0)
-            assert np.allclose(kernel.grad_b(z, z), 0.0)
+            assert np.allclose(oracle.grad_a(kernel, z, z), 0.0)
+            assert np.allclose(oracle.grad_b(kernel, z, z), 0.0)
 
     def test_linear_gradient_definition(self):
         k = LinearKernel()
-        assert k.grad_a(np.array([1.0, 2.0]), np.array([3.0, 4.0])).tolist() == [3.0, 4.0]
-        assert k.grad_b(np.array([1.0, 2.0]), np.array([3.0, 4.0])).tolist() == [1.0, 2.0]
+        assert oracle.grad_a(k, np.array([1.0, 2.0]), np.array([3.0, 4.0])).tolist() == [3.0, 4.0]
+        assert oracle.grad_b(k, np.array([1.0, 2.0]), np.array([3.0, 4.0])).tolist() == [1.0, 2.0]
 
     @pytest.mark.parametrize("name,kernel", ALL_KERNELS)
     def test_gradients_match_finite_differences(self, name, kernel):
         for i, (za, zb) in enumerate(random_pairs(70, 4, seed=hash(name) % 2**32)):
-            got_a = kernel.grad_a(za, zb)
-            got_b = kernel.grad_b(za, zb)
-            want_a = fd_gradient(kernel.eval, za, zb, "a")
-            want_b = fd_gradient(kernel.eval, za, zb, "b")
+            got_a = oracle.grad_a(kernel, za, zb)
+            got_b = oracle.grad_b(kernel, za, zb)
+            want_a = fd_gradient(partial(oracle.kernel_value, kernel), za, zb, "a")
+            want_b = fd_gradient(partial(oracle.kernel_value, kernel), za, zb, "b")
             assert rel_err(got_a, want_a) <= 1e-6, (name, i)
             assert rel_err(got_b, want_b) <= 1e-6, (name, i)
 
@@ -174,18 +178,18 @@ class TestKernelGradients:
 class TestTraceHessian:
     def test_linear_equals_dimension(self):
         k = LinearKernel()
-        assert k.trace_hessian(np.zeros(5), np.ones(5)) == 5.0
+        assert oracle.trace_hessian(k, np.zeros(5), np.ones(5)) == 5.0
 
     def test_rbf_at_coincidence(self):
         k = RBFKernel(1.0)
         z = np.zeros(3)
-        assert abs(k.trace_hessian(z, z) - 6.0) < 1e-15
+        assert abs(oracle.trace_hessian(k, z, z) - 6.0) < 1e-15
 
     @pytest.mark.parametrize("name,kernel", ALL_KERNELS)
     def test_matches_nested_finite_differences(self, name, kernel):
         for i, (za, zb) in enumerate(random_pairs(70, 3, seed=(hash(name) + 1) % 2**32)):
-            got = kernel.trace_hessian(za, zb)
-            want = fd_trace_hessian(kernel.eval, za, zb)
+            got = oracle.trace_hessian(kernel, za, zb)
+            want = fd_trace_hessian(partial(oracle.kernel_value, kernel), za, zb)
             assert rel_err(got, want) <= 1e-4, (name, i)
 
 
@@ -279,8 +283,17 @@ class TestSteinKernel:
             j = int(rng.integers(0, 40))
             profile = stein_kernel_profile(kernel, z, scores, z[j], scores[j])
             for i in range(40):
-                direct = stein_kernel(kernel, z[i], scores[i], z[j], scores[j])
+                direct = oracle.stein_kernel(kernel, z[i], scores[i], z[j], scores[j])
                 assert abs(profile[i] - direct) <= 1e-10, kernel_name
+
+    @pytest.mark.parametrize("name,kernel", ALL_KERNELS)
+    def test_one_pair_case_matches_oracle(self, name, kernel):
+        rng = np.random.default_rng(19)
+        for i in range(50):
+            pair = tuple(rng.normal(0, spread, 4) for spread in (1.5, 2, 1.5, 2))
+            direct = oracle.stein_kernel(kernel, *pair)
+            scale = oracle.term_scale(kernel, *pair)
+            assert abs(stein_kernel(kernel, *pair) - direct) <= 1e-12 * scale, (name, i)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -293,15 +306,6 @@ class TestSteinKernel:
             stein_kernel(LinearKernel(), np.zeros((1, 3)), np.zeros((1, 3)), np.zeros(3), np.zeros(3))
 
 
-def term_scale(kernel, za, sa, zb, sb):
-    """Sum of the magnitudes of the four Stein terms: the scale that rounding
-    in either path is relative to, also where the terms cancel."""
-    return (abs(kernel.trace_hessian(za, zb))
-            + abs(kernel.eval(za, zb) * float(sa @ sb))
-            + abs(float(kernel.grad_a(za, zb) @ sb))
-            + abs(float(kernel.grad_b(za, zb) @ sa)))
-
-
 @pytest.fixture(scope="module", params=["random", "trained"])
 def scored_rows(request, trained, moons):
     """(z, s) rows: Gaussian vectors, or raw scored points of a trained model."""
@@ -312,7 +316,7 @@ def scored_rows(request, trained, moons):
 
 
 class TestFusedCore:
-    """The GEMM-shaped closed form against the scalar four-term path."""
+    """The GEMM-shaped closed form against the scalar four-term oracle."""
 
     @pytest.mark.parametrize("name,kernel", ALL_KERNELS)
     def test_profile_matches_scalar_stein_kernel(self, name, kernel, scored_rows):
@@ -321,10 +325,10 @@ class TestFusedCore:
             profile = stein_kernel_profile(kernel, z, scores, z[j], scores[j])
             for i in range(len(z)):
                 pair = (z[i], scores[i], z[j], scores[j])
-                direct = stein_kernel(kernel, *pair)
-                assert abs(profile[i] - direct) <= 1e-12 * term_scale(kernel, *pair), (name, i, j)
+                direct = oracle.stein_kernel(kernel, *pair)
+                assert abs(profile[i] - direct) <= 1e-12 * oracle.term_scale(kernel, *pair), (name, i, j)
             # the self-point: r2 = 0 exactly, not a rounded expansion
-            direct = stein_kernel(kernel, z[j], scores[j], z[j], scores[j])
+            direct = oracle.stein_kernel(kernel, z[j], scores[j], z[j], scores[j])
             assert abs(profile[j] - direct) <= 1e-12 * abs(direct), name
 
     @pytest.mark.parametrize("name,kernel", ALL_KERNELS)
@@ -337,14 +341,15 @@ class TestFusedCore:
         profile = stein_kernel_profile(kernel, z, scores, q, t)
         for i in range(6):
             pair = (z[i], scores[i], q, t)
-            assert abs(profile[i] - stein_kernel(kernel, *pair)) <= 1e-12 * term_scale(kernel, *pair)
+            scale = oracle.term_scale(kernel, *pair)
+            assert abs(profile[i] - oracle.stein_kernel(kernel, *pair)) <= 1e-12 * scale
 
     def test_far_pair_underflows_to_zero(self):
         kernel = RBFKernel(0.7)
         z = np.array([[0.0, 0.0, 0.0], [40.0, -40.0, 40.0], [0.5, 0.1, -0.2]])
         scores = np.array([[1.0, -2.0, 0.5], [3.0, 1.0, -1.0], [0.2, 0.2, 0.2]])
         profile = stein_kernel_profile(kernel, z, scores, z[0], scores[0])
-        far = stein_kernel(kernel, z[1], scores[1], z[0], scores[0])
+        far = oracle.stein_kernel(kernel, z[1], scores[1], z[0], scores[0])
         assert far == 0.0 and profile[1] == 0.0
         assert np.all(np.isfinite(profile))
 
@@ -365,7 +370,7 @@ class TestFusedCore:
         cache = ScoreCache(0, "raw", z, scores, np.zeros(len(z), dtype=np.int64))
         ranking = self_influence_ranking(cache, kernel)
         for i, value in ranking:
-            direct = stein_kernel(kernel, cache.z[i], cache.scores[i], cache.z[i], cache.scores[i])
+            direct = oracle.stein_kernel(kernel, cache.z[i], cache.scores[i], cache.z[i], cache.scores[i])
             assert abs(value - direct) <= 1e-12 * abs(direct), (name, i)
 
     def test_radial_self_influence_ranks_by_score_norm(self, scored_rows):
@@ -380,8 +385,8 @@ class TestFusedCore:
         step = 1e-4
 
         def phi(r2):
-            # eval at two points whose squared distance is r2
-            return kernel.eval(np.zeros(2), np.array([np.sqrt(r2), 0.0]))
+            # the kernel at two points whose squared distance is r2
+            return oracle.kernel_value(kernel, np.zeros(2), np.array([np.sqrt(r2), 0.0]))
 
         for r2 in (0.05, 0.3, 1.0, 2.5, 7.0):
             _, k1, k2 = kernel.radial(r2)
@@ -441,7 +446,7 @@ class TestChunkedCore:
         monkeypatch.setattr(stein, "_TILE_VALUES", tile)
         tiled = stein_kernel_profile(kernel, z, s, q, t)
         for j in range(len(z)):
-            scale = term_scale(kernel, z[j], s[j], q, t)
+            scale = oracle.term_scale(kernel, z[j], s[j], q, t)
             assert abs(tiled[j] - whole[j]) <= 1e-12 * scale, (name, j)
         assert _top(tiled, 5).tolist() == _top(whole, 5).tolist(), name
 
@@ -479,7 +484,8 @@ class TestChunkedCore:
         for i, j in ((17, 10), (10, 17)):
             assert abs(r2[i, j] - direct) <= 1e-12 * direct, (i, j)
             pair = (z[j], s[j], z[i], s[i])
-            assert abs(gram[i, j] - stein_kernel(kernel, *pair)) <= 1e-12 * term_scale(kernel, *pair)
+            scale = oracle.term_scale(kernel, *pair)
+            assert abs(gram[i, j] - oracle.stein_kernel(kernel, *pair)) <= 1e-12 * scale
 
 
 class TestCoreMemory:
@@ -515,7 +521,7 @@ class TestKSDEstimators:
         z, s = np.array([0.5, 1.0]), np.array([-0.5, -1.0])
         kernel = RBFKernel(0.5)
         estimate = ksd_vstat(kernel, z[None, :], s[None, :])
-        assert estimate.value == stein_kernel(kernel, z, s, z, s)
+        assert estimate.value == oracle.stein_kernel(kernel, z, s, z, s)
 
     def test_ustat_needs_two_points(self):
         with pytest.raises(ValueError):
@@ -604,7 +610,7 @@ class TestKSDEstimators:
             kernel = IMQKernel(1.0, -0.5)
             v = ksd_vstat(kernel, z, s).value
             u = ksd_ustat(kernel, z, s).value
-            diag = sum(stein_kernel(kernel, zi, si, zi, si) for zi, si in points)
+            diag = sum(oracle.stein_kernel(kernel, zi, si, zi, si) for zi, si in points)
             rhs = (n - 1) / n * u + diag / n**2
             assert abs(v - rhs) <= 1e-10 * max(1.0, abs(v))
 
