@@ -285,26 +285,21 @@ def cmd_explain(args, cfg: RunConfig) -> int:
 
 def cmd_evaluate(args, cfg: RunConfig) -> int:
     methods = cfg.experiment.methods
-    if not methods or not set(methods) <= set(evalharness.METHODS):
-        raise UsageError(f"experiment.methods {methods} must be a non-empty subset of "
-                         f"{list(evalharness.METHODS)}")
+    if not methods or len(set(methods)) < len(methods) or set(methods) - set(evalharness.METHOD_VARIANTS):
+        raise UsageError(f"experiment.methods {methods} must name a non-empty subset of "
+                         f"{list(evalharness.METHOD_VARIANTS)}, each method once")
 
     dataset = dataset_from_config(cfg)
     model = train(dataset, train_config_from(cfg), hidden_dims=cfg.model.hidden_dims)
-    # each Stein variant ranks with a kernel fitted to its own cache
-    caches, kernels = {}, {}
-    for method in methods:
-        variant = evalharness.METHOD_VARIANTS[method]
-        if variant and variant not in caches:
-            caches[variant] = build_cache(model, dataset, variant)
-            kernels[variant] = kernel_from_config(cfg, caches[variant])
-
     rows, table = [], []
     for method in methods:
+        # each Stein variant ranks with a kernel fitted to its own cache
         variant = evalharness.METHOD_VARIANTS[method]
-        config = ExplainerConfig(kernel=kernels.get(variant), top_k=cfg.explainer.top_k)
+        cache = build_cache(model, dataset, variant) if variant else None
+        kernel = None if cache is None else kernel_from_config(cfg, cache)
+        config = ExplainerConfig(kernel=kernel, top_k=cfg.explainer.top_k)
         report = evalharness.hit_rate_experiment(
-            model, caches.get(variant), dataset, cfg.experiment.augmentation,
+            model, cache, dataset, cfg.experiment.augmentation,
             cfg.experiment.trials, cfg.experiment.sample_size, config, cfg.seed,
             method=method,
         )

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import struct
 
 import numpy as np
@@ -212,36 +213,31 @@ def save_csv(dataset: Dataset, path, label_column: str = "label") -> None:
     _write_atomic(path, text.getvalue().encode("utf-8"))
 
 
-_IDX_IMAGE_RANK = 3
-_IDX_LABEL_RANK = 1
-
-
-def _idx_read(fh, count: int, path, what: str) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
-        raise DataLoadError(f"truncated IDX file {path}: expected {count} bytes for {what}")
-    return data
-
-
-def _idx_header(fh, path, expected_rank: int) -> tuple[int, ...]:
-    magic = _idx_read(fh, 4, path, "magic")
-    if magic[:2] != b"\x00\x00" or magic[2] != 0x08:
-        raise DataLoadError(f"{path}: bad IDX magic {magic.hex()}, expected 0000 08 for u8 data")
-    if magic[3] != expected_rank:
-        raise DataLoadError(f"{path}: IDX rank mismatch, expected {expected_rank}, got {magic[3]}")
-    dims = struct.unpack(f">{expected_rank}I", _idx_read(fh, 4 * expected_rank, path, "dimension sizes"))
-    return dims
-
-
-def _idx_body(fh, count: int, path, what: str) -> bytes:
-    """The rest of the file, which must hold exactly ``count`` bytes. It is read
-    whole, so a header that claims more than the file holds allocates nothing."""
-    data = fh.read()
-    if len(data) < count:
-        raise DataLoadError(f"truncated IDX file {path}: expected {count} bytes for {what}")
-    if len(data) > count:
+def _read_idx(path, rank: int, what: str) -> tuple[tuple[int, ...], np.ndarray]:
+    """The dims and ``uint8`` body of a u8 IDX file of ``rank``. The file is
+    read whole and compared with one expected size, so a header that claims
+    more than the file holds allocates nothing."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise DataLoadError(f"cannot read IDX file {path}: {exc}") from exc
+    if len(data) < 4:
+        raise DataLoadError(f"truncated IDX file {path}: expected 4 bytes for magic")
+    if data[:2] != b"\x00\x00" or data[2] != 0x08:
+        raise DataLoadError(f"{path}: bad IDX magic {data[:4].hex()}, expected 0000 08 for u8 data")
+    if data[3] != rank:
+        raise DataLoadError(f"{path}: IDX rank mismatch, expected {rank}, got {data[3]}")
+    header = 4 + 4 * rank
+    if len(data) < header:
+        raise DataLoadError(f"truncated IDX file {path}: expected {4 * rank} bytes for dimension sizes")
+    dims = struct.unpack(f">{rank}I", data[4:header])
+    size = math.prod(dims)
+    if len(data) < header + size:
+        raise DataLoadError(f"truncated IDX file {path}: expected {size} bytes for {what}")
+    if len(data) > header + size:
         raise DataLoadError(f"{path}: trailing bytes after {what}")
-    return data
+    return dims, np.frombuffer(data, dtype=np.uint8, offset=header)
 
 
 def load_idx(images_path, labels_path) -> Dataset:
@@ -250,26 +246,14 @@ def load_idx(images_path, labels_path) -> Dataset:
     Pixels are scaled to ``[0, 1]`` as ``value / 255``; ``image_shape`` is
     ``(H, W, 1)``.
     """
-    try:
-        img_fh = open(images_path, "rb")
-    except OSError as exc:
-        raise DataLoadError(f"cannot read IDX file {images_path}: {exc}") from exc
-    with img_fh:
-        n, h, w = _idx_header(img_fh, images_path, _IDX_IMAGE_RANK)
-        pixels = _idx_body(img_fh, n * h * w, images_path, "pixel data")
-    try:
-        lab_fh = open(labels_path, "rb")
-    except OSError as exc:
-        raise DataLoadError(f"cannot read IDX file {labels_path}: {exc}") from exc
-    with lab_fh:
-        (n_labels,) = _idx_header(lab_fh, labels_path, _IDX_LABEL_RANK)
-        label_bytes = _idx_body(lab_fh, n_labels, labels_path, "label data")
+    (n, h, w), pixels = _read_idx(images_path, 3, "pixel data")
+    (n_labels,), labels = _read_idx(labels_path, 1, "label data")
     if n_labels != n:
         raise DataLoadError(f"IDX count mismatch: {n} images vs {n_labels} labels")
     if n < 1:
         raise DataLoadError(f"{images_path}: empty IDX file")
-    features = np.divide(np.frombuffer(pixels, dtype=np.uint8).reshape(n, h * w), 255.0)
-    labels = np.frombuffer(label_bytes, dtype=np.uint8).astype(np.int64)
+    features = np.divide(pixels.reshape(n, h * w), 255.0)
+    labels = labels.astype(np.int64)
     num_classes = max(int(labels.max()) + 1, 2)
     return Dataset(features, labels, num_classes=num_classes, image_shape=(h, w, 1))
 

@@ -35,7 +35,6 @@ from .stein import (
 )
 
 __all__ = [
-    "METHODS",
     "METHOD_VARIANTS",
     "HIT_KS",
     "MetricsReport",
@@ -48,7 +47,6 @@ __all__ = [
     "ksd_shift_experiment",
 ]
 
-METHODS = tuple(METHOD_VARIANTS)
 HIT_KS = (1, 3, 5)
 # (m, n) scores per block of trial points: it bounds the block's score matrix
 # and its two matrix products (the Stein core bounds its own elementwise scratch)

@@ -113,7 +113,7 @@ def _check_cache(model: MLPClassifier, cache: ScoreCache) -> None:
     if cache.dim != dim:
         raise ModelFormatError(f"cache rows have D={cache.dim}, the model's {cache.variant} "
                                f"points have D={dim}")
-    if cache.labels.min() < 0 or cache.labels.max() >= classes:
+    if cache.labels.max() >= classes:  # ScoreCache holds no negative label
         raise ModelFormatError(f"cache labels lie in [{cache.labels.min()}, {cache.labels.max()}], "
                                f"outside the model's classes [0, {classes})")
 

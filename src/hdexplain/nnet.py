@@ -138,20 +138,9 @@ def _row_max(logits: np.ndarray) -> np.ndarray:
     return np.maximum.reduce(logits.T.copy())[..., None]
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - _row_max(logits)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
-
-
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - _row_max(logits)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
 def _softmax_and_log_softmax(logits: np.ndarray):
-    """``(_softmax(logits), _log_softmax(logits))`` from one shift, ``exp`` and
-    sum, bit-equal to both."""
+    """``(softmax, log_softmax)`` of each row from one shift by the row maximum,
+    one ``exp`` and one sum; the log is ``shifted - log(sum)``, not a log of the softmax."""
     shifted = logits - _row_max(logits)
     exp = np.exp(shifted)
     total = exp.sum(axis=-1, keepdims=True)
@@ -259,11 +248,11 @@ class MLPClassifier:
 
     def predict_proba(self, x):
         """Class probabilities, softmax of the logits with max-subtraction."""
-        return _softmax(self.logits(x))
+        return _softmax_and_log_softmax(self.logits(x))[0]
 
     def predict_log_proba(self, x):
         """Log-probabilities computed as logit minus logsumexp (never log of softmax)."""
-        return _log_softmax(self.logits(x))
+        return _softmax_and_log_softmax(self.logits(x))[1]
 
     def score(self, x, y=None, variant: str = "raw"):
         """One forward and one backward pass: ``(labels, proba, log_proba, front, grad)``.
@@ -297,7 +286,7 @@ class MLPClassifier:
             raise UnsupportedVariantError("model has no hidden layer to read a representation from")
         x, single = self._check_input(x)
         acts, logits = _forward(self.weights, self.biases, x)
-        proba = _softmax(logits)
+        proba = _softmax_and_log_softmax(logits)[0]
         labels = proba.argmax(axis=1) if y is None else self._check_labels(y, x.shape[0], "input")
         out = (labels, acts[-1], _residual(proba, labels))
         return tuple(v[0] for v in out) if single else out
@@ -327,7 +316,7 @@ class MLPClassifier:
         if h.shape[1] != self.layer_dims[-2]:
             raise ValueError(f"representation has {h.shape[1]} entries, expected {self.layer_dims[-2]}")
         y = self._check_labels(y, h.shape[0], "representation")
-        probs = _softmax(h @ self.weights[-1] + self.biases[-1])
+        probs = _softmax_and_log_softmax(h @ self.weights[-1] + self.biases[-1])[0]
         grad = _residual(probs, y) @ self.weights[-1].T
         return grad[0] if single else grad
 
@@ -343,6 +332,8 @@ class MLPClassifier:
 
     @classmethod
     def deserialize(cls, data: bytes) -> "MLPClassifier":
+        """Parse a model binary: the header, one size expected from ``layer_dims``,
+        then all parameters in one copy, split into per-layer views."""
         if len(data) < 12:
             raise ModelFormatError("model binary truncated before header")
         if data[:4] != MODEL_MAGIC:
@@ -350,28 +341,21 @@ class MLPClassifier:
         version, n_dims = struct.unpack("<II", data[4:12])
         if version != MODEL_VERSION:
             raise ModelFormatError(f"unsupported model version {version}")
-        offset = 12
-        if len(data) < offset + 4 * n_dims:
+        offset = 12 + 4 * n_dims
+        if len(data) < offset:
             raise ModelFormatError("model binary truncated in layer_dims")
-        dims = list(struct.unpack(f"<{n_dims}I", data[offset:offset + 4 * n_dims]))
-        offset += 4 * n_dims
-        weights = []
-        biases = []
-        for i in range(n_dims - 1):
-            w_count = dims[i] * dims[i + 1]
-            need = 8 * (w_count + dims[i + 1])
-            if len(data) < offset + need:
-                raise ModelFormatError(f"model binary truncated in layer {i} parameters")
-            w = np.frombuffer(data, dtype="<f8", count=w_count, offset=offset).reshape(dims[i], dims[i + 1])
-            offset += 8 * w_count
-            b = np.frombuffer(data, dtype="<f8", count=dims[i + 1], offset=offset)
-            offset += 8 * dims[i + 1]
-            weights.append(w.copy())
-            biases.append(b.copy())
-        if offset != len(data):
+        dims = struct.unpack(f"<{n_dims}I", data[12:offset])
+        sizes = [size for fan_in, fan_out in zip(dims, dims[1:]) for size in (fan_in * fan_out, fan_out)]
+        expected = offset + 8 * sum(sizes)
+        if len(data) < expected:
+            raise ModelFormatError(f"model binary truncated: {len(data)} bytes, expected {expected}")
+        if len(data) > expected:
             raise ModelFormatError("model binary has trailing bytes")
+        params = np.frombuffer(data, dtype="<f8", offset=offset).copy()
+        parts = np.split(params, np.cumsum(sizes[:-1], dtype=np.int64))
+        weights = [w.reshape(shape) for w, shape in zip(parts[::2], zip(dims, dims[1:]))]
         try:
-            return cls(dims, weights, biases)
+            return cls(dims, weights, parts[1::2])
         except ValueError as exc:
             raise ModelFormatError(f"invalid model contents: {exc}") from exc
 
@@ -396,7 +380,7 @@ def _layer_views(flat: np.ndarray, dims):
 
 
 def _mean_cross_entropy(weights, biases, x, y):
-    logp = _log_softmax(_forward(weights, biases, x)[1])
+    logp = _softmax_and_log_softmax(_forward(weights, biases, x)[1])[1]
     return float(-logp[np.arange(len(y)), y].mean())
 
 

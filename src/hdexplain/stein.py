@@ -504,6 +504,8 @@ class ScoreCache:
         self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
         if self.labels.shape != (self.z.shape[0],):
             raise ValueError("labels must have one entry per record")
+        if self.labels.min() < 0 or self.labels.max() >= 2**32:
+            raise ValueError("cache labels must lie in [0, 2**32), the range of the file's u4 labels")
         self.row_stats = _row_stats(self.z, self.scores)
         # a NaN or inf anywhere in z or s makes ||z||^2 or z.s non-finite (as do
         # values too large to square, which the Stein core cannot use either)

@@ -1,11 +1,15 @@
 """The benchmark's tracer looks the package's functions up by name, so a
-renamed or deleted entry point fails here rather than only in a benchmark run."""
+renamed or deleted entry point fails here rather than only in a benchmark run.
+One round of a benchmark workload also runs here, under the benchmark's own
+output checks."""
 
 import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import hdexplain
 from hdexplain import stein
@@ -49,3 +53,33 @@ def test_traced_benchmark_run_reports_every_per_layer_metric():
     assert sorted(set(declared) - set(result["metrics"])) == []
     # explain's Stein values go through the profile span the tracer times
     assert result["metrics"]["stein.profile_ms"]["value"] > 0
+
+
+@pytest.fixture()
+def bench_workloads():
+    """``bench/workloads.py``, imported as the benchmark imports it: with
+    ``bench/`` on ``sys.path``, which is restored afterwards."""
+    bench = str(TRACING.parent)
+    before_path, before_modules = list(sys.path), set(sys.modules)
+    sys.path.insert(0, bench)
+    try:
+        yield importlib.import_module("workloads")
+    finally:
+        sys.path[:] = before_path
+        for name in ("workloads", "reference", "tracing"):
+            if name not in before_modules:
+                sys.modules.pop(name, None)
+
+
+def test_one_image_cli_round_passes_the_benchmark_checks(bench_workloads, tmp_path):
+    # the IDX and model readers under the benchmark's own output checks
+    wl = bench_workloads
+    workload = wl.WORKLOADS["image-cli"]
+    inputs = workload.setup(0, tmp_path)
+    reference = wl.Reference(inputs)
+    assert reference.setup_error(inputs) is None
+    (tmp_path / "resetup").mkdir()
+    runner = wl.Runner(workload, inputs, reference, tmp_path / "resetup")
+    runner.round(0)
+    assert runner.problems == []
+    assert (runner.attempted, runner.failed, runner.wrong) == (49, 0, 0)

@@ -6,11 +6,12 @@ import struct
 
 import pytest
 
-from hdexplain.cli import main
+from hdexplain.cli import RunConfig, main
 from hdexplain.data import Dataset, gen_two_moons, save_csv
+from hdexplain.evalharness import label_flip_debug_experiment
 from hdexplain.explain import build_cache
-from hdexplain.nnet import load_model
-from hdexplain.stein import ScoreCache, load_cache, save_cache
+from hdexplain.nnet import TrainConfig, load_model
+from hdexplain.stein import IMQKernel, RBFKernel, ScoreCache, load_cache, save_cache
 
 
 def run(*argv):
@@ -200,6 +201,14 @@ class TestExplainCommand:
         for entry in doc["topk"]:
             assert str(entry["train_index"]) in table
             assert f"{entry['kernel_value']:.10g}" in table
+
+    @pytest.mark.parametrize("index", [-1, 60])
+    def test_index_out_of_range_is_a_usage_error(self, trained_artifacts, capsys, index):
+        config, model_path, cache_path = trained_artifacts
+        assert run("explain", "--config", config, "--model", model_path, "--cache", cache_path,
+                   "--index", str(index)) == 2
+        captured = capsys.readouterr()
+        assert f"--index {index} out of range [0, 60)" in captured.err and captured.out == ""
 
     def test_stale_cache_diagnostic(self, tmp_path, trained_artifacts, capsys):
         config, model_path, cache_path = trained_artifacts
@@ -435,6 +444,18 @@ class TestEvaluateCommand:
         assert run("evaluate", "--config", config, "--out", str(out_path), "--format", "structured") == 0
         assert_rows_match_csv(capsys.readouterr().out, out_path, 6)
 
+    def test_repeated_method_is_a_usage_error(self, tmp_path, capsys):
+        # a repeat would write two rows per (method, k)
+        config = write_config(tmp_path, {
+            "dataset": {"source": "synthetic:two_moons", "n": 40, "noise_std": 0.1},
+            "model": {"epochs": 5},
+            "experiment": {"trials": 2, "sample_size": 5, "methods": ["rep-sim", "rep-sim"]},
+        })
+        out_path = tmp_path / "report.csv"
+        assert run("evaluate", "--config", config, "--out", str(out_path)) == 2
+        assert "each method once" in capsys.readouterr().err
+        assert not out_path.exists()
+
     def test_no_methods_is_a_usage_error(self, tmp_path):
         config = write_config(tmp_path, {"experiment": {"methods": []}})
         out_path = tmp_path / "report.csv"
@@ -467,6 +488,26 @@ class TestDebugCommand:
         out_path = tmp_path / "debug.csv"
         assert run("debug", "--config", config, "--out", str(out_path), "--format", "structured") == 0
         assert_rows_match_csv(capsys.readouterr().out, out_path, 3)
+
+    @pytest.mark.parametrize("explainer, kernel", [
+        ({"kernel": "imq", "imq_c": 0.5, "imq_beta": -0.25}, IMQKernel(c=0.5, beta=-0.25)),
+        ({"kernel": "rbf", "gamma": 2.0}, RBFKernel(2.0)),
+    ], ids=["imq", "rbf-gamma"])
+    def test_explicit_kernel_ranks_like_the_library(self, tmp_path, explainer, kernel):
+        config = write_config(tmp_path, {
+            "dataset": {"source": "synthetic:two_moons", "n": 200, "noise_std": 0.1},
+            "model": {"epochs": 5},
+            "explainer": explainer,
+            "seed": 3,
+        })
+        out_path = tmp_path / "debug.csv"
+        assert run("debug", "--config", config, "--out", str(out_path)) == 0
+        want = label_flip_debug_experiment(gen_two_moons(200, 0.1, seed=3), 0.05,
+                                           TrainConfig(epochs=5, seed=3), kernel, 3)
+        rows = list(csv.DictReader(open(out_path)))
+        assert [(int(r["m"]), float(r["precision"]), float(r["recall"])) for r in rows] == want.points
+        manifest = json.loads((tmp_path / "debug.csv.manifest.json").read_text())
+        assert manifest["flipped_indices"] == want.flipped_indices
 
 
 class TestKsdShiftCommand:
@@ -544,6 +585,27 @@ class TestConfigTypes:
 class TestCommonBehavior:
     def test_usage_error_exit_code(self):
         assert run("no-such-command") == 2
+
+    def test_no_config_runs_on_the_defaults(self, tmp_path, capsys):
+        from dataclasses import asdict
+
+        bare, configured = tmp_path / "bare.bin", tmp_path / "configured.bin"
+        assert run("train", "--out", str(bare)) == 0
+        defaults = write_config(tmp_path, asdict(RunConfig()))
+        assert run("train", "--config", defaults, "--out", str(configured)) == 0
+        assert bare.read_bytes() == configured.read_bytes()
+        assert load_model(bare).layer_dims == [2, 32, 32, 2]
+
+    @pytest.mark.parametrize("source, message", [
+        ("synthetic:spirals", "unknown dataset source 'synthetic:spirals'"),
+        ("idx:images.idx", "idx dataset spec must be idx:<images_path>,<labels_path>"),
+    ])
+    def test_bad_dataset_source_is_a_usage_error(self, tmp_path, capsys, source, message):
+        config = write_config(tmp_path, {"dataset": {"source": source}})
+        out_path = tmp_path / "m.bin"
+        assert run("train", "--config", config, "--out", str(out_path)) == 2
+        assert message in capsys.readouterr().err
+        assert not out_path.exists()
 
     def test_rectangles_source(self, tmp_path, capsys):
         config = write_config(tmp_path, {

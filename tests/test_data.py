@@ -228,6 +228,30 @@ class TestIDX:
         with pytest.raises(DataLoadError, match="truncated"):
             load_idx(img_path, lab_path)
 
+    @pytest.mark.parametrize("file, keep, what", [
+        ("images", 2, "4 bytes for magic"),
+        ("images", 8, "12 bytes for dimension sizes"),
+        ("labels", 3, "4 bytes for magic"),
+        ("labels", 6, "4 bytes for dimension sizes"),
+    ])
+    def test_truncated_header(self, tmp_path, file, keep, what):
+        img_path, lab_path = _write_idx_pair(tmp_path, np.zeros((2, 3, 3), dtype=np.uint8), [0, 1])
+        path = img_path if file == "images" else lab_path
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(DataLoadError, match=f"truncated IDX file .*: expected {what}"):
+            load_idx(img_path, lab_path)
+
+    def test_bad_magic_is_reported_before_a_truncation(self, tmp_path):
+        img_path, lab_path = _write_idx_pair(tmp_path, np.zeros((2, 3, 3), dtype=np.uint8), [0, 1])
+        img_path.write_bytes(b"\x00\x00\x09\x03\x00\x00")
+        with pytest.raises(DataLoadError, match="bad IDX magic 00000903"):
+            load_idx(img_path, lab_path)
+
+    def test_zero_images(self, tmp_path):
+        paths = _write_idx_pair(tmp_path, np.zeros((0, 3, 3), dtype=np.uint8), [])
+        with pytest.raises(DataLoadError, match="empty IDX file"):
+            load_idx(*paths)
+
     def test_trailing_bytes(self, tmp_path):
         images = np.zeros((2, 3, 3), dtype=np.uint8)
         img_path, lab_path = _write_idx_pair(tmp_path, images, [0, 1])

@@ -12,8 +12,6 @@ from hdexplain.explain import build_cache
 from hdexplain.nnet import (
     MLPClassifier,
     TrainConfig,
-    _log_softmax,
-    _softmax,
     _softmax_and_log_softmax,
     fnv1a_64,
     load_model,
@@ -437,8 +435,10 @@ class TestScore:
         x = scale * np.random.default_rng(num_classes).normal(size=(50, num_classes))
         logits = model.logits(x)
         _, proba, log_proba, _, _ = model.score(x)
-        assert proba.tobytes() == _softmax(logits).tobytes()
-        assert log_proba.tobytes() == _log_softmax(logits).tobytes()
+        want_p, want_logp = _softmax_and_log_softmax(logits)
+        for got, want in ((proba, want_p), (log_proba, want_logp),
+                          (model.predict_proba(x), want_p), (model.predict_log_proba(x), want_logp)):
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("shape", [(2,), (10,), (1, 2), (1, 10), (500, 2), (64, 3), (2000, 10)])
     def test_softmax_helpers_equal_the_row_max_form(self, shape):
@@ -456,7 +456,11 @@ class TestScore:
         logits.flat[1] = logits.flat[0]  # a tie for the maximum in the first row
         want_p, want_logp = softmax(logits), log_softmax(logits)
         got_p, got_logp = _softmax_and_log_softmax(logits)
-        for got, want in ((_softmax(logits), want_p), (_log_softmax(logits), want_logp),
+        # with identity weights the model's logits are its inputs
+        identity = MLPClassifier([shape[-1]] * 2, [np.eye(shape[-1])], [np.zeros(shape[-1])])
+        assert identity.logits(logits).tobytes() == logits.tobytes()
+        for got, want in ((identity.predict_proba(logits), want_p),
+                          (identity.predict_log_proba(logits), want_logp),
                           (got_p, want_p), (got_logp, want_logp)):
             assert got.shape == shape and got.tobytes() == want.tobytes()
 
@@ -521,6 +525,29 @@ class TestSerialization:
         save_model(trained, path)
         path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(ModelFormatError, match="truncated"):
+            load_model(path)
+
+    def test_header_shorter_than_12_bytes(self):
+        with pytest.raises(ModelFormatError, match="model binary truncated before header"):
+            MLPClassifier.deserialize(b"HDXM" + struct.pack("<I", 1))
+
+    def test_unsupported_version(self):
+        data = bytearray(zero_model([2, 3, 2]).serialize())
+        data[4:8] = struct.pack("<I", 2)
+        with pytest.raises(ModelFormatError, match="unsupported model version 2"):
+            MLPClassifier.deserialize(bytes(data))
+
+    def test_truncated_layer_dims(self):
+        # three dims declared, two present
+        with pytest.raises(ModelFormatError, match="model binary truncated in layer_dims"):
+            MLPClassifier.deserialize(b"HDXM" + struct.pack("<II2I", 1, 3, 2, 3))
+
+    @pytest.mark.parametrize("extra", [1, 8])
+    def test_trailing_bytes(self, trained, tmp_path, extra):
+        path = tmp_path / "model.bin"
+        save_model(trained, path)
+        path.write_bytes(path.read_bytes() + bytes(extra))
+        with pytest.raises(ModelFormatError, match="model binary has trailing bytes"):
             load_model(path)
 
     @pytest.mark.parametrize("dims, values, message", [

@@ -829,6 +829,28 @@ class TestScoreCache:
         with pytest.raises(ModelFormatError):
             ScoreCache.deserialize(cache.serialize()[:-8])
 
+    def test_unsupported_version(self):
+        _, data = small_cache_bytes()
+        data[4:8] = struct.pack("<I", 2)
+        with pytest.raises(ModelFormatError, match="unsupported cache version 2"):
+            ScoreCache.deserialize(data)
+
+    def test_unknown_variant_code(self):
+        _, data = small_cache_bytes()
+        data[8] = 5
+        with pytest.raises(ModelFormatError, match="unknown cache variant code 5"):
+            ScoreCache.deserialize(data)
+
+    @pytest.mark.parametrize("bad", [-1, 2**33])
+    def test_label_the_file_cannot_hold_rejected(self, bad):
+        # the file stores labels as u4: -1 would read back as 2**32 - 1 and 2**33 as 0
+        with pytest.raises(ValueError, match=r"cache labels must lie in \[0, 2\*\*32\)"):
+            ScoreCache(0, "raw", np.zeros((2, 2)), np.zeros((2, 2)), [0, bad])
+
+    def test_largest_stored_label_round_trips(self):
+        cache = ScoreCache(0, "raw", np.zeros((2, 2)), np.zeros((2, 2)), [0, 2**32 - 1])
+        assert ScoreCache.deserialize(cache.serialize()).labels.tolist() == [0, 2**32 - 1]
+
     @pytest.mark.parametrize("variant", ["raw", "last-layer"])
     @pytest.mark.parametrize("n, dim", [(1, 1), (1, 6), (5, 3), (64, 40), (300, 794)])
     def test_serialize_equals_the_joined_image(self, variant, n, dim):
