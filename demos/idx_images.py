@@ -63,7 +63,7 @@ cache = build_cache(model, data, variant="raw")
 config = ExplainerConfig(kernel=RBFKernel(local_scale_gamma(cache.z)), variant="raw", top_k=3)
 
 for augmentation in ("noise", "hflip"):
-    report = hit_rate_experiment(model, cache, data, augmentation,
+    report = hit_rate_experiment(model, data, augmentation,
                                  trials_per_point=5, sample_size=100,
                                  config=config, seed=12)
     print(f"{augmentation:>6}: hit@1={report.hit_rate[1]:.3f} "

@@ -34,14 +34,14 @@ kernels = {
 print(f"{'ranker':<34} {'hit@1':>6} {'hit@3':>6} {'cov@3':>7} {'ms/query':>9}")
 for name, kernel in kernels.items():
     config = ExplainerConfig(kernel=kernel, variant="raw", top_k=3)
-    r = hit_rate_experiment(model, cache, data, "noise", trials_per_point=10,
+    r = hit_rate_experiment(model, data, "noise", trials_per_point=10,
                             sample_size=100, config=config, seed=SEED)
     print(f"{name:<34} {r.hit_rate[1]:>6.3f} {r.hit_rate[3]:>6.3f} "
           f"{r.coverage[3]:>7.4f} {r.mean_ms:>9.3f}")
 
 config = ExplainerConfig(kernel=None, top_k=3)  # the baselines use no kernel
 for method in ("tracin-last", "rep-sim"):
-    r = hit_rate_experiment(model, None, data, "noise", trials_per_point=10,
+    r = hit_rate_experiment(model, data, "noise", trials_per_point=10,
                             sample_size=100, config=config, seed=SEED, method=method)
     print(f"{method:<34} {r.hit_rate[1]:>6.3f} {r.hit_rate[3]:>6.3f} "
           f"{r.coverage[3]:>7.4f} {r.mean_ms:>9.3f}")

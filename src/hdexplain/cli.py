@@ -29,7 +29,7 @@ from .errors import (
 )
 from .explain import ExplainerConfig, _check_cache, build_cache, explain, explanation_to_json
 from .nnet import TrainConfig, load_model, train
-from .stein import ScoreCache, _write_atomic, kernel_by_name, load_cache, median_heuristic_gamma
+from .stein import RBFKernel, _write_atomic, kernel_by_name, load_cache, median_heuristic_gamma
 
 __all__ = ["RunConfig", "main"]
 
@@ -62,7 +62,7 @@ class ModelConfig:
 class ExplainerSpec:
     variant: str = "raw"  # raw | last-layer
     kernel: str = "rbf"  # linear | rbf | imq
-    gamma: float | None = None  # None: median heuristic over the cache
+    gamma: float | None = None  # None: median heuristic over the points a command scores
     imq_c: float = 1.0
     imq_beta: float = -0.5
     top_k: int = 3
@@ -158,12 +158,13 @@ def train_config_from(cfg: RunConfig) -> TrainConfig:
                                          for f in fields(ModelConfig) if f.name in names})
 
 
-def kernel_from_config(cfg: RunConfig, cache: ScoreCache):
+def kernel_from_config(cfg: RunConfig):
+    """The configured kernel, or None for ``rbf`` with ``gamma: null``: each
+    command then fits a median-heuristic RBF to the points it scores."""
     spec = cfg.explainer
-    gamma = spec.gamma
-    if spec.kernel == "rbf" and gamma is None:
-        gamma = median_heuristic_gamma(cache.z)
-    return kernel_by_name(spec.kernel, gamma=gamma, c=spec.imq_c, beta=spec.imq_beta)
+    if spec.kernel == "rbf" and spec.gamma is None:
+        return None
+    return kernel_by_name(spec.kernel, gamma=spec.gamma, c=spec.imq_c, beta=spec.imq_beta)
 
 
 def _atomic_write_bytes(path, data) -> None:
@@ -262,7 +263,9 @@ def cmd_explain(args, cfg: RunConfig) -> int:
             raise DataLoadError(f"the configured dataset (n={dataset.n}) is not the one the cache was "
                                 f"built from (n={cache.n}): its size, labels or features differ")
     top_k = args.top_k if args.top_k is not None else cfg.explainer.top_k
-    kernel = kernel_from_config(cfg, cache)
+    kernel = kernel_from_config(cfg)
+    if kernel is None:
+        kernel = RBFKernel(median_heuristic_gamma(cache.z))
     config = ExplainerConfig(kernel=kernel, variant=cache.variant, top_k=top_k)
     result = explain(model, cache, x_test, config)
     if args.format == "structured":
@@ -290,18 +293,14 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
                          f"{list(evalharness.METHOD_VARIANTS)}, each method once")
 
     dataset = dataset_from_config(cfg)
+    evalharness._check_augmentation(dataset, cfg.experiment.augmentation)
     model = train(dataset, train_config_from(cfg), hidden_dims=cfg.model.hidden_dims)
+    config = ExplainerConfig(kernel=kernel_from_config(cfg), top_k=cfg.explainer.top_k)
     rows, table = [], []
     for method in methods:
-        # each Stein variant ranks with a kernel fitted to its own cache
-        variant = evalharness.METHOD_VARIANTS[method]
-        cache = build_cache(model, dataset, variant) if variant else None
-        kernel = None if cache is None else kernel_from_config(cfg, cache)
-        config = ExplainerConfig(kernel=kernel, top_k=cfg.explainer.top_k)
         report = evalharness.hit_rate_experiment(
-            model, cache, dataset, cfg.experiment.augmentation,
-            cfg.experiment.trials, cfg.experiment.sample_size, config, cfg.seed,
-            method=method,
+            model, dataset, cfg.experiment.augmentation, cfg.experiment.trials,
+            cfg.experiment.sample_size, config, cfg.seed, method=method,
         )
         rows.extend(report.csv_rows())
         table.extend(f"{method}: hit@{k}={report.hit_rate[k]:.4f} coverage@{k}={report.coverage[k]:.4f}"
@@ -312,14 +311,9 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
 
 def cmd_debug(args, cfg: RunConfig) -> int:
     dataset = dataset_from_config(cfg)
-    if cfg.explainer.kernel == "rbf" and cfg.explainer.gamma is None:
-        kernel = None  # median-heuristic RBF over the corrupted cache
-    else:
-        kernel = kernel_by_name(cfg.explainer.kernel, gamma=cfg.explainer.gamma,
-                                c=cfg.explainer.imq_c, beta=cfg.explainer.imq_beta)
     report = evalharness.label_flip_debug_experiment(
-        dataset, cfg.experiment.flip_fraction, train_config_from(cfg), kernel, cfg.seed,
-        hidden_dims=cfg.model.hidden_dims,
+        dataset, cfg.experiment.flip_fraction, train_config_from(cfg), kernel_from_config(cfg),
+        cfg.seed, hidden_dims=cfg.model.hidden_dims,
     )
     rows = [
         {"method": report.method, "m": m, "precision": p, "recall": r,
@@ -334,9 +328,8 @@ def cmd_debug(args, cfg: RunConfig) -> int:
 def cmd_ksd_shift(args, cfg: RunConfig) -> int:
     dataset = dataset_from_config(cfg)
     model = train(dataset, train_config_from(cfg), hidden_dims=cfg.model.hidden_dims)
-    cache = build_cache(model, dataset, "raw")
-    kernel = kernel_from_config(cfg, cache)
-    results = evalharness.ksd_shift_experiment(model, dataset, cfg.experiment.shifts, kernel)
+    results = evalharness.ksd_shift_experiment(model, dataset, cfg.experiment.shifts,
+                                               kernel_from_config(cfg))
     rows = [{"shift": float(s), "ksd_vstat": v} for s, v in results]
     table = [f"shift={row['shift']:g} ksd_vstat={row['ksd_vstat']:.6g}" for row in rows]
     return _report(args, cfg, rows, table)

@@ -252,6 +252,8 @@ def load_idx(images_path, labels_path) -> Dataset:
         raise DataLoadError(f"IDX count mismatch: {n} images vs {n_labels} labels")
     if n < 1:
         raise DataLoadError(f"{images_path}: empty IDX file")
+    if h < 1 or w < 1:
+        raise DataLoadError(f"{images_path}: IDX images of {h} x {w} pixels, expected at least 1 x 1")
     features = np.divide(pixels.reshape(n, h * w), 255.0)
     labels = labels.astype(np.int64)
     num_classes = max(int(labels.max()) + 1, 2)

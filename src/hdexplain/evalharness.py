@@ -28,7 +28,6 @@ from .nnet import MLPClassifier, TrainConfig, train
 from .stein import (
     BaseKernel,
     RBFKernel,
-    ScoreCache,
     make_stein_points,
     median_heuristic_gamma,
     stein_gram,
@@ -150,31 +149,39 @@ def coverage(explanation_sets) -> float:
     return len(union) / (len(sets) * k)
 
 
+def _check_augmentation(dataset: Dataset, augmentation: str) -> None:
+    """``UnsupportedAugmentationError`` unless ``augmentation`` names one the
+    protocol can apply to ``dataset``."""
+    if augmentation not in ("noise", "hflip", "identity"):
+        raise UnsupportedAugmentationError(
+            f"unknown augmentation {augmentation!r}; expected noise, hflip, or identity"
+        )
+    if augmentation == "hflip" and dataset.image_shape is None:
+        raise UnsupportedAugmentationError("horizontal flip needs a dataset with image_shape")
+
+
 def _augment(dataset: Dataset, augmentation: str, index: int, seed: int) -> np.ndarray:
+    """One trial point; ``augmentation`` has passed :func:`_check_augmentation`."""
     if augmentation == "noise":
         return augment_noise(dataset, index, seed)
     if augmentation == "hflip":
         return augment_hflip(dataset, index)
-    if augmentation == "identity":
-        return dataset.features[index].copy()
-    raise UnsupportedAugmentationError(
-        f"unknown augmentation {augmentation!r}; expected noise, hflip, or identity"
-    )
+    return dataset.features[index].copy()
 
 
-def hit_rate_experiment(model: MLPClassifier, cache: ScoreCache | None, dataset: Dataset,
-                        augmentation: str, trials_per_point: int, sample_size: int,
-                        config: ExplainerConfig, seed: int,
-                        method: str = "hd-explain") -> MetricsReport:
+def hit_rate_experiment(model: MLPClassifier, dataset: Dataset, augmentation: str,
+                        trials_per_point: int, sample_size: int, config: ExplainerConfig,
+                        seed: int, method: str = "hd-explain") -> MetricsReport:
     """Augmented self-retrieval over a sample of training points.
 
     Samples ``sample_size`` source indices without replacement, generates
     ``trials_per_point`` augmented test points for each, and counts a hit at
     k when the source index appears in the method's top-k. Coverage is
-    measured per k over all produced top-k sets. The method names its cache
-    variant (:data:`METHOD_VARIANTS`); ``config`` supplies the kernel and
-    top_k. The trial points are scored in blocks of at most about
-    ``_BLOCK_VALUES`` scores.
+    measured per k over all produced top-k sets. The Stein methods rank
+    against a cache of their variant (:data:`METHOD_VARIANTS`) built here,
+    before the timed loop; ``config`` supplies the kernel (None: a
+    median-heuristic RBF over that cache) and top_k. The trial points are
+    scored in blocks of at most about ``_BLOCK_VALUES`` scores.
     """
     if sample_size < 1 or sample_size > dataset.n:
         raise ValueError(f"sample_size must lie in [1, {dataset.n}]")
@@ -182,10 +189,11 @@ def hit_rate_experiment(model: MLPClassifier, cache: ScoreCache | None, dataset:
         raise ValueError("trials_per_point must be at least 1")
     if config.top_k > dataset.n:
         raise ValueError(f"top_k={config.top_k} exceeds dataset size n={dataset.n}")
+    _check_augmentation(dataset, augmentation)
     ks = sorted(set(HIT_KS) | {config.top_k})
     query_k = min(max(ks), dataset.n)
     ks = [k for k in ks if k <= query_k]
-    rank = _block_ranker(method, model, cache, dataset, config.kernel, query_k)
+    rank = _block_ranker(method, model, dataset, config.kernel, query_k)
 
     rng = np.random.default_rng(seed)
     sources = np.repeat(rng.choice(dataset.n, size=sample_size, replace=False), trials_per_point)
@@ -261,11 +269,13 @@ def label_flip_debug_experiment(dataset: Dataset, flip_fraction: float,
 
 
 def ksd_shift_experiment(model: MLPClassifier, dataset: Dataset, shifts,
-                         kernel: BaseKernel) -> list[tuple[np.ndarray, float]]:
+                         kernel: BaseKernel | None = None) -> list[tuple[np.ndarray, float]]:
     """KSD V-statistic of the training set under rigid feature shifts.
 
     Each shift may be a scalar (applied to every feature) or a length-d
     displacement vector. A zero shift is always evaluated first.
+    ``kernel=None`` selects a median-heuristic RBF over the zero shift's
+    scored points.
     """
     deltas = []
     for shift in shifts:
@@ -281,6 +291,7 @@ def ksd_shift_experiment(model: MLPClassifier, dataset: Dataset, shifts,
     results = []
     for shift, delta in deltas:
         z, scores = make_stein_points(model, dataset.features + delta, dataset.labels, "raw")
+        if kernel is None:
+            kernel = RBFKernel(median_heuristic_gamma(z))
         results.append((shift, float(stein_gram(kernel, z, scores).mean())))
     return results
-

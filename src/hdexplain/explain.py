@@ -23,12 +23,14 @@ from .errors import ModelFormatError, StaleCacheError
 from .nnet import MLPClassifier
 from .stein import (
     BaseKernel,
+    RBFKernel,
     ScoreCache,
     _row_stats,
     _stein_block,
     _stein_diagonal,
     _stein_rows,
     make_stein_points,
+    median_heuristic_gamma,
     stein_kernel_profile,
 )
 
@@ -53,8 +55,9 @@ METHOD_VARIANTS = {"hd-explain": "raw", "hd-explain-star": "last-layer",
 class ExplainerConfig:
     """Which variant and kernel to rank with, and how many points to return.
 
-    ``kernel`` may be None only where no Stein value is computed (the
-    baselines in the hit-rate protocol).
+    ``kernel`` may be None only in the hit-rate protocol, where the
+    baselines compute no Stein value and the Stein methods then rank with a
+    median-heuristic RBF over the cache the protocol builds.
     """
 
     kernel: BaseKernel | None
@@ -331,26 +334,21 @@ def baseline_rep_similarity(model: MLPClassifier, dataset: Dataset, x_test) -> l
     return _ranked_list(scores[0], dataset.labels)
 
 
-def _block_ranker(method: str, model: MLPClassifier, cache: ScoreCache | None, dataset: Dataset,
+def _block_ranker(method: str, model: MLPClassifier, dataset: Dataset,
                   kernel: BaseKernel | None, k: int):
     """The hit-rate protocol's ranker for ``method``: (m, d) test rows -> the
     (m, k) indices of each row's top-k training points, ties by ascending
-    index. The Stein methods need a current ``cache`` of the method's variant
-    (:data:`METHOD_VARIANTS`) over ``dataset`` and a ``kernel``."""
+    index. The Stein methods rank against a cache of the method's variant
+    (:data:`METHOD_VARIANTS`) built here from ``model`` and ``dataset``, with
+    ``kernel``, or a median-heuristic RBF over that cache when it is None."""
     if method not in METHOD_VARIANTS:
         raise ValueError(f"unknown method {method!r}; expected one of {tuple(METHOD_VARIANTS)}")
-    want = METHOD_VARIANTS[method]
-    if want is None:
+    variant = METHOD_VARIANTS[method]
+    if variant is None:
         block = _tracin_block if method == "tracin-last" else _rep_sim_block
         train = _training_features(model, dataset)
         return lambda x: _top(block(model, train, x), k)
-    if cache is None:
-        raise ValueError(f"method {method!r} needs a score cache")
-    if cache.variant != want:
-        raise ValueError(f"method {method!r} needs a {want!r} cache, got {cache.variant!r}")
-    if cache.n != dataset.n:
-        raise ValueError(f"cache has n={cache.n} records, dataset has n={dataset.n}")
+    cache = build_cache(model, dataset, variant)
     if kernel is None:
-        raise ValueError(f"method {method!r} needs a kernel")
-    _check_cache(model, cache)
+        kernel = RBFKernel(median_heuristic_gamma(cache.z))
     return lambda x: _top(_stein_scores(model, cache, kernel, x), k)

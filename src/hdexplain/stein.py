@@ -33,7 +33,6 @@ import contextlib
 import math
 import mmap
 import os
-import secrets
 import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -584,7 +583,7 @@ def _write_atomic(path, data) -> None:
     write goes ahead without it. Nothing is fsynced.
     """
     path = os.fspath(path)
-    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     # O_BINARY: Windows would otherwise translate newlines
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:

@@ -106,14 +106,14 @@ def hit_rate_runs():
         per_method = {}
         start = time.perf_counter()
         per_method["hd-explain"] = hit_rate_experiment(
-            model, cache, data, "noise", 30, data.n, config, seed, method="hd-explain")
+            model, data, "noise", 30, data.n, config, seed, method="hd-explain")
         if seed == 0:
             protocol_seconds = time.perf_counter() - start
         per_method["tracin-last"] = hit_rate_experiment(
-            model, None, data, "noise", 30, data.n, config, seed, method="tracin-last")
+            model, data, "noise", 30, data.n, config, seed, method="tracin-last")
         if seed == 0:
             per_method["rep-sim"] = hit_rate_experiment(
-                model, None, data, "noise", 30, data.n, config, seed, method="rep-sim")
+                model, data, "noise", 30, data.n, config, seed, method="rep-sim")
         runs[seed] = per_method
     runs["protocol_seconds"] = protocol_seconds
     return runs

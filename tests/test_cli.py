@@ -6,12 +6,26 @@ import struct
 
 import pytest
 
+from hdexplain import evalharness
 from hdexplain.cli import RunConfig, main
-from hdexplain.data import Dataset, gen_two_moons, save_csv
-from hdexplain.evalharness import label_flip_debug_experiment
-from hdexplain.explain import build_cache
-from hdexplain.nnet import TrainConfig, load_model
-from hdexplain.stein import IMQKernel, RBFKernel, ScoreCache, load_cache, save_cache
+from hdexplain.data import Dataset, gen_two_moons, save_csv, standardize
+from hdexplain.evalharness import (
+    METHOD_VARIANTS,
+    hit_rate_experiment,
+    ksd_shift_experiment,
+    label_flip_debug_experiment,
+)
+from hdexplain.explain import ExplainerConfig, build_cache
+from hdexplain.nnet import MLPClassifier, TrainConfig, load_model, train
+from hdexplain.stein import (
+    IMQKernel,
+    RBFKernel,
+    ScoreCache,
+    load_cache,
+    make_stein_points,
+    median_heuristic_gamma,
+    save_cache,
+)
 
 
 def run(*argv):
@@ -98,6 +112,51 @@ class TestTrainCommand:
         config = write_config(tmp_path, {"dataset": {"source": f"idx:{images},{labels}"}})
         assert run("train", "--config", config, "--out", str(tmp_path / "m.bin")) == 3
         assert "truncated IDX file" in capsys.readouterr().err
+
+    def test_zero_idx_image_dimension_is_a_data_error(self, tmp_path, capsys):
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        images.write_bytes(b"\x00\x00\x08\x03" + struct.pack(">III", 2, 0, 3))
+        labels.write_bytes(b"\x00\x00\x08\x01" + struct.pack(">I", 2) + bytes([0, 1]))
+        config = write_config(tmp_path, {"dataset": {"source": f"idx:{images},{labels}"}})
+        assert run("train", "--config", config, "--out", str(tmp_path / "m.bin")) == 3
+        assert "IDX images of 0 x 3 pixels" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty file, missing header row"),
+        ("a,b,label\n0.0,1.0,0\n1.0,2.0\n", "line 3 has 2 cells, expected 3"),
+        ("a,b,label\n0.0,1.0,0\n1.0,2.0,one\n", "non-integer label 'one' at line 3"),
+        ("a,b,label\n", "no data rows"),
+        ("label\n0\n1\n", "no feature columns besides 'label'"),
+    ], ids=["empty", "ragged", "label", "no-rows", "no-features"])
+    def test_malformed_csv_is_a_data_error(self, tmp_path, capsys, text, message):
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text(text)
+        config = write_config(tmp_path, {"dataset": {"source": f"csv:{csv_path}"}})
+        out_path = tmp_path / "m.bin"
+        assert run("train", "--config", config, "--out", str(out_path)) == 3
+        assert message in capsys.readouterr().err
+        assert not out_path.exists()
+
+    def test_standardize_trains_on_the_standardized_dataset(self, tmp_path):
+        config = write_config(tmp_path, {
+            "dataset": {"source": "synthetic:two_moons", "n": 60, "standardize": True},
+            "model": {"epochs": 5},
+            "seed": 2,
+        })
+        out_path = tmp_path / "m.bin"
+        assert run("train", "--config", config, "--out", str(out_path)) == 0
+        want = train(standardize(gen_two_moons(60, 0.1, seed=2)), TrainConfig(epochs=5, seed=2))
+        assert out_path.read_bytes() == want.serialize()
+
+    def test_validation_split_reports_its_accuracy(self, tmp_path, capsys):
+        config = write_config(tmp_path, {
+            "dataset": {"source": "synthetic:two_moons", "n": 60},
+            "model": {"epochs": 5, "validation_fraction": 0.25},
+        })
+        assert run("train", "--config", config, "--out", str(tmp_path / "m.bin"),
+                   "--format", "structured") == 0
+        accuracy = json.loads(capsys.readouterr().out)["validation_accuracy"]
+        assert 0.0 <= accuracy <= 1.0
 
     def test_unknown_config_key_rejected(self, tmp_path):
         config = write_config(tmp_path, {"dataset": {"sauce": "typo"}})
@@ -189,6 +248,12 @@ class TestExplainCommand:
         config, model_path, cache_path = trained_artifacts
         assert run("explain", "--config", config, "--model", model_path, "--cache", cache_path,
                    "--point", "0.5") == 2
+
+    def test_non_numeric_point_is_a_usage_error(self, trained_artifacts, capsys):
+        config, model, cache = trained_artifacts
+        assert run("explain", "--config", config, "--model", model, "--cache", cache,
+                   "--point", "1,abc") == 2
+        assert "point must be a comma-separated list of numbers" in capsys.readouterr().err
 
     def test_table_and_structured_agree(self, trained_artifacts, capsys):
         config, model_path, cache_path = trained_artifacts
@@ -463,6 +528,50 @@ class TestEvaluateCommand:
         assert not out_path.exists()
 
 
+    @pytest.mark.parametrize("gamma", [None, 2.0])
+    def test_rows_equal_the_library_protocol(self, tmp_path, gamma):
+        config = write_config(tmp_path, {
+            "dataset": {"source": "synthetic:two_moons", "n": 60, "noise_std": 0.1},
+            "model": {"epochs": 5},
+            "explainer": {"gamma": gamma},
+            "experiment": {"trials": 2, "sample_size": 10, "methods": list(METHOD_VARIANTS)},
+            "seed": 4,
+        })
+        out_path = tmp_path / "report.csv"
+        assert run("evaluate", "--config", config, "--out", str(out_path)) == 0
+        got = [(r["method"], int(r["k"]), float(r["hit_rate"]), float(r["coverage"]), int(r["trials"]))
+               for r in csv.DictReader(open(out_path))]
+        data = gen_two_moons(60, 0.1, seed=4)
+        model = train(data, TrainConfig(epochs=5, seed=4))
+        want = []
+        for method, variant in METHOD_VARIANTS.items():
+            if variant is None:
+                kernel = None
+            elif gamma is None:  # the median heuristic over the method's own cache
+                kernel = RBFKernel(median_heuristic_gamma(build_cache(model, data, variant).z))
+            else:
+                kernel = RBFKernel(gamma)
+            report = hit_rate_experiment(model, data, "noise", 2, 10, ExplainerConfig(kernel=kernel),
+                                         4, method=method)
+            want.extend((method, k, report.hit_rate[k], report.coverage[k], report.trials)
+                        for k in sorted(report.hit_rate))
+        assert got == want
+
+    @pytest.mark.parametrize("augmentation, message", [
+        ("rotate", "unknown augmentation 'rotate'"),
+        ("hflip", "horizontal flip needs a dataset with image_shape"),
+    ])
+    def test_bad_augmentation_is_rejected_before_training(self, tmp_path, capsys, monkeypatch,
+                                                          augmentation, message):
+        config = write_config(tmp_path, {"experiment": {"augmentation": augmentation}})
+        calls = []
+        monkeypatch.setattr("hdexplain.cli.train", lambda *a, **k: calls.append(a))
+        out_path = tmp_path / "report.csv"
+        assert run("evaluate", "--config", config, "--out", str(out_path)) == 2
+        assert message in capsys.readouterr().err
+        assert calls == [] and not out_path.exists()
+
+
 class TestDebugCommand:
     def test_manifest_reports_flips(self, tmp_path):
         config = write_config(tmp_path, {
@@ -510,6 +619,28 @@ class TestDebugCommand:
         assert manifest["flipped_indices"] == want.flipped_indices
 
 
+    def test_default_kernel_is_the_median_heuristic_over_the_corrupted_cache(self, tmp_path,
+                                                                             monkeypatch):
+        config = write_config(tmp_path, {
+            "dataset": {"source": "synthetic:two_moons", "n": 200, "noise_std": 0.1},
+            "model": {"epochs": 5},
+            "seed": 3,
+        })
+        out_path = tmp_path / "debug.csv"
+        assert run("debug", "--config", config, "--out", str(out_path)) == 0
+        args = (gen_two_moons(200, 0.1, seed=3), 0.05, TrainConfig(epochs=5, seed=3))
+        caches = []
+        inner = evalharness.build_cache
+        with monkeypatch.context() as patch:  # keep the cache the experiment builds
+            patch.setattr(evalharness, "build_cache", lambda *a, **k: caches.append(inner(*a, **k)) or caches[-1])
+            label_flip_debug_experiment(*args, None, 3)
+        want = label_flip_debug_experiment(*args, RBFKernel(median_heuristic_gamma(caches[0].z)), 3)
+        rows = list(csv.DictReader(open(out_path)))
+        assert [(int(r["m"]), float(r["precision"]), float(r["recall"])) for r in rows] == want.points
+        manifest = json.loads((tmp_path / "debug.csv.manifest.json").read_text())
+        assert manifest["flipped_indices"] == want.flipped_indices
+
+
 class TestKsdShiftCommand:
     def test_rows_and_zero_first(self, tmp_path):
         config = write_config(tmp_path, {
@@ -541,6 +672,36 @@ class TestKsdShiftCommand:
         out_path = tmp_path / "shift.csv"
         assert run("ksd-shift", "--config", config, "--out", str(out_path)) == 2
         assert not out_path.exists()
+
+
+    @pytest.mark.parametrize("gamma", [None, 2.0])
+    def test_rows_equal_the_library_experiment(self, tmp_path, gamma):
+        config = write_config(tmp_path, {
+            "dataset": {"source": "synthetic:two_moons", "n": 50, "noise_std": 0.1},
+            "model": {"epochs": 5},
+            "explainer": {"gamma": gamma},
+            "seed": 2,
+        })
+        out_path = tmp_path / "shift.csv"
+        assert run("ksd-shift", "--config", config, "--out", str(out_path)) == 0
+        data = gen_two_moons(50, 0.1, seed=2)
+        model = train(data, TrainConfig(epochs=5, seed=2))
+        if gamma is None:
+            gamma = median_heuristic_gamma(make_stein_points(model, data.features, data.labels)[0])
+        want = ksd_shift_experiment(model, data, [0.0, 0.25, 0.5], RBFKernel(gamma))
+        rows = list(csv.DictReader(open(out_path)))
+        assert [(float(r["shift"]), float(r["ksd_vstat"])) for r in rows] == want
+
+    def test_scores_the_dataset_once_per_shift(self, tmp_path, monkeypatch):
+        config = write_config(tmp_path, {
+            "dataset": {"source": "synthetic:two_moons", "n": 50, "noise_std": 0.1},
+            "model": {"epochs": 5},
+        })
+        calls = []
+        score = MLPClassifier.score
+        monkeypatch.setattr(MLPClassifier, "score", lambda *a, **k: calls.append(1) or score(*a, **k))
+        assert run("ksd-shift", "--config", config, "--out", str(tmp_path / "shift.csv")) == 0
+        assert len(calls) == len(RunConfig().experiment.shifts) == 3
 
 
 class TestConfigTypes:
@@ -604,6 +765,19 @@ class TestCommonBehavior:
         config = write_config(tmp_path, {"dataset": {"source": source}})
         out_path = tmp_path / "m.bin"
         assert run("train", "--config", config, "--out", str(out_path)) == 2
+        assert message in capsys.readouterr().err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("case, message", [
+        ("missing", "cannot read config file"),
+        ("invalid", "is not valid JSON"),
+    ])
+    def test_unreadable_config_is_a_usage_error(self, tmp_path, capsys, case, message):
+        path = tmp_path / "config.json"
+        if case == "invalid":
+            path.write_text('{"seed": 1,}')
+        out_path = tmp_path / "m.bin"
+        assert run("train", "--config", str(path), "--out", str(out_path)) == 2
         assert message in capsys.readouterr().err
         assert not out_path.exists()
 

@@ -252,6 +252,12 @@ class TestIDX:
         with pytest.raises(DataLoadError, match="empty IDX file"):
             load_idx(*paths)
 
+    @pytest.mark.parametrize("shape", [(2, 0, 3), (2, 3, 0)])
+    def test_zero_image_dimension(self, tmp_path, shape):
+        paths = _write_idx_pair(tmp_path, np.zeros(shape, dtype=np.uint8), [0, 1])
+        with pytest.raises(DataLoadError, match=f"IDX images of {shape[1]} x {shape[2]} pixels"):
+            load_idx(*paths)
+
     def test_trailing_bytes(self, tmp_path):
         images = np.zeros((2, 3, 3), dtype=np.uint8)
         img_path, lab_path = _write_idx_pair(tmp_path, images, [0, 1])

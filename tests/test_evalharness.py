@@ -23,7 +23,13 @@ from hdexplain.explain import (
     explain,
 )
 from hdexplain.nnet import TrainConfig, train
-from hdexplain.stein import RBFKernel, local_scale_gamma, make_stein_points, ksd_vstat
+from hdexplain.stein import (
+    RBFKernel,
+    ksd_vstat,
+    local_scale_gamma,
+    make_stein_points,
+    median_heuristic_gamma,
+)
 
 explain_module = importlib.import_module("hdexplain.explain")  # the package re-exports the function
 
@@ -133,7 +139,7 @@ class TestCoverage:
 
 class TestHitRateExperiment:
     def test_identity_augmentation_matches_direct_self_retrieval(self, trained, moons, cache, retrieval_config):
-        report = hit_rate_experiment(trained, cache, moons, "identity", 1, 60,
+        report = hit_rate_experiment(trained, moons, "identity", 1, 60,
                                      retrieval_config, seed=0, method="hd-explain")
         rng = np.random.default_rng(0)
         sampled = rng.choice(moons.n, size=60, replace=False)
@@ -144,13 +150,13 @@ class TestHitRateExperiment:
         ])
         assert report.hit_rate[1] == pytest.approx(direct)
 
-    def test_hit_rate_monotone_in_k(self, trained, moons, cache, retrieval_config):
-        report = hit_rate_experiment(trained, cache, moons, "noise", 3, 40,
+    def test_hit_rate_monotone_in_k(self, trained, moons, retrieval_config):
+        report = hit_rate_experiment(trained, moons, "noise", 3, 40,
                                      retrieval_config, seed=1, method="hd-explain")
         assert report.hit_rate[1] <= report.hit_rate[3] <= report.hit_rate[5]
 
-    def test_degenerate_coverage_single_test_point(self, trained, moons, cache, retrieval_config):
-        report = hit_rate_experiment(trained, cache, moons, "identity", 1, 1,
+    def test_degenerate_coverage_single_test_point(self, trained, moons, retrieval_config):
+        report = hit_rate_experiment(trained, moons, "identity", 1, 1,
                                      retrieval_config, seed=3, method="hd-explain")
         for k, value in report.coverage.items():
             assert value == 1.0
@@ -159,17 +165,16 @@ class TestHitRateExperiment:
         # with n == k every top-k is the full index set, so coverage is 1/n_test
         tiny = gen_two_moons(5, 0.05, seed=4)
         model = train(tiny, TrainConfig(seed=4, epochs=5))
-        tiny_cache = build_cache(model, tiny, "raw")
         config = ExplainerConfig(kernel=retrieval_config.kernel, top_k=5)
-        report = hit_rate_experiment(model, tiny_cache, tiny, "noise", 4, 3,
+        report = hit_rate_experiment(model, tiny, "noise", 4, 3,
                                      config, seed=5, method="hd-explain")
         n_test = 3 * 4
         assert report.coverage[5] == pytest.approx(5 / (n_test * 5))
 
-    def test_deterministic_given_seed(self, trained, moons, cache, retrieval_config):
-        a = hit_rate_experiment(trained, cache, moons, "noise", 2, 20,
+    def test_deterministic_given_seed(self, trained, moons, retrieval_config):
+        a = hit_rate_experiment(trained, moons, "noise", 2, 20,
                                 retrieval_config, seed=6, method="hd-explain")
-        b = hit_rate_experiment(trained, cache, moons, "noise", 2, 20,
+        b = hit_rate_experiment(trained, moons, "noise", 2, 20,
                                 retrieval_config, seed=6, method="hd-explain")
         assert a.hit_rate == b.hit_rate
         assert a.coverage == b.coverage
@@ -181,39 +186,45 @@ class TestHitRateExperiment:
 
     def test_baseline_methods_run(self, trained, moons, retrieval_config):
         for method in ("tracin-last", "rep-sim"):
-            report = hit_rate_experiment(trained, None, moons, "noise", 1, 10,
+            report = hit_rate_experiment(trained, moons, "noise", 1, 10,
                                          retrieval_config, seed=7, method=method)
             assert report.method == method
             assert set(report.hit_rate) == {1, 3, 5}
 
-    def test_method_cache_variant_checked(self, trained, moons, cache, retrieval_config):
-        with pytest.raises(ValueError, match="cache"):
-            hit_rate_experiment(trained, cache, moons, "noise", 1, 5,
-                                retrieval_config, seed=8, method="hd-explain-star")
+    def test_method_cache_variant_checked(self, trained, moons, retrieval_config):
         with pytest.raises(ValueError, match="unknown method"):
-            hit_rate_experiment(trained, cache, moons, "noise", 1, 5,
+            hit_rate_experiment(trained, moons, "noise", 1, 5,
                                 retrieval_config, seed=8, method="bogus")
 
-    def test_sample_size_bounds(self, trained, moons, cache, retrieval_config):
+    @pytest.mark.parametrize("augmentation, message", [
+        ("rotate", "unknown augmentation 'rotate'"),
+        ("hflip", "horizontal flip needs a dataset with image_shape"),
+    ])
+    def test_bad_augmentation_rejected_before_the_ranker(self, trained, moons, retrieval_config,
+                                                         monkeypatch, augmentation, message):
+        monkeypatch.setattr(evalharness, "_block_ranker", lambda *a: pytest.fail("ranker built"))
+        with pytest.raises(UnsupportedAugmentationError, match=message):
+            hit_rate_experiment(trained, moons, augmentation, 1, 5, retrieval_config, seed=0)
+
+    def test_sample_size_bounds(self, trained, moons, retrieval_config):
         with pytest.raises(ValueError):
-            hit_rate_experiment(trained, cache, moons, "noise", 1, moons.n + 1,
+            hit_rate_experiment(trained, moons, "noise", 1, moons.n + 1,
                                 retrieval_config, seed=0)
 
     @pytest.mark.parametrize("method", ["hd-explain", "tracin-last"])
     def test_top_k_beyond_dataset_size_rejected(self, retrieval_config, method):
         tiny = gen_two_moons(6, 0.05, seed=4)
         model = train(tiny, TrainConfig(seed=4, epochs=5))
-        tiny_cache = build_cache(model, tiny, "raw")
         config = ExplainerConfig(kernel=retrieval_config.kernel, top_k=10)
         with pytest.raises(ValueError, match="top_k=10 exceeds dataset size n=6"):
-            hit_rate_experiment(model, tiny_cache, tiny, "noise", 1, 6, config, seed=5, method=method)
+            hit_rate_experiment(model, tiny, "noise", 1, 6, config, seed=5, method=method)
         config.top_k = 6
-        report = hit_rate_experiment(model, tiny_cache, tiny, "noise", 1, 6, config, seed=5,
+        report = hit_rate_experiment(model, tiny, "noise", 1, 6, config, seed=5,
                                      method=method)
         assert sorted(report.hit_rate) == [1, 3, 5, 6]
 
-    def test_csv_rows_shape(self, trained, moons, cache, retrieval_config):
-        report = hit_rate_experiment(trained, cache, moons, "noise", 1, 5,
+    def test_csv_rows_shape(self, trained, moons, retrieval_config):
+        report = hit_rate_experiment(trained, moons, "noise", 1, 5,
                                      retrieval_config, seed=9, method="hd-explain")
         rows = report.csv_rows()
         assert len(rows) == 3
@@ -239,7 +250,7 @@ class TestBlockProtocol:
         real_top = explain_module._top
         with monkeypatch.context() as patch:  # record each block's top-k
             patch.setattr(explain_module, "_top", lambda v, k: tops.append(real_top(v, k)) or tops[-1])
-            report = hit_rate_experiment(trained, cache, moons, "noise", trials, sample_size,
+            report = hit_rate_experiment(trained, moons, "noise", trials, sample_size,
                                          config, seed, method=method)
 
         rng = np.random.default_rng(seed)
@@ -261,23 +272,27 @@ class TestBlockProtocol:
             assert report.hit_rate[k] == hits / len(sources)
             assert report.coverage[k] == coverage([top[:k] for top in single])
 
-    def test_timing_is_per_query(self, trained, moons, cache, retrieval_config, monkeypatch):
+    def test_timing_is_per_query(self, trained, moons, retrieval_config, monkeypatch):
         monkeypatch.setattr(evalharness, "_BLOCK_VALUES", 4 * moons.n)
-        report = hit_rate_experiment(trained, cache, moons, "noise", 2, 5,
+        report = hit_rate_experiment(trained, moons, "noise", 2, 5,
                                      retrieval_config, seed=3, method="hd-explain")
         assert report.mean_ms > 0.0 and report.ci95_ms >= 0.0
-        single = hit_rate_experiment(trained, cache, moons, "noise", 1, 1,
+        single = hit_rate_experiment(trained, moons, "noise", 1, 1,
                                      retrieval_config, seed=3, method="hd-explain")
         assert single.ci95_ms == 0.0
 
     def test_baselines_need_no_kernel(self, trained, moons):
         config = ExplainerConfig(kernel=None, top_k=3)
-        report = hit_rate_experiment(trained, None, moons, "noise", 1, 5, config, seed=4,
+        report = hit_rate_experiment(trained, moons, "noise", 1, 5, config, seed=4,
                                      method="rep-sim")
         assert report.trials == 5
-        with pytest.raises(ValueError, match="kernel"):
-            hit_rate_experiment(trained, build_cache(trained, moons, "raw"), moons, "noise", 1, 5,
-                                config, seed=4, method="hd-explain")
+        # the Stein methods fit a median-heuristic RBF to the cache they build
+        for method in ("hd-explain", "hd-explain-star"):
+            cache = build_cache(trained, moons, METHOD_VARIANTS[method])
+            explicit = ExplainerConfig(kernel=RBFKernel(median_heuristic_gamma(cache.z)), top_k=3)
+            want = hit_rate_experiment(trained, moons, "noise", 2, 20, explicit, seed=4, method=method)
+            got = hit_rate_experiment(trained, moons, "noise", 2, 20, config, seed=4, method=method)
+            assert (got.hit_rate, got.coverage) == (want.hit_rate, want.coverage)
 
 
 class TestLabelFlipDebug:
@@ -331,6 +346,11 @@ class TestKSDShift:
         assert float(np.asarray(results[0][0])) == 0.0
         z, scores = make_stein_points(trained, moons.features, moons.labels, "raw")
         assert results[0][1] == pytest.approx(ksd_vstat(kernel, z, scores).value, abs=1e-12)
+
+    def test_no_kernel_is_the_median_heuristic_over_the_unshifted_points(self, trained, moons):
+        z, _ = make_stein_points(trained, moons.features, moons.labels, "raw")
+        want = ksd_shift_experiment(trained, moons, [0.25, 0.5], RBFKernel(median_heuristic_gamma(z)))
+        assert ksd_shift_experiment(trained, moons, [0.25, 0.5]) == want
 
     def test_all_values_finite(self, trained, moons):
         kernel = RBFKernel(0.3)
