@@ -138,7 +138,20 @@ def augment_hflip(dataset: Dataset, index: int) -> np.ndarray:
 
 
 def coverage(explanation_sets) -> float:
-    """Fraction of unique explanation points: ``|union| / (n_test * k)``."""
+    """Fraction of unique explanation points: ``|union| / (n_test * k)``.
+
+    ``explanation_sets`` is a sequence of equal-size sets, or an (m, k)
+    integer array whose rows each hold k distinct indices (a top-k array;
+    a repeated index in a row is a ``ValueError``), whose union is then its
+    unique values.
+    """
+    if isinstance(explanation_sets, np.ndarray):
+        if explanation_sets.ndim != 2 or explanation_sets.shape[0] == 0:
+            raise ValueError("coverage needs an (m, k) index array with m >= 1")
+        rows = np.sort(explanation_sets, axis=1)
+        if (rows[:, 1:] == rows[:, :-1]).any():
+            raise ValueError("each row of a coverage index array must hold distinct indices")
+        return np.unique(explanation_sets).size / explanation_sets.size
     sets = [frozenset(s) for s in explanation_sets]
     if not sets:
         raise ValueError("coverage needs at least one explanation set")
@@ -216,7 +229,7 @@ def hit_rate_experiment(model: MLPClassifier, dataset: Dataset, augmentation: st
     return MetricsReport(
         method=method,
         hit_rate={k: int(found[:, :k].any(axis=1).sum()) / total for k in ks},
-        coverage={k: coverage(top[:, :k].tolist()) for k in ks},
+        coverage={k: coverage(top[:, :k]) for k in ks},
         mean_ms=sum(block_ms) / total,
         ci95_ms=float(ci95),
         trials=total,
@@ -275,7 +288,7 @@ def ksd_shift_experiment(model: MLPClassifier, dataset: Dataset, shifts,
     Each shift may be a scalar (applied to every feature) or a length-d
     displacement vector. A zero shift is always evaluated first.
     ``kernel=None`` selects a median-heuristic RBF over the zero shift's
-    scored points.
+    scored points. A non-finite value raises ``ArithmeticError``.
     """
     deltas = []
     for shift in shifts:
@@ -293,5 +306,10 @@ def ksd_shift_experiment(model: MLPClassifier, dataset: Dataset, shifts,
         z, scores = make_stein_points(model, dataset.features + delta, dataset.labels, "raw")
         if kernel is None:
             kernel = RBFKernel(median_heuristic_gamma(z))
-        results.append((shift, float(stein_gram(kernel, z, scores).mean())))
+        with np.errstate(all="ignore"):  # overflow surfaces as the ArithmeticError below
+            value = float(stein_gram(kernel, z, scores).mean())
+        if not math.isfinite(value):
+            raise ArithmeticError(f"the KSD at shift {shift!r} is not finite "
+                                  "(the shifted points' Stein values overflow)")
+        results.append((shift, value))
     return results

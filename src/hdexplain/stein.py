@@ -202,8 +202,9 @@ _NEAR = 0.1
 # stays in L2.
 _CHUNK_VALUES = 1 << 13
 # Values of cache rows per tile of a one-query block's products in _stein_block
-# (256 KiB of float64). Kept apart from _CHUNK_VALUES: the tiles split the
-# products, the chunks only the elementwise stage.
+# (256 KiB of float64), and values per row block of a Gram (_gram_blocks).
+# Kept apart from _CHUNK_VALUES: the tiles and blocks split the products, the
+# chunks only the elementwise stage.
 _TILE_VALUES = 1 << 15
 
 
@@ -222,28 +223,60 @@ def _row_stats(z: np.ndarray, scores: np.ndarray):
     return np.einsum("ij,ij->i", z, z), np.einsum("ij,ij->i", z, scores)
 
 
-def _stein_values(kernel: BaseKernel, dim: int, r2, zq, st, zt, sq, zs, qt):
+def _stein_values(kernel: BaseKernel, dim: int, r2, zq, st, zt, sq, zs, qt, out):
     """Stein values of rows (z, s) against queries (q, t), from ``r2`` and the
-    inner products named by their factors (``zq = z.q``, ...); arrays broadcast."""
+    inner products named by their factors (``zq = z.q``, ...), written into
+    ``out``; the arguments broadcast to its shape. The closed forms
+
+        linear:  dim + zq st + qt + zs
+        radial:  k st - 2 dim k1 - 4 r2 k2 + 2 k1 ((zt - qt) - (zs - sq))
+
+    are evaluated operation by operation, in this order, into ``out`` and two
+    scratch arrays: the values are those of the expressions, without a
+    temporary per operation or a copy into ``out``.
+    """
     if isinstance(kernel, LinearKernel):
-        return dim + zq * st + qt + zs
+        np.multiply(zq, st, out=out)
+        for term in (dim, qt, zs):
+            np.add(out, term, out=out)
+        return out
     k, k1, k2 = kernel.radial(r2)
-    return k * st - 2.0 * dim * k1 - 4.0 * r2 * k2 + 2.0 * k1 * ((zt - qt) - (zs - sq))
+    t, u = np.empty_like(out), np.empty_like(out)
+    np.multiply(k, st, out=out)
+    np.subtract(out, np.multiply(2.0 * dim, k1, out=t), out=out)
+    np.subtract(out, np.multiply(np.multiply(4.0, r2, out=t), k2, out=t), out=out)
+    np.subtract(np.subtract(zt, qt, out=t), np.subtract(zs, sq, out=u), out=t)
+    return np.add(out, np.multiply(np.multiply(2.0, k1, out=u), t, out=t), out=out)
 
 
-def _sq_dists(kernel: RadialKernel, rows, queries, zz, qq, zq) -> np.ndarray:
+def _near_scale(kernel: RadialKernel, zz, qq):
+    """``l2 = phi(0) / |phi'(0)|`` (1 / gamma for RBF), the scale of the
+    near-pair test in :func:`_sq_dists`, or None when no pair of rows with
+    norms ``zz`` and queries with norms ``qq`` can pass it: r2 >= 0 and
+    rounding is monotone, so none can when ``l2 >= _NEAR (max ||z||^2 +
+    max ||q||^2)``. A NaN in the norms fails that test, so the search runs.
+    """
+    k0, k1, _ = kernel.radial(0.0)
+    l2 = k0 / abs(k1)
+    return None if l2 >= _NEAR * (zz.max() + qq.max()) else l2
+
+
+def _sq_dists(rows, queries, zz, qq, zq, l2) -> np.ndarray:
     """Squared distances ``||z||^2 + ||q||^2 - 2 z.q`` of query rows against
     rows, shaped as ``zq``, clipped at 0.
 
     Its rounding error, about eps (||z||^2 + ||q||^2), moves the kernel by that
-    over ``l2 + r2`` with ``l2 = phi(0) / |phi'(0)|`` (1 / gamma for RBF). Where
-    that exceeds eps / _NEAR -- near pairs under a kernel narrow against the
-    points' norms -- r2 is recomputed as ``||z - q||^2``.
+    over ``l2 + r2`` (``l2`` from :func:`_near_scale`). Where that exceeds
+    eps / _NEAR -- near pairs under a kernel narrow against the points' norms
+    -- r2 is recomputed as ``||z - q||^2``. With ``l2`` None no pair can be
+    near, and the search is skipped.
     """
     scale = zz + qq
-    r2 = np.maximum(scale - 2.0 * zq, 0.0)
-    k0, k1, _ = kernel.radial(0.0)
-    j, i = np.nonzero(r2 + k0 / abs(k1) < _NEAR * scale)
+    r2 = np.multiply(2.0, zq)
+    np.maximum(np.subtract(scale, r2, out=r2), 0.0, out=r2)
+    if l2 is None:
+        return r2
+    j, i = np.nonzero(r2 + l2 < _NEAR * scale)
     step = max(1, _CHUNK_VALUES // rows.shape[1])
     for c in range(0, i.size, step):
         diff = rows[i[c:c + step]] - queries[j[c:c + step]]
@@ -252,9 +285,10 @@ def _sq_dists(kernel: RadialKernel, rows, queries, zz, qq, zq) -> np.ndarray:
 
 
 def _stein_block(kernel: BaseKernel, rows, row_scores, row_stats, queries, query_scores,
-                 query_stats) -> np.ndarray:
+                 query_stats, out=None) -> np.ndarray:
     """(m, n) Stein values of query rows (Q, T) against rows (Z, S), counting
-    n * m pair evaluations. The stats are each side's ``(||z||^2, z.s)``; the
+    n * m pair evaluations, written into ``out`` when given (an (m, n)
+    float64 array). The stats are each side's ``(||z||^2, z.s)``; the
     products are ``[Q; T] @ Z^T`` and ``[Q; T] @ S^T`` (linear: Q Z^T, T S^T).
 
     The elementwise stage runs over chunks of at most ``_CHUNK_VALUES`` values
@@ -290,18 +324,20 @@ def _stein_block(kernel: BaseKernel, rows, row_scores, row_stats, queries, query
         else:
             with_z, with_s = left @ rows.T, left @ row_scores.T
         zq, zt, sq, st = with_z[:m], with_z[m:], with_s[:m], with_s[m:]
-    out = np.empty((m, n))
+        l2 = _near_scale(kernel, zz, qq)
+    if out is None:
+        out = np.empty((m, n))
     height, width = max(1, _CHUNK_VALUES // n), min(n, _CHUNK_VALUES)
     for a in range(0, m, height):
         for b in range(0, n, width):
             r, c = slice(a, a + height), slice(b, b + width)
             if linear:
-                out[r, c] = _stein_values(kernel, dim, None, zq[r, c], st[r, c], None, None,
-                                          zs[c], qt[r])
+                _stein_values(kernel, dim, None, zq[r, c], st[r, c], None, None, zs[c], qt[r],
+                              out[r, c])
             else:
-                r2 = _sq_dists(kernel, rows[c], queries[r], zz[c], qq[r], zq[r, c])
-                out[r, c] = _stein_values(kernel, dim, r2, zq[r, c], st[r, c], zt[r, c],
-                                          sq[r, c], zs[c], qt[r])
+                r2 = _sq_dists(rows[c], queries[r], zz[c], qq[r], zq[r, c], l2)
+                _stein_values(kernel, dim, r2, zq[r, c], st[r, c], zt[r, c], sq[r, c], zs[c],
+                              qt[r], out[r, c])
     return out
 
 
@@ -310,7 +346,7 @@ def _stein_diagonal(kernel: BaseKernel, scores, row_stats) -> np.ndarray:
     zz, zs = row_stats
     _count_evals(scores.shape[0])
     ss = np.einsum("ij,ij->i", scores, scores)
-    return _stein_values(kernel, scores.shape[1], 0.0, zz, ss, zs, zs, zs, zs)
+    return _stein_values(kernel, scores.shape[1], 0.0, zz, ss, zs, zs, zs, zs, np.empty(len(zz)))
 
 
 def stein_kernel_profile(kernel: BaseKernel, rows, row_scores, z, score, *,
@@ -333,11 +369,36 @@ def stein_kernel_profile(kernel: BaseKernel, rows, row_scores, z, score, *,
                         _row_stats(query, query_score))[0]
 
 
-def stein_gram(kernel: BaseKernel, rows, row_scores) -> np.ndarray:
-    """Full (n, n) Stein-kernel Gram matrix of the scored rows (n, D)."""
-    rows, row_scores = _scored_rows(rows, row_scores)
+def _gram_blocks(kernel: BaseKernel, rows, row_scores, gram=None):
+    """Walk the Stein Gram of the scored rows (n, D) in row blocks: yields
+    ``(a, block)``, ``block`` the (h, n) values of rows ``a:a + h`` against
+    all n rows, one :func:`_stein_block` call each. The height is
+    ``max(1, _TILE_VALUES // n)``, so a block holds at most ``_TILE_VALUES``
+    values (or one row) and its two (2h, n) products at most four times that
+    (1 MiB), where a whole Gram's products are (2n, n) each. Each block is written into its rows of ``gram`` when given, else
+    into one scratch block that the next block overwrites.
+    """
+    n = rows.shape[0]
     stats = _row_stats(rows, row_scores)
-    return _stein_block(kernel, rows, row_scores, stats, rows, row_scores, stats)
+    height = max(1, _TILE_VALUES // n)
+    scratch = np.empty((min(height, n), n)) if gram is None else None
+    for a in range(0, n, height):
+        r = slice(a, min(a + height, n))
+        out = scratch[:r.stop - a] if gram is None else gram[r]
+        yield a, _stein_block(kernel, rows, row_scores, stats, rows[r], row_scores[r],
+                              (stats[0][r], stats[1][r]), out=out)
+
+
+def stein_gram(kernel: BaseKernel, rows, row_scores) -> np.ndarray:
+    """Full (n, n) Stein-kernel Gram matrix of the scored rows (n, D),
+    counting n^2 pair evaluations. It is filled in row blocks of at most
+    ``_TILE_VALUES`` values, so beyond the result it holds one block's
+    products and scratch."""
+    rows, row_scores = _scored_rows(rows, row_scores)
+    gram = np.empty((rows.shape[0], rows.shape[0]))
+    for _ in _gram_blocks(kernel, rows, row_scores, gram):
+        pass
+    return gram
 
 
 class KSDEstimate(NamedTuple):
@@ -345,55 +406,81 @@ class KSDEstimate(NamedTuple):
 
     ``std_error`` is the square root of the order-2 U-statistic variance
     ``2 / (n (n - 1)) [2 (n - 2) zeta1 + zeta2]`` (Hoeffding 1948; Serfling
-    1980, 5.2), estimated from the Gram matrix: ``zeta2`` is the variance of
-    the off-diagonal pair values and ``zeta1`` the variance of the Gram row
-    means over j != i, less ``zeta2 / (n - 1)`` and clipped at 0. Under the
-    null ``zeta1`` vanishes; under a shift its term dominates. 0 for n < 3.
+    1980, 5.2), estimated from sums over the Gram's row blocks (no n x n
+    array is made): ``zeta2`` is the variance of the off-diagonal pair values
+    and ``zeta1`` the variance of the Gram row means over j != i, less
+    ``zeta2 / (n - 1)`` and clipped at 0. Under the null ``zeta1`` vanishes;
+    under a shift its term dominates. 0 for n < 3.
     """
 
     value: float
     std_error: float
 
 
-def _ustat_std_error(gram: np.ndarray) -> float:
-    """``KSDEstimate.std_error`` from a Stein Gram matrix, through its sums.
-    The squared deviations are summed over runs of rows of at most
-    ``_CHUNK_VALUES`` values, so no n x n temporary is made."""
-    n = gram.shape[0]
-    if n < 3:
-        return 0.0
-    diag = np.diagonal(gram)
-    row_means = (gram.sum(axis=1) - diag) / (n - 1)
-    mean = row_means.mean()
-    step = max(1, _CHUNK_VALUES // n)
-    scratch, squares = np.empty((step, n)), 0.0
-    for a in range(0, n, step):
-        rows = gram[a:a + step]
-        dev = np.subtract(rows, mean, out=scratch[:len(rows)]).ravel()
-        squares += float(dev @ dev)
-    dev_diag = diag - mean
-    pairs = n * (n - 1) // 2
-    zeta2 = max((squares - dev_diag @ dev_diag) / 2.0, 0.0) / (pairs - 1)
-    zeta1 = max(row_means.var(ddof=1) - zeta2 / (n - 1), 0.0)
-    return float(np.sqrt(2.0 / (n * (n - 1)) * (2.0 * (n - 2) * zeta1 + zeta2)))
+def _ksd_sums(kernel: BaseKernel, rows, row_scores):
+    """``(V value, U value, std_error)`` of the scored rows (n, D), reduced
+    from the Gram's row blocks: per block the diagonal, the row sums, and the
+    sum and sum of squares of the off-diagonal values about a shift ``c``,
+    the first block's off-diagonal mean. Summing about ``c`` keeps the
+    squares stable when the mean is large against the spread (shifted data;
+    Chan, Golub & LeVeque, 1983). The U value is NaN for n < 2; a non-finite
+    Stein value gives non-finite results, without numpy warnings.
+    """
+    n = rows.shape[0]
+    diag, row_sums = np.empty(n), np.empty(n)
+    shift = dev_sum = dev_squares = 0.0
+    with np.errstate(all="ignore"):
+        for a, block in _gram_blocks(kernel, rows, row_scores):
+            h = block.shape[0]
+            r, on_diag = slice(a, a + h), (np.arange(h), np.arange(a, a + h))
+            diag[r] = block[on_diag]
+            row_sums[r] = block.sum(axis=1)
+            if a == 0 and n > 1:
+                shift = (row_sums[r].sum() - diag[r].sum()) / (h * (n - 1))
+            # the block is scratch: its diagonal set to c adds nothing below
+            block[on_diag] = shift
+            dev = np.subtract(block, shift, out=block).ravel()
+            dev_sum += dev.sum()
+            dev_squares += dev @ dev
+        total, off = float(row_sums.sum()), n * (n - 1)
+        ustat = (total - float(diag.sum())) / off if n > 1 else math.nan
+        std_error = 0.0
+        if n > 2:
+            # off-diagonal squares about their own mean, each pair counted twice
+            zeta2 = max((dev_squares - dev_sum * dev_sum / off) / 2.0, 0.0) / (off // 2 - 1)
+            row_means = (row_sums - diag) / (n - 1)
+            zeta1 = max(row_means.var(ddof=1) - zeta2 / (n - 1), 0.0)
+            std_error = math.sqrt(2.0 / off * (2.0 * (n - 2) * zeta1 + zeta2))
+    return total / n**2, ustat, float(std_error)
+
+
+def _finite_estimate(value: float, std_error: float) -> KSDEstimate:
+    if not (math.isfinite(value) and math.isfinite(std_error)):
+        raise ArithmeticError("the KSD of these scored points is not finite "
+                              "(their Stein values overflow or are not finite)")
+    return KSDEstimate(value, std_error)
 
 
 def ksd_vstat(kernel: BaseKernel, z, scores) -> KSDEstimate:
     """V-statistic estimate: the mean of the full Stein Gram matrix of the
-    scored rows (n, D)."""
-    gram = stein_gram(kernel, z, scores)
-    return KSDEstimate(float(gram.mean()), _ustat_std_error(gram))
+    scored rows (n, D). It is reduced from the Gram's row blocks (no n x n
+    array is made); a non-finite value or ``std_error`` raises
+    ``ArithmeticError``."""
+    z, scores = _scored_rows(z, scores)
+    vstat, _, std_error = _ksd_sums(kernel, z, scores)
+    return _finite_estimate(vstat, std_error)
 
 
 def ksd_ustat(kernel: BaseKernel, z, scores) -> KSDEstimate:
     """U-statistic estimate: the mean over off-diagonal pairs of the scored
-    rows (n, D), n >= 2."""
-    gram = stein_gram(kernel, z, scores)
-    n = gram.shape[0]
-    if n < 2:
+    rows (n, D), n >= 2. It is reduced from the Gram's row blocks (no n x n
+    array is made); a non-finite value or ``std_error`` raises
+    ``ArithmeticError``."""
+    z, scores = _scored_rows(z, scores)
+    if z.shape[0] < 2:
         raise ValueError("U-statistic needs at least 2 points")
-    total = gram.sum() - np.trace(gram)
-    return KSDEstimate(float(total / (n * (n - 1))), _ustat_std_error(gram))
+    _, ustat, std_error = _ksd_sums(kernel, z, scores)
+    return _finite_estimate(ustat, std_error)
 
 
 def _subsample_sq_dists(z_vectors, max_points: int, seed: int, rule: str) -> np.ndarray:

@@ -83,3 +83,17 @@ def test_one_image_cli_round_passes_the_benchmark_checks(bench_workloads, tmp_pa
     runner.round(0)
     assert runner.problems == []
     assert (runner.attempted, runner.failed, runner.wrong) == (49, 0, 0)
+
+
+def test_one_moons_ksd_op_passes_the_benchmark_check(bench_workloads, tmp_path):
+    # the KSD operation of a moons-eval round, under the benchmark's own check
+    wl = bench_workloads
+    workload = wl.WORKLOADS["moons-eval"]
+    inputs = workload.setup(0, tmp_path)
+    reference = wl.Reference(inputs)
+    runner = wl.Runner(workload, inputs, reference, tmp_path / "resetup")
+    runner.op("ksd", lambda: wl.hx.ksd_shift_experiment(inputs.model, inputs.ksd_dataset, wl.SHIFTS,
+                                                        inputs.configs["raw"].kernel),
+              runner.check_ksd)
+    assert runner.problems == []
+    assert (runner.attempted, runner.failed, runner.wrong) == (1, 0, 0)

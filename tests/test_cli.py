@@ -3,6 +3,7 @@ import errno
 import json
 import os
 import struct
+import warnings
 
 import pytest
 
@@ -665,6 +666,19 @@ class TestKsdShiftCommand:
         out_path = tmp_path / "shift.csv"
         assert run("ksd-shift", "--config", config, "--out", str(out_path), "--format", "structured") == 0
         assert_rows_match_csv(capsys.readouterr().out, out_path, 3)
+
+    def test_overflowing_shift_exits_4_without_a_csv(self, tmp_path, capsys):
+        config = write_config(tmp_path, {
+            "dataset": {"source": "synthetic:two_moons", "n": 50, "noise_std": 0.1},
+            "model": {"epochs": 5},
+            "experiment": {"shifts": [1e300]},
+        })
+        out_path = tmp_path / "shift.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("ksd-shift", "--config", config, "--out", str(out_path)) == 4
+        assert "not finite" in capsys.readouterr().err
+        assert not out_path.exists()
 
     def test_vector_shift_is_rejected_before_training(self, tmp_path, monkeypatch):
         config = write_config(tmp_path, {"experiment": {"shifts": [[0.1, 0.2]]}})

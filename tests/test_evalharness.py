@@ -1,4 +1,5 @@
 import importlib
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +136,27 @@ class TestCoverage:
                     for _ in range(n_test)]
             value = coverage(sets)
             assert 1.0 / n_test <= value <= 1.0
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 10])
+    def test_index_array_equals_the_set_form(self, k):
+        # rows of k distinct indices, as top-k selection makes them, some rows repeated
+        rng = np.random.default_rng(k)
+        for _ in range(20):
+            m = int(rng.integers(1, 40))
+            top = np.stack([rng.choice(30, size=k, replace=False) for _ in range(m)])
+            repeats = rng.integers(0, m, size=int(rng.integers(0, m + 1)))
+            top = np.concatenate([top, top[repeats]])
+            assert coverage(top) == coverage(top.tolist())
+            assert coverage(top) == coverage([frozenset(row) for row in top.tolist()])
+
+    def test_empty_index_array_rejected(self):
+        with pytest.raises(ValueError):
+            coverage(np.empty((0, 3), dtype=np.int64))
+
+    def test_index_array_with_a_repeated_index_in_a_row_rejected(self):
+        # as sets these rows would be ragged (sizes 3 and 2)
+        with pytest.raises(ValueError, match="distinct"):
+            coverage(np.array([[1, 2, 3], [4, 5, 4]]))
 
 
 class TestHitRateExperiment:
@@ -370,6 +392,12 @@ class TestKSDShift:
     def test_bad_shift_shape(self, trained, moons):
         with pytest.raises(ValueError):
             ksd_shift_experiment(trained, moons, [np.zeros(3)], RBFKernel(0.3))
+
+    def test_overflowing_shift_raises_without_warnings(self, trained, moons):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match="not finite"):
+                ksd_shift_experiment(trained, moons, [1e300], RBFKernel(0.5))
 
     def test_reproducible(self, trained, moons):
         kernel = RBFKernel(0.3)

@@ -6,6 +6,7 @@ import os
 import struct
 import threading
 import tracemalloc
+import warnings
 from functools import partial
 from pathlib import Path
 
@@ -510,6 +511,170 @@ class TestCoreMemory:
         assert peak - result - products < 2**20, (name, peak)
 
 
+def full_search_sq_dists(kernel, rows, queries, zz, qq, zq, l2):
+    """``_sq_dists`` without the skip: the near-pair search always runs."""
+    scale = zz + qq
+    r2 = np.maximum(scale - 2.0 * zq, 0.0)
+    k0, k1, _ = kernel.radial(0.0)
+    j, i = np.nonzero(r2 + k0 / abs(k1) < stein._NEAR * scale)
+    for jj, ii in zip(j, i):
+        diff = rows[ii] - queries[jj]
+        r2[jj, ii] = diff @ diff
+    return r2
+
+
+def whole_gram(kernel, z, s):
+    """The Stein Gram as one block of all n rows against themselves."""
+    stats = _row_stats(z, s)
+    return _stein_block(kernel, z, s, stats, z, s, stats)
+
+
+def full_gram_ksd(kernel, z, s):
+    """``(V value, U value, std_error)`` reduced from the whole n x n Gram,
+    as the estimators did before they reduced row blocks. The off-diagonal
+    squares are summed over the off-diagonal values themselves: the old
+    ``all squares - diagonal squares`` lost digits where the diagonal
+    dominates (2.4e-6 relative on three far-apart points)."""
+    gram = whole_gram(kernel, z, s)
+    n = gram.shape[0]
+    vstat = float(gram.mean())
+    ustat = float((gram.sum() - np.trace(gram)) / (n * (n - 1))) if n > 1 else None
+    if n < 3:
+        return vstat, ustat, 0.0
+    diag = np.diagonal(gram)
+    row_means = (gram.sum(axis=1) - diag) / (n - 1)
+    mean = row_means.mean()
+    dev_off = gram[~np.eye(n, dtype=bool)] - mean
+    pairs = n * (n - 1) // 2
+    zeta2 = max((dev_off @ dev_off) / 2.0, 0.0) / (pairs - 1)
+    zeta1 = max(row_means.var(ddof=1) - zeta2 / (n - 1), 0.0)
+    return vstat, ustat, float(np.sqrt(2.0 / (n * (n - 1)) * (2.0 * (n - 2) * zeta1 + zeta2)))
+
+
+class TestGramBlocks:
+    """The Gram and the KSD estimators walk row blocks of at most
+    ``stein._TILE_VALUES`` values."""
+
+    @pytest.mark.parametrize("n,tile", [
+        (1, None), (2, None), (3, None),
+        (60, None),     # one block
+        (23, 4 * 23),   # blocks of four rows, the last of three
+        (23, 3 * 23),   # blocks of three rows, the last of two
+        (23, 7),        # one row per block
+    ])
+    @pytest.mark.parametrize("name,kernel", ALL_KERNELS)
+    def test_estimators_equal_the_full_gram(self, monkeypatch, name, kernel, n, tile):
+        rng = np.random.default_rng(n)
+        z, s = rng.normal(0.3, 1.5, size=(n, 5)), rng.normal(0.5, 2, size=(n, 5))
+        if tile is None:
+            assert n * n <= stein._TILE_VALUES
+        else:
+            monkeypatch.setattr(stein, "_TILE_VALUES", tile)
+        vstat, ustat, std_error = full_gram_ksd(kernel, z, s)
+        got = ksd_vstat(kernel, z, s)
+        assert abs(got.value - vstat) <= 1e-12 * abs(vstat), name
+        assert abs(got.std_error - std_error) <= 1e-12 * std_error, name
+        if n > 1:
+            got = ksd_ustat(kernel, z, s)
+            assert abs(got.value - ustat) <= 1e-12 * abs(ustat), name
+            assert abs(got.std_error - std_error) <= 1e-12 * std_error, name
+        gram, whole = stein_gram(kernel, z, s), whole_gram(kernel, z, s)
+        assert np.abs(gram - whole).max() <= 1e-12 * np.abs(whole).max(), name
+
+    @pytest.mark.parametrize("name,kernel", ALL_KERNELS)
+    def test_block_bound_sets_the_block_rows(self, monkeypatch, name, kernel):
+        rng = np.random.default_rng(24)
+        z, s = rng.normal(0, 1.5, size=(23, 5)), rng.normal(0, 2, size=(23, 5))
+        heights = []
+
+        def recorded(*args, out=None):
+            heights.append(len(args[4]))
+            return block(*args, out=out)
+
+        block = stein._stein_block
+        monkeypatch.setattr(stein, "_TILE_VALUES", 4 * 23)
+        monkeypatch.setattr(stein, "_stein_block", recorded)
+        reset_kernel_eval_count()
+        stein_gram(kernel, z, s)
+        assert heights == [4, 4, 4, 4, 4, 3] and kernel_eval_count() == 23 * 23
+        heights.clear()
+        ksd_vstat(kernel, z, s)
+        assert heights == [4, 4, 4, 4, 4, 3]
+
+    def test_near_pair_is_recomputed_in_a_later_block(self, monkeypatch):
+        # ||z||^2 ~ 1e6 and ||z_17 - z_10||^2 ~ 3e-6: the pair sits in the
+        # fourth and sixth three-row blocks, and the expansion keeps no digits
+        rng = np.random.default_rng(22)
+        z, s = rng.normal(0, 600, size=(23, 3)), rng.normal(0, 1, size=(23, 3))
+        z[17] = z[10] + 1e-3 * rng.normal(0, 1, 3)
+        direct = float(np.sum((z[17] - z[10]) ** 2))
+        expansion = z[17] @ z[17] + z[10] @ z[10] - 2.0 * z[17] @ z[10]
+        assert abs(expansion - direct) > 1e-6 * direct
+        monkeypatch.setattr(stein, "_TILE_VALUES", 3 * 23)
+        kernel = RBFKernel(0.7)
+        gram = stein_gram(kernel, z, s)
+        for i, j in ((17, 10), (10, 17)):
+            pair = (z[j], s[j], z[i], s[i])
+            scale = oracle.term_scale(kernel, *pair)
+            assert abs(gram[i, j] - oracle.stein_kernel(kernel, *pair)) <= 1e-12 * scale
+        vstat, _, std_error = full_gram_ksd(kernel, z, s)
+        got = ksd_vstat(kernel, z, s)
+        assert abs(got.value - vstat) <= 1e-12 * abs(vstat)
+        assert abs(got.std_error - std_error) <= 1e-12 * std_error
+
+    @pytest.mark.parametrize("name,kernel", ALL_KERNELS[1:])
+    def test_skipped_search_gives_the_same_bytes(self, monkeypatch, name, kernel):
+        # a kernel wide against the norms: no pair can be near, so the search is skipped
+        rng = np.random.default_rng(25)
+        z, s = rng.normal(0, 0.5, size=(40, 4)), rng.normal(0, 2, size=(40, 4))
+        k0, k1, _ = kernel.radial(0.0)
+        assert k0 / abs(k1) >= stein._NEAR * 2 * np.einsum("ij,ij->i", z, z).max()
+        skipped = (stein_gram(kernel, z, s), stein_kernel_profile(kernel, z, s, z[3], s[3]))
+        monkeypatch.setattr(stein, "_sq_dists", partial(full_search_sq_dists, kernel))
+        searched = (stein_gram(kernel, z, s), stein_kernel_profile(kernel, z, s, z[3], s[3]))
+        for a, b in zip(skipped, searched):
+            assert a.tobytes() == b.tobytes(), name
+
+    def test_skip_test_needs_every_norm(self):
+        # the test holds for these norms, but not once one is larger or NaN
+        kernel = RBFKernel(0.5)  # l2 = 2
+        assert stein._near_scale(kernel, np.array([3.0, 10.0]), np.array([[9.0]])) is None
+        for zz in ([3.0, 12.0], [3.0, np.nan]):
+            assert stein._near_scale(kernel, np.array(zz), np.array([[9.0]])) == 2.0
+        assert stein._near_scale(kernel, np.array([3.0, 10.0]), np.array([[9.0], [np.nan]])) == 2.0
+
+    def test_ksd_memory_is_bounded_by_the_block(self):
+        n = 2000
+        rng = np.random.default_rng(26)
+        z, s = rng.normal(0, 1, size=(n, 4)), rng.normal(0, 1, size=(n, 4))
+        ksd_ustat(RBFKernel(0.5), z[:50], s[:50])
+        tracemalloc.start()
+        try:
+            ksd_ustat(RBFKernel(0.5), z, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 10, peak
+
+    @pytest.mark.parametrize("name,kernel", ALL_KERNELS)
+    def test_gram_memory_is_the_result_and_one_block(self, name, kernel):
+        # the whole-Gram products alone were four times the result
+        n = 2000
+        rng = np.random.default_rng(27)
+        z, s = rng.normal(0, 1, size=(n, 4)), rng.normal(0, 1, size=(n, 4))
+        stein_gram(kernel, z[:50], s[:50])
+        tracemalloc.start()
+        try:
+            stein_gram(kernel, z, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        height = stein._TILE_VALUES // n
+        # one block's products: radial (2h, n) twice, linear (h, n) twice
+        products = 2 * height * n * 8 * (1 if name == "linear" else 2)
+        assert peak - n * n * 8 - products < 2**20, (name, peak)
+
+
 def gaussian_points(rng, n, shift=0.0):
     """(z, s) rows of N(shift, I_2) samples under the standard normal score -x."""
     x = rng.normal(0, 1, size=(n, 2)) + shift
@@ -526,6 +691,22 @@ class TestKSDEstimators:
     def test_ustat_needs_two_points(self):
         with pytest.raises(ValueError):
             ksd_ustat(RBFKernel(0.5), np.zeros((1, 2)), np.zeros((1, 2)))
+
+    def test_ustat_checks_the_count_before_any_stein_work(self):
+        reset_kernel_eval_count()
+        with pytest.raises(ValueError):
+            ksd_ustat(RBFKernel(0.5), np.zeros((1, 2)), np.zeros((1, 2)))
+        assert kernel_eval_count() == 0
+
+    @pytest.mark.parametrize("estimator", [ksd_vstat, ksd_ustat])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e300])
+    def test_non_finite_stein_values_raise_without_warnings(self, estimator, bad):
+        z, s = gaussian_points(np.random.default_rng(3), 10)
+        s[4, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match="not finite"):
+                estimator(RBFKernel(0.5), z, s)
 
     def test_empty_input(self):
         for estimator in (ksd_vstat, ksd_ustat, stein_gram):
