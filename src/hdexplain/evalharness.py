@@ -3,8 +3,9 @@ label-flip debugging, and the KSD distribution-shift experiment.
 
 The hit-rate protocol perturbs a training point with a label-preserving
 augmentation and asks each method to retrieve the source point among its
-top-k explanations. Per-trial randomness is derived as ``seed ^ trial_index``
-so trial order (or parallel execution) cannot change results.
+top-k explanations. One generator seeded with ``seed`` draws a run's source
+points and then each trial's noise in trial order, so the results do not
+depend on how the trials are split into blocks.
 """
 
 from __future__ import annotations
@@ -121,20 +122,15 @@ def augment_noise(dataset: Dataset, index: int, seed: int) -> np.ndarray:
     """
     if not 0 <= index < dataset.n:
         raise ValueError(f"index {index} out of range [0, {dataset.n})")
-    rng = np.random.default_rng(seed)
-    noise = rng.normal(0.0, 1.0, size=dataset.d) * (0.01 * dataset.feature_std)
-    return dataset.features[index] + noise
+    return _trial_points(dataset, "noise", [index], np.random.default_rng(seed))[0]
 
 
 def augment_hflip(dataset: Dataset, index: int) -> np.ndarray:
     """Mirror one image-shaped training point along its width axis."""
-    if dataset.image_shape is None:
-        raise UnsupportedAugmentationError("horizontal flip needs a dataset with image_shape")
+    _check_augmentation(dataset, "hflip")
     if not 0 <= index < dataset.n:
         raise ValueError(f"index {index} out of range [0, {dataset.n})")
-    h, w, c = dataset.image_shape
-    image = dataset.features[index].reshape(h, w, c)
-    return image[:, ::-1, :].reshape(-1).copy()
+    return _trial_points(dataset, "hflip", [index], None)[0]
 
 
 def coverage(explanation_sets) -> float:
@@ -173,13 +169,15 @@ def _check_augmentation(dataset: Dataset, augmentation: str) -> None:
         raise UnsupportedAugmentationError("horizontal flip needs a dataset with image_shape")
 
 
-def _augment(dataset: Dataset, augmentation: str, index: int, seed: int) -> np.ndarray:
-    """One trial point; ``augmentation`` has passed :func:`_check_augmentation`."""
+def _trial_points(dataset: Dataset, augmentation: str, sources, rng) -> np.ndarray:
+    """One block's trial points, a row per source index (``augmentation`` has
+    passed :func:`_check_augmentation`); ``noise`` draws ``(b, d)`` normals from ``rng``."""
+    points = dataset.features[sources]
     if augmentation == "noise":
-        return augment_noise(dataset, index, seed)
-    if augmentation == "hflip":
-        return augment_hflip(dataset, index)
-    return dataset.features[index].copy()
+        points += rng.standard_normal(points.shape) * (0.01 * dataset.feature_std)
+    elif augmentation == "hflip":
+        points = points.reshape(-1, *dataset.image_shape)[:, :, ::-1].reshape(len(sources), -1)
+    return points
 
 
 def hit_rate_experiment(model: MLPClassifier, dataset: Dataset, augmentation: str,
@@ -194,7 +192,8 @@ def hit_rate_experiment(model: MLPClassifier, dataset: Dataset, augmentation: st
     against a cache of their variant (:data:`METHOD_VARIANTS`) built here,
     before the timed loop; ``config`` supplies the kernel (None: a
     median-heuristic RBF over that cache) and top_k. The trial points are
-    scored in blocks of at most about ``_BLOCK_VALUES`` scores.
+    made and scored in blocks of at most about ``_BLOCK_VALUES`` scores; trial
+    t's ``noise`` is row t of one normal draw by the generator of the sources.
     """
     if sample_size < 1 or sample_size > dataset.n:
         raise ValueError(f"sample_size must lie in [1, {dataset.n}]")
@@ -215,8 +214,7 @@ def hit_rate_experiment(model: MLPClassifier, dataset: Dataset, augmentation: st
     top = np.empty((total, query_k), dtype=np.int64)
     block_ms, sizes = [], []
     for start in range(0, total, block):
-        points = np.stack([_augment(dataset, augmentation, int(sources[t]), seed ^ t)
-                           for t in range(start, min(start + block, total))])
+        points = _trial_points(dataset, augmentation, sources[start:start + block], rng)
         t0 = time.perf_counter()
         top[start:start + len(points)] = rank(points)
         block_ms.append((time.perf_counter() - t0) * 1000.0)

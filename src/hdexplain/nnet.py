@@ -379,11 +379,6 @@ def _layer_views(flat: np.ndarray, dims):
     return views[:len(dims) - 1], views[len(dims) - 1:]
 
 
-def _mean_cross_entropy(weights, biases, x, y):
-    logp = _softmax_and_log_softmax(_forward(weights, biases, x)[1])[1]
-    return float(-logp[np.arange(len(y)), y].mean())
-
-
 def train(dataset: Dataset, config: TrainConfig, hidden_dims=None) -> MLPClassifier:
     """Train a classifier by mini-batch gradient descent with momentum on mean
     cross-entropy.
@@ -392,14 +387,14 @@ def train(dataset: Dataset, config: TrainConfig, hidden_dims=None) -> MLPClassif
     ``hidden_dims`` defaults to ``(32, 32)``, or ``(128, 64)`` for image
     datasets. The returned model carries ``train_accuracy``,
     ``validation_accuracy`` (when a split is held out) and the per-epoch
-    ``train_loss_history``.
+    ``train_loss_history``: the mean of each epoch's batch losses, each at
+    the weights before its step. Divergence raises ``TrainingError``.
 
     All parameters live in one flat vector (weights, then biases) that each
     step updates in place with a handful of whole-vector operations; the
     forward and backward passes write into buffers made once per call.
     """
-    present = np.unique(dataset.labels)
-    if present.size < 2:
+    if np.unique(dataset.labels).size < 2:
         raise TrainingError("training requires at least 2 classes present in the data")
     if hidden_dims is None:
         hidden_dims = (128, 64) if dataset.image_shape is not None else (32, 32)
@@ -438,18 +433,23 @@ def train(dataset: Dataset, config: TrainConfig, hidden_dims=None) -> MLPClassif
         # cosine step-size decay keeps the end-of-training loss descent smooth
         lr = config.learning_rate * 0.5 * (1.0 + np.cos(np.pi * epoch / config.epochs))
         perm = rng.permutation(n_train)
+        epoch_loss = 0.0
         for start in range(0, n_train, config.batch_size):
             batch = perm[start:start + config.batch_size]
             m = len(batch)
             xb = x_train.take(batch, axis=0, out=x_buf[:m], mode="clip")
             acts, delta = _forward_into(weights, biases, xb, [buf[:m] for buf in out_bufs])
 
-            # mean cross-entropy gradient with respect to the logits,
-            # (p - e_y) / m, in place on the logits
+            # the batch's mean cross-entropy, log(sum exp) - shifted[y], and its
+            # gradient with respect to the logits, (p - e_y) / m, in place on them
             delta -= _row_max(delta)
+            label_at = row_starts[:m] + y_train[batch]
+            shifted_y = delta.reshape(-1)[label_at]
             np.exp(delta, out=delta)
-            delta /= np.add.reduce(delta, axis=-1, keepdims=True)
-            delta.reshape(-1)[row_starts[:m] + y_train[batch]] -= 1.0
+            total = np.add.reduce(delta, axis=-1, keepdims=True)
+            epoch_loss += float((np.log(total[:, 0]) - shifted_y).mean())
+            delta /= total
+            delta.reshape(-1)[label_at] -= 1.0
             delta /= m
             for i in range(len(weights) - 1, -1, -1):
                 np.matmul(acts[i].T, delta, out=grad_w[i])
@@ -470,16 +470,18 @@ def train(dataset: Dataset, config: TrainConfig, hidden_dims=None) -> MLPClassif
             vel -= np.multiply(grad, lr, out=scratch)
             params += vel
 
-        epoch_loss = _mean_cross_entropy(weights, biases, x_train, y_train)
-        if not np.isfinite(epoch_loss):
-            raise TrainingError(f"training diverged at epoch {epoch + 1}: loss is not finite")
-        history.append(epoch_loss)
+        history.append(epoch_loss / -(-n_train // config.batch_size))
+        if not (np.isfinite(history[-1]) and np.isfinite(params).all()):
+            raise TrainingError(f"training diverged at epoch {epoch + 1}: loss or parameters not finite")
 
+    # the accuracy pass sees the final step's weights, which no batch loss did
+    proba, log_proba = _softmax_and_log_softmax(_forward(weights, biases, x_train)[1])
+    if not np.isfinite(log_proba[np.arange(n_train), y_train].mean()):
+        raise TrainingError(f"training diverged at epoch {config.epochs}: loss is not finite")
     params.setflags(write=False)  # the model's arrays are views of it
     model = MLPClassifier(dims, weights, biases)
     model.train_loss_history = history
-    preds = model.predict_proba(x_train).argmax(axis=1)
-    model.train_accuracy = float((preds == y_train).mean())
+    model.train_accuracy = float((proba.argmax(axis=1) == y_train).mean())
     if n_val > 0:
         val_preds = model.predict_proba(dataset.features[val_idx]).argmax(axis=1)
         model.validation_accuracy = float((val_preds == dataset.labels[val_idx]).mean())

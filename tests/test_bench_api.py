@@ -97,3 +97,18 @@ def test_one_moons_ksd_op_passes_the_benchmark_check(bench_workloads, tmp_path):
               runner.check_ksd)
     assert runner.problems == []
     assert (runner.attempted, runner.failed, runner.wrong) == (1, 0, 0)
+
+
+def test_one_moons_eval_round_passes_the_benchmark_checks(bench_workloads, tmp_path):
+    # training, the hit-rate protocol and the label-flip experiment, through
+    # the moons set-up, evaluate and debug operations, under the benchmark's own checks
+    wl = bench_workloads
+    workload = wl.WORKLOADS["moons-eval"]
+    inputs = workload.setup(0, tmp_path)
+    reference = wl.Reference(inputs)
+    assert reference.setup_error(inputs) is None
+    (tmp_path / "resetup").mkdir()
+    runner = wl.Runner(workload, inputs, reference, tmp_path / "resetup")
+    runner.round(0)
+    assert runner.problems == []
+    assert (runner.attempted, runner.failed, runner.wrong) == (170, 0, 0)

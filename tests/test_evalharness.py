@@ -275,11 +275,13 @@ class TestBlockProtocol:
             report = hit_rate_experiment(trained, moons, "noise", trials, sample_size,
                                          config, seed, method=method)
 
+        # one stream per run: the sources, then one standard normal row per trial
         rng = np.random.default_rng(seed)
         sources = np.repeat(rng.choice(moons.n, size=sample_size, replace=False), trials)
+        normals = rng.standard_normal((len(sources), moons.d))
         single = []
         for t, source in enumerate(sources):
-            x = augment_noise(moons, int(source), seed ^ t)
+            x = moons.features[source] + normals[t] * (0.01 * moons.feature_std)
             if cache is not None:
                 ranked = explain(trained, cache, x, config).ranked
             elif method == "tracin-last":
@@ -293,6 +295,45 @@ class TestBlockProtocol:
             hits = sum(int(s) in top[:k] for s, top in zip(sources, single))
             assert report.hit_rate[k] == hits / len(sources)
             assert report.coverage[k] == coverage([top[:k] for top in single])
+
+    @pytest.fixture(scope="class")
+    def images(self):
+        """Image-shaped blobs, (4, 3, 2) per point, and a model trained on them."""
+        rng = np.random.default_rng(12)
+        labels = np.arange(60) % 3
+        features = rng.normal(0, 2.0, size=(3, 24))[labels] + rng.normal(size=(60, 24))
+        data = Dataset(features, labels, 3, image_shape=(4, 3, 2))
+        return data, train(data, TrainConfig(seed=12, epochs=5, batch_size=20))
+
+    @pytest.mark.parametrize("augmentation", ["noise", "hflip", "identity"])
+    def test_block_size_does_not_change_the_results(self, images, monkeypatch, augmentation):
+        data, model = images
+        config = ExplainerConfig(kernel=RBFKernel(0.05), top_k=5)
+        runs = []
+        for block_values in (None, 7 * data.n):  # one block, then five of 7 rows and one of 1
+            tops = []
+            real_top = explain_module._top
+            with monkeypatch.context() as patch:
+                if block_values is not None:
+                    patch.setattr(evalharness, "_BLOCK_VALUES", block_values)
+                patch.setattr(explain_module, "_top", lambda v, k: tops.append(real_top(v, k)) or tops[-1])
+                report = hit_rate_experiment(model, data, augmentation, 4, 9, config, seed=13)
+            runs.append((len(tops), np.vstack(tops), report))
+        (blocks, top, report), (more_blocks, blocked_top, blocked) = runs
+        assert (blocks, more_blocks) == (1, 6)
+        assert len(blocked_top) == len(top) == 36
+        assert np.array_equal(blocked_top, top)
+        assert blocked.hit_rate == report.hit_rate
+        assert blocked.coverage == report.coverage
+
+    def test_hflip_block_equals_augment_hflip_row_by_row(self, images):
+        data, _ = images
+        sources = np.array([5, 0, 59, 5, 17])
+        block = evalharness._trial_points(data, "hflip", sources, np.random.default_rng(0))
+        assert block.shape == (len(sources), data.d)
+        for row, source in zip(block, sources):
+            assert np.array_equal(row, augment_hflip(data, int(source)))
+            assert np.array_equal(row, data.features[source].reshape(4, 3, 2)[:, ::-1, :].reshape(-1))
 
     def test_timing_is_per_query(self, trained, moons, retrieval_config, monkeypatch):
         monkeypatch.setattr(evalharness, "_BLOCK_VALUES", 4 * moons.n)

@@ -334,6 +334,32 @@ class TestForwardPasses:
         ksd_shift_experiment(trained, moons, [0.5, 1.0], RBFKernel(1.0))
         assert forward_calls == [moons.n] * 3
 
+    @pytest.mark.parametrize("config", [
+        TrainConfig(seed=1, epochs=3, batch_size=64),
+        TrainConfig(seed=2, epochs=2, batch_size=50),
+        TrainConfig(seed=3, epochs=2, batch_size=1000),
+        TrainConfig(seed=4, epochs=3, batch_size=64, validation_fraction=0.2),
+    ], ids=["batch-does-not-divide-n", "batch-divides-n", "batch-larger-than-n", "validation-split"])
+    def test_train_one_per_batch_and_one_per_accuracy(self, moons, monkeypatch, config):
+        # every training pass, batched or whole-split, goes through _forward_into
+        calls = []
+
+        def counting(weights, biases, x, outs):
+            calls.append(x.shape[0])
+            return real(weights, biases, x, outs)
+
+        real = nnet._forward_into
+        monkeypatch.setattr(nnet, "_forward_into", counting)
+        model = train(moons, config)
+        n_val = round(config.validation_fraction * moons.n)
+        n_train = moons.n - n_val
+        batches = -(-n_train // config.batch_size)
+        accuracy_passes = [n_train] + ([n_val] if n_val else [])
+        assert len(calls) == config.epochs * batches + len(accuracy_passes)
+        assert sum(calls[:config.epochs * batches]) == config.epochs * n_train
+        assert calls[config.epochs * batches:] == accuracy_passes
+        assert len(model.train_loss_history) == config.epochs
+
 
 class TestBaselineInputs:
     """The baselines validate the test point as ``explain`` does."""

@@ -59,8 +59,9 @@ def rel_err(got, want):
 
 def reference_train(dataset, config, hidden_dims=None):
     """The trainer as it was written before the flat in-place rewrite: a list
-    of per-layer arrays, fresh arrays at every step. ``train`` must equal it
-    bit for bit."""
+    of per-layer arrays, fresh arrays at every step. Each epoch's loss is the
+    mean of its batch losses, each taken at the weights before the batch's
+    step. ``train`` must equal it bit for bit."""
 
     def softmax(logits):
         shifted = logits - logits.max(axis=-1, keepdims=True)
@@ -91,8 +92,8 @@ def reference_train(dataset, config, hidden_dims=None):
             biases.append(np.zeros(fan_out))
         return weights, biases
 
-    def mean_cross_entropy(weights, biases, x, y):
-        logp = log_softmax(forward(weights, biases, x)[1])
+    def mean_cross_entropy(logits, y):
+        logp = log_softmax(logits)
         return float(-logp[np.arange(len(y)), y].mean())
 
     if hidden_dims is None:
@@ -116,12 +117,14 @@ def reference_train(dataset, config, hidden_dims=None):
     for epoch in range(config.epochs):
         lr = config.learning_rate * 0.5 * (1.0 + np.cos(np.pi * epoch / config.epochs))
         perm = rng.permutation(n_train)
+        batch_losses = []
         for start in range(0, n_train, config.batch_size):
             batch = perm[start:start + config.batch_size]
             xb = x_train[batch]
             yb = y_train[batch]
 
             acts, logits = forward(weights, biases, xb)
+            batch_losses.append(mean_cross_entropy(logits, yb))  # at the weights before the step
             delta = -residual(softmax(logits), yb) / len(yb)
             grads_w = [None] * len(weights)
             grads_b = [None] * len(weights)
@@ -140,7 +143,7 @@ def reference_train(dataset, config, hidden_dims=None):
                 weights[i] = weights[i] + vel_w[i]
                 biases[i] = biases[i] + vel_b[i]
 
-        history.append(mean_cross_entropy(weights, biases, x_train, y_train))
+        history.append(sum(batch_losses) / len(batch_losses))
 
     preds = softmax(forward(weights, biases, x_train)[1]).argmax(axis=1)
     train_accuracy = float((preds == y_train).mean())
@@ -196,7 +199,9 @@ class TestTrain:
             assert np.array_equal(ba, bb)
 
     def test_loss_history_mostly_decreasing(self, trained):
-        hist = np.asarray(trained.train_loss_history)
+        # each entry is a mean of the epoch's batch losses, so near the
+        # plateau it carries the shuffle's noise; take means of 5 epochs
+        hist = np.asarray(trained.train_loss_history).reshape(-1, 5).mean(axis=1)
         increases = int((np.diff(hist) > 0).sum())
         assert increases <= max(1, len(hist) // 10)
 
@@ -217,6 +222,33 @@ class TestTrain:
         with np.errstate(over="warn", invalid="warn"), pytest.warns(RuntimeWarning):
             with pytest.raises(TrainingError, match="epoch 1"):
                 train(moons, TrainConfig(seed=0, epochs=3, learning_rate=1e308))
+
+    def test_divergence_in_the_last_step_of_an_epoch_names_it(self, moons):
+        # one batch: its loss is taken before the only step, so the final
+        # training-set pass is the first to see the divergence
+        with np.errstate(all="ignore"), pytest.raises(TrainingError, match="epoch 1"):
+            train(moons, TrainConfig(seed=0, epochs=1, batch_size=moons.n, learning_rate=1e308))
+
+    def test_parameters_that_overflow_name_their_epoch(self, moons):
+        # one batch per epoch, and a linear model whose gradient on 10x
+        # features overflows the step: the next epoch's loss would see it,
+        # but the check at the end of epoch 1 does
+        data = Dataset(moons.features * 10.0, moons.labels, 2)
+        with np.errstate(all="ignore"), pytest.raises(TrainingError, match="epoch 1: loss or parameters"):
+            train(data, TrainConfig(seed=0, epochs=3, batch_size=moons.n, learning_rate=1e308),
+                  hidden_dims=())
+
+    def test_overflowing_logits_after_the_last_step_raise(self, monkeypatch):
+        # huge features keep every batch loss and every parameter finite,
+        # but the last step's weights overflow the accuracy pass's logits
+        data = blobs(40, 2, 3, seed=0)
+        data = Dataset(data.features * 1e200, data.labels, 2)
+        returned = []
+        monkeypatch.setattr(MLPClassifier, "__init__",
+                            lambda self, *args: returned.append(self))
+        with np.errstate(all="ignore"), pytest.raises(TrainingError, match="epoch 1: loss is not finite"):
+            train(data, TrainConfig(seed=0, epochs=1, batch_size=40), hidden_dims=())
+        assert returned == []
 
 
 class TestTrainMatchesReference:
