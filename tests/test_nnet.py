@@ -198,9 +198,17 @@ class TestTrain:
         for ba, bb in zip(a.biases, b.biases):
             assert np.array_equal(ba, bb)
 
-    def test_loss_history_mostly_decreasing(self, trained):
-        # each entry is a mean of the epoch's batch losses, so near the
-        # plateau it carries the shuffle's noise; take means of 5 epochs
+    def test_loss_history_mostly_decreasing(self, moons):
+        # one batch per epoch and no momentum: each entry is the loss over the
+        # whole split at the weights before a plain gradient step
+        model = train(moons, TrainConfig(seed=7, batch_size=moons.n, momentum=0.0))
+        hist = np.asarray(model.train_loss_history)
+        increases = int((np.diff(hist) > 0).sum())
+        assert increases <= max(1, len(hist) // 10)
+
+    def test_loss_history_over_5_epochs_mostly_decreasing(self, trained):
+        # mini-batches: each entry is a mean of the epoch's batch losses under
+        # a fresh shuffle, so near the plateau it carries the shuffle's noise
         hist = np.asarray(trained.train_loss_history).reshape(-1, 5).mean(axis=1)
         increases = int((np.diff(hist) > 0).sum())
         assert increases <= max(1, len(hist) // 10)
@@ -223,31 +231,25 @@ class TestTrain:
             with pytest.raises(TrainingError, match="epoch 1"):
                 train(moons, TrainConfig(seed=0, epochs=3, learning_rate=1e308))
 
-    def test_divergence_in_the_last_step_of_an_epoch_names_it(self, moons):
+    @pytest.mark.parametrize("scale, config, hidden_dims, match", [
         # one batch: its loss is taken before the only step, so the final
-        # training-set pass is the first to see the divergence
-        with np.errstate(all="ignore"), pytest.raises(TrainingError, match="epoch 1"):
-            train(moons, TrainConfig(seed=0, epochs=1, batch_size=moons.n, learning_rate=1e308))
-
-    def test_parameters_that_overflow_name_their_epoch(self, moons):
-        # one batch per epoch, and a linear model whose gradient on 10x
-        # features overflows the step: the next epoch's loss would see it,
-        # but the check at the end of epoch 1 does
-        data = Dataset(moons.features * 10.0, moons.labels, 2)
-        with np.errstate(all="ignore"), pytest.raises(TrainingError, match="epoch 1: loss or parameters"):
-            train(data, TrainConfig(seed=0, epochs=3, batch_size=moons.n, learning_rate=1e308),
-                  hidden_dims=())
-
-    def test_overflowing_logits_after_the_last_step_raise(self, monkeypatch):
-        # huge features keep every batch loss and every parameter finite,
-        # but the last step's weights overflow the accuracy pass's logits
-        data = blobs(40, 2, 3, seed=0)
-        data = Dataset(data.features * 1e200, data.labels, 2)
+        # accuracy pass is the first to see the divergence
+        (1.0, TrainConfig(seed=0, epochs=1, batch_size=500, learning_rate=1e308), None,
+         "epoch 1: loss is not finite"),
+        # a linear model whose first step overflows the parameters: the next
+        # epoch's loss would name epoch 2, the check at the end of epoch 1 does not
+        (10.0, TrainConfig(seed=0, epochs=3, batch_size=500, learning_rate=1e308), (),
+         "epoch 1: loss or parameters"),
+        # huge features keep the batch loss and every parameter finite, but
+        # the last step's weights overflow the accuracy pass
+        (1e200, TrainConfig(seed=0, epochs=1, batch_size=500), (), "epoch 1: loss is not finite"),
+    ], ids=["one-batch", "parameters-overflow", "accuracy-pass-overflows"])
+    def test_divergence_returns_no_model(self, moons, monkeypatch, scale, config, hidden_dims, match):
+        data = Dataset(moons.features * scale, moons.labels, 2)
         returned = []
-        monkeypatch.setattr(MLPClassifier, "__init__",
-                            lambda self, *args: returned.append(self))
-        with np.errstate(all="ignore"), pytest.raises(TrainingError, match="epoch 1: loss is not finite"):
-            train(data, TrainConfig(seed=0, epochs=1, batch_size=40), hidden_dims=())
+        monkeypatch.setattr(MLPClassifier, "__init__", lambda self, *args: returned.append(self))
+        with np.errstate(all="ignore"), pytest.raises(TrainingError, match=match):
+            train(data, config, hidden_dims=hidden_dims)
         assert returned == []
 
 
