@@ -26,7 +26,6 @@ from .data import (
     gen_two_moons,
     load_csv,
     load_idx,
-    one_hot,
     save_csv,
     standardize,
 )
@@ -41,8 +40,6 @@ from .errors import (
 from .evalharness import (
     DebugReport,
     MetricsReport,
-    augment_hflip,
-    augment_noise,
     coverage,
     hit_rate_experiment,
     ksd_shift_experiment,

@@ -13,6 +13,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
@@ -113,6 +114,8 @@ def _build(tp, value, where: str):
     accepted = (int, float) if tp is float else tp
     if not isinstance(value, accepted) or (isinstance(value, bool) and tp is not bool):
         raise UsageError(f"{where} must be {tp.__name__}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):  # json reads NaN and Infinity
+        raise UsageError(f"{where} must be a finite number, got {value!r}")
     return value
 
 

@@ -24,7 +24,6 @@ __all__ = [
     "save_csv",
     "load_idx",
     "standardize",
-    "one_hot",
 ]
 
 
@@ -281,11 +280,3 @@ def standardize(dataset: Dataset) -> Dataset:
         feature_std=dataset.feature_std,
     )
 
-
-def one_hot(label: int, num_classes: int) -> np.ndarray:
-    """Unit basis vector for ``label`` of length ``num_classes``."""
-    if not 0 <= label < num_classes:
-        raise ValueError(f"label {label} out of range [0, {num_classes})")
-    vec = np.zeros(num_classes)
-    vec[label] = 1.0
-    return vec

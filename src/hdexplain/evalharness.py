@@ -39,8 +39,6 @@ __all__ = [
     "HIT_KS",
     "MetricsReport",
     "DebugReport",
-    "augment_noise",
-    "augment_hflip",
     "coverage",
     "hit_rate_experiment",
     "label_flip_debug_experiment",
@@ -113,49 +111,20 @@ class DebugReport:
         return hits / len(self.flipped_indices)
 
 
-def augment_noise(dataset: Dataset, index: int, seed: int) -> np.ndarray:
-    """Perturb one training point with zero-mean Gaussian noise.
-
-    The per-feature standard deviation is ``0.01 * feature_std[j]``, so
-    constant columns stay fixed and the perturbation keeps the raw feature
-    scale.
-    """
-    if not 0 <= index < dataset.n:
-        raise ValueError(f"index {index} out of range [0, {dataset.n})")
-    return _trial_points(dataset, "noise", [index], np.random.default_rng(seed))[0]
-
-
-def augment_hflip(dataset: Dataset, index: int) -> np.ndarray:
-    """Mirror one image-shaped training point along its width axis."""
-    _check_augmentation(dataset, "hflip")
-    if not 0 <= index < dataset.n:
-        raise ValueError(f"index {index} out of range [0, {dataset.n})")
-    return _trial_points(dataset, "hflip", [index], None)[0]
-
-
-def coverage(explanation_sets) -> float:
+def coverage(top) -> float:
     """Fraction of unique explanation points: ``|union| / (n_test * k)``.
 
-    ``explanation_sets`` is a sequence of equal-size sets, or an (m, k)
-    integer array whose rows each hold k distinct indices (a top-k array;
-    a repeated index in a row is a ``ValueError``), whose union is then its
-    unique values.
+    ``top`` is an (m, k) integer array with m, k >= 1 whose rows each hold
+    k distinct indices (a top-k array), so the union is its unique values.
+    Any other input is a ``ValueError``.
     """
-    if isinstance(explanation_sets, np.ndarray):
-        if explanation_sets.ndim != 2 or explanation_sets.shape[0] == 0:
-            raise ValueError("coverage needs an (m, k) index array with m >= 1")
-        rows = np.sort(explanation_sets, axis=1)
-        if (rows[:, 1:] == rows[:, :-1]).any():
-            raise ValueError("each row of a coverage index array must hold distinct indices")
-        return np.unique(explanation_sets).size / explanation_sets.size
-    sets = [frozenset(s) for s in explanation_sets]
-    if not sets:
-        raise ValueError("coverage needs at least one explanation set")
-    k = len(sets[0])
-    if any(len(s) != k for s in sets):
-        raise ValueError("all explanation sets must have the same size")
-    union = frozenset().union(*sets)
-    return len(union) / (len(sets) * k)
+    top = np.asarray(top)
+    if top.ndim != 2 or top.size == 0 or not np.issubdtype(top.dtype, np.integer):
+        raise ValueError("coverage needs an (m, k) integer index array with m, k >= 1")
+    rows = np.sort(top, axis=1)
+    if (rows[:, 1:] == rows[:, :-1]).any():
+        raise ValueError("each row of a coverage index array must hold distinct indices")
+    return np.unique(top).size / top.size
 
 
 def _check_augmentation(dataset: Dataset, augmentation: str) -> None:
@@ -190,7 +159,8 @@ def hit_rate_experiment(model: MLPClassifier, dataset: Dataset, augmentation: st
     k when the source index appears in the method's top-k. Coverage is
     measured per k over all produced top-k sets. The Stein methods rank
     against a cache of their variant (:data:`METHOD_VARIANTS`) built here,
-    before the timed loop; ``config`` supplies the kernel (None: a
+    before the timed loop: ``method`` names the variant, and
+    ``config.variant`` is not read. ``config`` supplies the kernel (None: a
     median-heuristic RBF over that cache) and top_k. The trial points are
     made and scored in blocks of at most about ``_BLOCK_VALUES`` scores; trial
     t's ``noise`` is row t of one normal draw by the generator of the sources.
@@ -240,9 +210,11 @@ def label_flip_debug_experiment(dataset: Dataset, flip_fraction: float,
                                 seed: int, hidden_dims=None) -> DebugReport:
     """Flip a fraction of labels, retrain, and rank by self-influence.
 
-    Uses the last-layer variant. ``kernel=None`` selects a median-heuristic
-    RBF over the corrupted cache. Reports precision/recall at
-    ``m = ceil(flips / 2)``, ``flips``, and ``2 * flips`` (capped at n).
+    Uses the last-layer variant. ``kernel=None`` ranks with ``RBFKernel(1.0)``:
+    a radial kernel's diagonal is ``phi(0) ||s||^2 - 2 D phi'(0)``, so every
+    RBF bandwidth ranks by ``||s||`` and no bandwidth is fitted. Reports
+    precision/recall at ``m = ceil(flips / 2)``, ``flips``, and ``2 * flips``
+    (capped at n).
     """
     if not 0.0 < flip_fraction < 0.5:
         raise ValueError("flip_fraction must lie in (0, 0.5)")
@@ -263,7 +235,7 @@ def label_flip_debug_experiment(dataset: Dataset, flip_fraction: float,
     model = train(corrupted, train_config, hidden_dims=hidden_dims)
     cache = build_cache(model, corrupted, variant="last-layer")
     if kernel is None:
-        kernel = RBFKernel(median_heuristic_gamma(cache.z))
+        kernel = RBFKernel(1.0)
     ranking = [i for i, _ in self_influence_ranking(cache, kernel)]
 
     flipped = sorted(int(i) for i in flip_idx)

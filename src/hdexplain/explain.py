@@ -57,7 +57,9 @@ class ExplainerConfig:
 
     ``kernel`` may be None only in the hit-rate protocol, where the
     baselines compute no Stein value and the Stein methods then rank with a
-    median-heuristic RBF over the cache the protocol builds.
+    median-heuristic RBF over the cache the protocol builds. ``variant`` must
+    match the cache in :func:`explain`; the protocol does not read it, since
+    its ``method`` names the variant (:data:`METHOD_VARIANTS`).
     """
 
     kernel: BaseKernel | None
@@ -80,7 +82,6 @@ class Explanation:
     ``elapsed`` is the query wall time in seconds.
     """
 
-    test_features: np.ndarray
     predicted_label: int
     predicted_proba: np.ndarray
     ranked: list[tuple[int, float, int]]
@@ -161,7 +162,6 @@ def explain(model: MLPClassifier, cache: ScoreCache, x_test, config: ExplainerCo
     ranked = _ranked_list(_finite(values), cache.labels, k=config.top_k)
     elapsed = time.perf_counter() - start
     return Explanation(
-        test_features=x_test,
         predicted_label=int(predicted[0]),
         predicted_proba=proba[0],
         ranked=ranked,

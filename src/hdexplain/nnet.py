@@ -254,6 +254,16 @@ class MLPClassifier:
         """Log-probabilities computed as logit minus logsumexp (never log of softmax)."""
         return _softmax_and_log_softmax(self.logits(x))[1]
 
+    def _forward_pass(self, x, y):
+        """``(single, acts, proba, log_proba, labels, resid)`` of one forward pass
+        (``labels`` as in :meth:`score`): whether ``x`` was one row, the layer
+        inputs ``[x, a_1, ..., a_L]`` as batches, and the residual ``e_labels - p``."""
+        x, single = self._check_input(x)
+        acts, logits = _forward(self.weights, self.biases, x)
+        proba, log_proba = _softmax_and_log_softmax(logits)
+        labels = proba.argmax(axis=1) if y is None else self._check_labels(y, x.shape[0], "input")
+        return single, acts, proba, log_proba, labels, _residual(proba, labels)
+
     def score(self, x, y=None, variant: str = "raw"):
         """One forward and one backward pass: ``(labels, proba, log_proba, front, grad)``.
 
@@ -266,15 +276,12 @@ class MLPClassifier:
             raise UnsupportedVariantError(f"unknown variant {variant!r}; expected 'raw' or 'last-layer'")
         if variant == "last-layer" and self.num_hidden_layers < 1:
             raise UnsupportedVariantError("model has no hidden layer to read a representation from")
-        x, single = self._check_input(x)
-        acts, logits = _forward(self.weights, self.biases, x)
-        proba, log_proba = _softmax_and_log_softmax(logits)
-        labels = proba.argmax(axis=1) if y is None else self._check_labels(y, x.shape[0], "input")
-        grad = _residual(proba, labels) @ self.weights[-1].T
+        single, acts, proba, log_proba, labels, resid = self._forward_pass(x, y)
+        grad = resid @ self.weights[-1].T
         if variant == "raw":
             for i in range(len(self.weights) - 2, -1, -1):
                 grad = (grad * (1.0 - acts[i + 1] ** 2)) @ self.weights[i].T
-        out = (labels, proba, log_proba, x if variant == "raw" else acts[-1], grad)
+        out = (labels, proba, log_proba, acts[0] if variant == "raw" else acts[-1], grad)
         return tuple(v[0] for v in out) if single else out
 
     def representation_and_residual(self, x, y=None):
@@ -284,11 +291,8 @@ class MLPClassifier:
         :meth:`score`. A ``(d,)`` row gives row results."""
         if self.num_hidden_layers < 1:
             raise UnsupportedVariantError("model has no hidden layer to read a representation from")
-        x, single = self._check_input(x)
-        acts, logits = _forward(self.weights, self.biases, x)
-        proba = _softmax_and_log_softmax(logits)[0]
-        labels = proba.argmax(axis=1) if y is None else self._check_labels(y, x.shape[0], "input")
-        out = (labels, acts[-1], _residual(proba, labels))
+        single, acts, _, _, labels, resid = self._forward_pass(x, y)
+        out = (labels, acts[-1], resid)
         return tuple(v[0] for v in out) if single else out
 
     def input_gradient(self, x, y):

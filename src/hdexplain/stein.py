@@ -483,19 +483,20 @@ def ksd_ustat(kernel: BaseKernel, z, scores) -> KSDEstimate:
     return _finite_estimate(ustat, std_error)
 
 
-def _subsample_sq_dists(z_vectors, max_points: int, seed: int, rule: str) -> np.ndarray:
-    """Squared pairwise distances of at most ``max_points`` rows (uniform
-    seeded subsample), clipped at 0."""
-    if max_points < 2:
-        raise ValueError(f"{rule} needs max_points >= 2, got {max_points}")
+# the bandwidth rules' uniform subsample: at most this many rows, drawn with this seed
+_GAMMA_MAX_POINTS, _GAMMA_SEED = 1000, 0
+
+
+def _subsample_sq_dists(z_vectors, rule: str) -> np.ndarray:
+    """Squared pairwise distances of at most ``_GAMMA_MAX_POINTS`` rows
+    (uniform seeded subsample), clipped at 0."""
     z = np.asarray(z_vectors, dtype=np.float64)
     if z.ndim == 1:
         z = z[:, None]
     if z.shape[0] < 2:
         raise ValueError(f"{rule} needs at least 2 points")
-    if z.shape[0] > max_points:
-        idx = np.random.default_rng(seed).choice(z.shape[0], size=max_points, replace=False)
-        z = z[idx]
+    if z.shape[0] > _GAMMA_MAX_POINTS:
+        z = z[np.random.default_rng(_GAMMA_SEED).choice(z.shape[0], _GAMMA_MAX_POINTS, replace=False)]
     sq_norms = np.einsum("ij,ij->i", z, z)
     gram = z @ z.T
     gram *= 2.0
@@ -527,19 +528,19 @@ def _gamma_for_scale(m: float) -> float:
     return 1.0 if m == 0.0 else 1.0 / (2.0 * m * m)
 
 
-def median_heuristic_gamma(z_vectors, max_points: int = 1000, seed: int = 0) -> float:
+def median_heuristic_gamma(z_vectors) -> float:
     """RBF bandwidth rule gamma = 1 / (2 m^2) with m the median pairwise distance.
 
-    At most ``max_points`` rows are kept (uniform seeded subsample). Falls
+    At most 1000 rows are kept (uniform seeded subsample). Falls
     back to gamma = 1 when all points coincide. The median is selected
     exactly; it equals ``np.median`` of the distances bit for bit.
     """
-    sq_dists = _subsample_sq_dists(z_vectors, max_points, seed, "median heuristic")
+    sq_dists = _subsample_sq_dists(z_vectors, "median heuristic")
     r = np.arange(sq_dists.shape[0])
     return _gamma_for_scale(_median_sqrt(sq_dists[r[:, None] < r]))
 
 
-def local_scale_gamma(z_vectors, max_points: int = 1000, seed: int = 0) -> float:
+def local_scale_gamma(z_vectors) -> float:
     """RBF bandwidth from the nearest-neighbor scale: gamma = 1 / (2 m^2) with
     m the median nearest-neighbor distance.
 
@@ -549,7 +550,7 @@ def local_scale_gamma(z_vectors, max_points: int = 1000, seed: int = 0) -> float
     point from its neighbors. Use this rule when retrieval should resolve
     individual training points. Falls back to gamma = 1 when points coincide.
     """
-    sq_dists = _subsample_sq_dists(z_vectors, max_points, seed, "local scale")
+    sq_dists = _subsample_sq_dists(z_vectors, "local scale")
     np.fill_diagonal(sq_dists, np.inf)
     return _gamma_for_scale(_median_sqrt(sq_dists.min(axis=1)))
 

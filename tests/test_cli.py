@@ -368,7 +368,7 @@ class TestExplainCommand:
         assert run("explain", "--config", bad, "--model", model_path, "--cache", cache_path,
                    "--point", "0.1,0.2") == 2
         captured = capsys.readouterr()
-        assert "gamma must be positive and finite" in captured.err
+        assert "config.explainer.gamma must be a finite number" in captured.err
         assert captured.out == ""
 
     @pytest.mark.filterwarnings("error")
@@ -620,8 +620,7 @@ class TestDebugCommand:
         assert manifest["flipped_indices"] == want.flipped_indices
 
 
-    def test_default_kernel_is_the_median_heuristic_over_the_corrupted_cache(self, tmp_path,
-                                                                             monkeypatch):
+    def test_default_kernel_is_a_unit_rbf(self, tmp_path, monkeypatch):
         config = write_config(tmp_path, {
             "dataset": {"source": "synthetic:two_moons", "n": 200, "noise_std": 0.1},
             "model": {"epochs": 5},
@@ -635,7 +634,10 @@ class TestDebugCommand:
         with monkeypatch.context() as patch:  # keep the cache the experiment builds
             patch.setattr(evalharness, "build_cache", lambda *a, **k: caches.append(inner(*a, **k)) or caches[-1])
             label_flip_debug_experiment(*args, None, 3)
-        want = label_flip_debug_experiment(*args, RBFKernel(median_heuristic_gamma(caches[0].z)), 3)
+        want = label_flip_debug_experiment(*args, RBFKernel(1.0), 3)
+        # every RBF bandwidth ranks by the score norm: the median heuristic gives the same report
+        median = label_flip_debug_experiment(*args, RBFKernel(median_heuristic_gamma(caches[0].z)), 3)
+        assert (median.ranking, median.points) == (want.ranking, want.points)
         rows = list(csv.DictReader(open(out_path)))
         assert [(int(r["m"]), float(r["precision"]), float(r["recall"])) for r in rows] == want.points
         manifest = json.loads((tmp_path / "debug.csv.manifest.json").read_text())
@@ -738,6 +740,20 @@ class TestConfigTypes:
         out_path = tmp_path / "m.bin"
         assert run("train", "--config", config, "--out", str(out_path)) == 2
         assert "error:" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("command, doc, key", [
+        ("train", {"dataset": {"noise_std": float("nan")}}, "config.dataset.noise_std"),
+        ("ksd-shift", {"experiment": {"shifts": [0.5, float("nan")]}}, "config.experiment.shifts[1]"),
+        ("train", {"model": {"learning_rate": float("inf")}}, "config.model.learning_rate"),
+        ("train", {"explainer": {"gamma": -float("inf")}}, "config.explainer.gamma"),
+    ], ids=["noise_std-nan", "shifts-nan", "learning_rate-inf", "gamma-minus-inf"])
+    def test_non_finite_float_is_a_usage_error(self, tmp_path, capsys, command, doc, key):
+        # json reads NaN and Infinity; without the check these runs exit 4 after training
+        config = write_config(tmp_path, doc)
+        out_path = tmp_path / "out"
+        assert run(command, "--config", config, "--out", str(out_path)) == 2
+        assert f"error: {key} must be a finite number" in capsys.readouterr().err
         assert not out_path.exists()
 
     def test_int_float_and_null_where_declared(self, tmp_path):

@@ -13,11 +13,12 @@ from hdexplain.data import (
     gen_two_moons,
     load_csv,
     load_idx,
-    one_hot,
     save_csv,
     standardize,
 )
 from hdexplain.errors import DataLoadError
+from hdexplain.nnet import MLPClassifier
+from hdexplain.stein import make_stein_points
 
 
 class TestTwoMoons:
@@ -321,21 +322,23 @@ class TestStandardize:
             standardize(ds)
 
 
+def _one_hot_block(label, num_classes):
+    """The one-hot block that the Stein point of one labelled row carries."""
+    flat = MLPClassifier([1, num_classes], [np.zeros((1, num_classes))],
+                         [np.zeros(num_classes)])
+    z, _ = make_stein_points(flat, np.zeros((1, 1)), [label], "raw")
+    return z[0, 1:]
+
+
 class TestOneHot:
     def test_definition(self):
-        assert one_hot(1, 3).tolist() == [0.0, 1.0, 0.0]
-        assert one_hot(0, 2).tolist() == [1.0, 0.0]
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            one_hot(3, 3)
-        with pytest.raises(ValueError):
-            one_hot(-1, 3)
+        assert _one_hot_block(1, 3).tolist() == [0.0, 1.0, 0.0]
+        assert _one_hot_block(0, 2).tolist() == [1.0, 0.0]
 
     def test_single_unit_mass(self):
         for l in range(2, 8):
             for label in range(l):
-                vec = one_hot(label, l)
+                vec = _one_hot_block(label, l)
                 assert vec.sum() == 1.0
                 assert np.count_nonzero(vec) == 1
 

@@ -9,8 +9,6 @@ from hdexplain import evalharness
 from hdexplain.errors import UnsupportedAugmentationError
 from hdexplain.evalharness import (
     METHOD_VARIANTS,
-    augment_hflip,
-    augment_noise,
     coverage,
     hit_rate_experiment,
     ksd_shift_experiment,
@@ -55,32 +53,38 @@ def retrieval_config(cache):
     return ExplainerConfig(kernel=RBFKernel(local_scale_gamma(cache.z)), top_k=3)
 
 
+def trial_points(dataset, augmentation, sources, seed=0):
+    """The protocol's trial points for ``sources``, noise from a generator seeded with ``seed``."""
+    return evalharness._trial_points(dataset, augmentation, np.asarray(sources),
+                                     np.random.default_rng(seed))
+
+
+def augment_hflip(dataset, index):
+    """One training image as the protocol's ``hflip`` trial makes it."""
+    return trial_points(dataset, "hflip", [index])[0]
+
+
 class TestAugmentNoise:
     def test_constant_columns_unchanged(self):
         features = np.column_stack([np.full(10, 2.0), np.linspace(0, 1, 10)])
         ds = Dataset(features, np.arange(10) % 2, 2)
-        out = augment_noise(ds, 3, seed=0)
-        assert out[0] == 2.0
-        assert out[1] != ds.features[3, 1]
+        out = trial_points(ds, "noise", [3, 3, 7])
+        assert np.all(out[:, 0] == 2.0)
+        assert np.all(out[:, 1] != ds.features[[3, 3, 7], 1])
 
     def test_deterministic_per_seed(self, moons):
-        a = augment_noise(moons, 5, seed=9)
-        b = augment_noise(moons, 5, seed=9)
+        # the noise comes only from the generator passed in
+        a = trial_points(moons, "noise", [5, 0], seed=9)
+        b = trial_points(moons, "noise", [5, 0], seed=9)
         assert np.array_equal(a, b)
-        c = augment_noise(moons, 5, seed=10)
+        c = trial_points(moons, "noise", [5, 0], seed=10)
         assert not np.array_equal(a, c)
 
     def test_noise_scale_is_one_percent_of_feature_std(self, moons):
         # across many draws the empirical std must match 0.01 * sigma_j
-        draws = np.stack([augment_noise(moons, 0, seed=s) - moons.features[0] for s in range(4000)])
+        draws = trial_points(moons, "noise", np.zeros(4000, dtype=np.int64)) - moons.features[0]
         ratio = draws.std(axis=0) / (0.01 * moons.feature_std)
         assert np.all(np.abs(ratio - 1.0) < 0.1)
-
-    def test_invalid_index(self, moons):
-        with pytest.raises(ValueError):
-            augment_noise(moons, moons.n, seed=0)
-        with pytest.raises(ValueError):
-            augment_noise(moons, -1, seed=0)
 
 
 class TestAugmentHflip:
@@ -91,9 +95,10 @@ class TestAugmentHflip:
 
     def test_involution(self):
         ds = self._image_dataset()
-        flipped = augment_hflip(ds, 1)
-        ds2 = Dataset(flipped[None, :], np.array([0]), 2, image_shape=(2, 3, 2))
-        assert np.array_equal(augment_hflip(ds2, 0), ds.features[1])
+        flipped = trial_points(ds, "hflip", np.arange(6))
+        ds2 = Dataset(flipped, ds.labels, 2, image_shape=(2, 3, 2))
+        assert not np.array_equal(flipped, ds.features)
+        assert np.array_equal(trial_points(ds2, "hflip", np.arange(6)), ds.features)
 
     def test_symmetric_image_unchanged(self):
         image = np.array([[1.0, 2.0, 1.0], [3.0, 4.0, 3.0]]).reshape(-1)
@@ -102,39 +107,45 @@ class TestAugmentHflip:
 
     def test_minimal_two_pixel_image(self):
         ds = Dataset(np.array([[5.0, 7.0], [0.0, 1.0]]), np.array([0, 1]), 2, image_shape=(1, 2, 1))
-        assert augment_hflip(ds, 0).tolist() == [7.0, 5.0]
+        assert trial_points(ds, "hflip", [0, 1]).tolist() == [[7.0, 5.0], [1.0, 0.0]]
 
     def test_requires_image_shape(self, moons):
         with pytest.raises(UnsupportedAugmentationError):
-            augment_hflip(moons, 0)
+            evalharness._check_augmentation(moons, "hflip")
+
+
+def union_coverage(top):
+    """Coverage written the plain way: the size of the union of the rows as
+    sets over the number of entries."""
+    return len(set().union(*(set(row) for row in top.tolist()))) / top.size
 
 
 class TestCoverage:
     def test_repeated_sets(self):
-        assert coverage([{1, 2, 3}, {1, 2, 3}]) == 0.5
+        assert coverage(np.array([[1, 2, 3], [1, 2, 3]])) == 0.5
 
     def test_disjoint_sets(self):
-        assert coverage([{0, 1}, {2, 3}, {4, 5}]) == 1.0
+        assert coverage(np.array([[0, 1], [2, 3], [4, 5]])) == 1.0
 
     def test_single_set(self):
-        assert coverage([{7, 8, 9}]) == 1.0
+        assert coverage(np.array([[7, 8, 9]])) == 1.0
 
     def test_ragged_sets_rejected(self):
         with pytest.raises(ValueError):
-            coverage([{1, 2}, {1, 2, 3}])
+            coverage([[1, 2], [1, 2, 3]])
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            coverage([])
+        for top in ([], np.empty((3, 0), dtype=np.int64), np.empty((0, 0), dtype=np.int64)):
+            with pytest.raises(ValueError, match="index array"):
+                coverage(top)
 
     def test_bounds_for_random_distinct_sets(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             n_test = int(rng.integers(1, 20))
             k = int(rng.integers(1, 6))
-            sets = [frozenset(rng.choice(100, size=k, replace=False).tolist())
-                    for _ in range(n_test)]
-            value = coverage(sets)
+            top = np.stack([rng.choice(100, size=k, replace=False) for _ in range(n_test)])
+            value = coverage(top)
             assert 1.0 / n_test <= value <= 1.0
 
     @pytest.mark.parametrize("k", [1, 3, 5, 10])
@@ -146,8 +157,7 @@ class TestCoverage:
             top = np.stack([rng.choice(30, size=k, replace=False) for _ in range(m)])
             repeats = rng.integers(0, m, size=int(rng.integers(0, m + 1)))
             top = np.concatenate([top, top[repeats]])
-            assert coverage(top) == coverage(top.tolist())
-            assert coverage(top) == coverage([frozenset(row) for row in top.tolist()])
+            assert coverage(top) == union_coverage(top)
 
     def test_empty_index_array_rejected(self):
         with pytest.raises(ValueError):
@@ -157,6 +167,13 @@ class TestCoverage:
         # as sets these rows would be ragged (sizes 3 and 2)
         with pytest.raises(ValueError, match="distinct"):
             coverage(np.array([[1, 2, 3], [4, 5, 4]]))
+
+    @pytest.mark.parametrize("top", [[[0.5, 1.5]], np.array([[0.0, 1.0]]), np.array([[True, False]]),
+                                     np.array([1, 2, 3]), np.array([[["a"]]])],
+                             ids=["float-list", "float-array", "bool", "1-d", "3-d"])
+    def test_non_integer_or_non_matrix_input_rejected(self, top):
+        with pytest.raises(ValueError, match="index array"):
+            coverage(top)
 
 
 class TestHitRateExperiment:
@@ -200,6 +217,15 @@ class TestHitRateExperiment:
                                 retrieval_config, seed=6, method="hd-explain")
         assert a.hit_rate == b.hit_rate
         assert a.coverage == b.coverage
+
+    @pytest.mark.parametrize("method", ["hd-explain", "hd-explain-star"])
+    def test_config_variant_is_not_read(self, trained, moons, retrieval_config, method):
+        # the method names the variant of the cache the protocol ranks against
+        raw, last = (hit_rate_experiment(trained, moons, "noise", 2, 20,
+                                         ExplainerConfig(kernel=None, variant=variant, top_k=3),
+                                         seed=6, method=method)
+                     for variant in ("raw", "last-layer"))
+        assert (raw.hit_rate, raw.coverage, raw.trials) == (last.hit_rate, last.coverage, last.trials)
 
     def test_default_trials_match_protocol(self):
         from hdexplain.cli import ExperimentConfig
@@ -294,7 +320,7 @@ class TestBlockProtocol:
         for k in (1, 3, 5):
             hits = sum(int(s) in top[:k] for s, top in zip(sources, single))
             assert report.hit_rate[k] == hits / len(sources)
-            assert report.coverage[k] == coverage([top[:k] for top in single])
+            assert report.coverage[k] == union_coverage(np.array([top[:k] for top in single]))
 
     @pytest.fixture(scope="class")
     def images(self):
@@ -329,7 +355,7 @@ class TestBlockProtocol:
     def test_hflip_block_equals_augment_hflip_row_by_row(self, images):
         data, _ = images
         sources = np.array([5, 0, 59, 5, 17])
-        block = evalharness._trial_points(data, "hflip", sources, np.random.default_rng(0))
+        block = trial_points(data, "hflip", sources)
         assert block.shape == (len(sources), data.d)
         for row, source in zip(block, sources):
             assert np.array_equal(row, augment_hflip(data, int(source)))
