@@ -30,7 +30,7 @@ from .errors import (
 )
 from .explain import ExplainerConfig, _check_cache, build_cache, explain, explanation_to_json
 from .nnet import TrainConfig, load_model, train
-from .stein import RBFKernel, _write_atomic, kernel_by_name, load_cache, median_heuristic_gamma
+from .stein import _VARIANTS, RBFKernel, _write_atomic, kernel_by_name, load_cache, median_heuristic_gamma
 
 __all__ = ["RunConfig", "main"]
 
@@ -359,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cache", help="precompute scored training points for a model")
     common(p, "cache.bin")
     p.add_argument("--model", required=True, help="model binary to score with")
-    p.add_argument("--variant", choices=["raw", "last-layer"], help="override the config variant")
+    p.add_argument("--variant", choices=_VARIANTS, help="override the config variant")
     p.set_defaults(func=cmd_cache)
 
     p = sub.add_parser("explain", help="rank training points for one test input")

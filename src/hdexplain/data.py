@@ -9,12 +9,13 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 import struct
 
 import numpy as np
 
 from .errors import DataLoadError
-from .stein import _write_atomic
+from .stein import _class_labels, _write_atomic
 
 __all__ = [
     "Dataset",
@@ -33,9 +34,11 @@ class Dataset:
     Attributes
     ----------
     features : (n, d) float64 array
-    labels : (n,) int array with values in ``[0, num_classes)``
-    num_classes : number of classes, at least 2
-    image_shape : optional ``(H, W, C)`` with ``H * W * C == d``
+    labels : (n,) int64 array; the given labels must be whole numbers in
+        ``[0, num_classes)`` (a float such as 0.5 or NaN raises ``ValueError``
+        and is never truncated)
+    num_classes : an integer, at least 2
+    image_shape : optional ``(H, W, C)`` of positive integers with ``H * W * C == d``
     feature_std : per-column standard deviation of the raw features,
         measured before any normalization and carried through
         :func:`standardize` so noise augmentation keeps its raw scale.
@@ -47,25 +50,22 @@ class Dataset:
                  image_shape: tuple[int, int, int] | None = None,
                  feature_std: np.ndarray | None = None):
         self.features = np.ascontiguousarray(features, dtype=np.float64)
-        self.labels = np.ascontiguousarray(labels, dtype=np.int64)
-        self.num_classes = num_classes
-        self.image_shape = image_shape
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
         n, d = self.features.shape
         if n < 1 or d < 1:
             raise ValueError("dataset needs at least one row and one column")
-        if self.labels.shape != (n,):
-            raise ValueError("labels must be a vector with one entry per row")
-        if self.num_classes < 2:
-            raise ValueError("num_classes must be at least 2")
-        if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
-            raise ValueError("labels must lie in [0, num_classes)")
-        if self.image_shape is not None:
-            h, w, c = self.image_shape
-            if h * w * c != d:
-                raise ValueError(f"image_shape {self.image_shape} does not match d={d}")
-            self.image_shape = (int(h), int(w), int(c))
+        if not isinstance(num_classes, numbers.Integral) or num_classes < 2:
+            raise ValueError(f"num_classes must be an integer of at least 2, got {num_classes!r}")
+        self.num_classes = int(num_classes)
+        self.labels = _class_labels(labels, n, self.num_classes)
+        if image_shape is not None:
+            shape = tuple(int(v) for v in image_shape if isinstance(v, numbers.Integral) and v >= 1)
+            if shape != tuple(image_shape) or len(shape) != 3 or math.prod(shape) != d:
+                raise ValueError(f"image_shape {image_shape} must be three positive integers "
+                                 f"(H, W, C) with H * W * C == d={d}")
+            image_shape = shape
+        self.image_shape = image_shape
         if feature_std is not None:
             feature_std = np.ascontiguousarray(feature_std, dtype=np.float64)
             if feature_std.shape != (d,):
@@ -102,8 +102,8 @@ def gen_two_moons(n: int, noise_std: float, seed: int) -> Dataset:
     """
     if n < 2:
         raise ValueError("gen_two_moons needs n >= 2")
-    if noise_std < 0:
-        raise ValueError("noise_std must be non-negative")
+    if not 0 <= noise_std < math.inf:  # also False for NaN
+        raise ValueError(f"noise_std must be non-negative and finite, got {noise_std!r}")
     n_outer = n // 2
     n_inner = n - n_outer
     t_outer = np.linspace(0.0, np.pi, n_outer)

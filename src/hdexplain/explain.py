@@ -14,7 +14,6 @@ import json
 import time
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .stein import (
     BaseKernel,
     RBFKernel,
     ScoreCache,
+    _check_variant,
     _row_stats,
     _stein_block,
     _stein_diagonal,
@@ -57,7 +57,8 @@ class ExplainerConfig:
 
     ``kernel`` may be None only in the hit-rate protocol, where the
     baselines compute no Stein value and the Stein methods then rank with a
-    median-heuristic RBF over the cache the protocol builds. ``variant`` must
+    median-heuristic RBF over the cache the protocol builds. ``variant`` is
+    ``raw`` or ``last-layer`` (else ``UnsupportedVariantError``) and must
     match the cache in :func:`explain`; the protocol does not read it, since
     its ``method`` names the variant (:data:`METHOD_VARIANTS`).
     """
@@ -67,8 +68,7 @@ class ExplainerConfig:
     top_k: int = 3
 
     def __post_init__(self):
-        if self.variant not in ("raw", "last-layer"):
-            raise ValueError(f"unknown variant {self.variant!r}")
+        _check_variant(self.variant)
         if self.top_k < 1:
             raise ValueError("top_k must be at least 1")
 
@@ -238,21 +238,18 @@ def _stein_scores(model: MLPClassifier, cache: ScoreCache, kernel: BaseKernel, x
 
 class _LastLayer:
     """The baselines' training-side features for one (model, dataset), from
-    one forward pass: the final hidden representations ``reps``, the
-    residuals ``resid`` (``e_y - p`` at the ground-truth labels) and, derived
-    on first use, the representation ``norms``."""
+    one forward pass: the final hidden representations ``reps``, their
+    ``norms`` and the residuals ``resid`` (``e_y - p`` at the ground-truth
+    labels)."""
 
     def __init__(self, model: MLPClassifier, dataset: Dataset):
         x, y = dataset.features, dataset.labels
         self._source = (weakref.ref(x), weakref.ref(y))
         _, self.reps, self.resid = model.representation_and_residual(x, y)
+        self.norms = np.linalg.norm(self.reps, axis=1)
 
     def built_from(self, dataset: Dataset) -> bool:
         return self._source[0]() is dataset.features and self._source[1]() is dataset.labels
-
-    @cached_property
-    def norms(self) -> np.ndarray:
-        return np.linalg.norm(self.reps, axis=1)
 
 
 # model -> _LastLayer; weakly keyed, so an entry dies with its model

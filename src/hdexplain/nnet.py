@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ModelFormatError, TrainingError, UnsupportedVariantError
-from .stein import _write_atomic
+from .stein import _check_variant, _class_labels, _write_atomic
 
 __all__ = [
     "TrainConfig",
@@ -224,22 +224,16 @@ class MLPClassifier:
     def num_hidden_layers(self) -> int:
         return len(self.layer_dims) - 2
 
-    def _check_input(self, x) -> tuple[np.ndarray, bool]:
+    def _check_input(self, x, width: int | None = None) -> tuple[np.ndarray, bool]:
+        """``x`` as a batch of rows ``width`` (default ``input_dim``) wide, and whether it was one row."""
+        width = width or self.input_dim
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
         if single:
             x = x[None, :]
-        if x.ndim != 2 or x.shape[1] != self.input_dim:
-            raise ValueError(f"input has {x.shape[-1]} features, model expects {self.input_dim}")
+        if x.ndim != 2 or x.shape[1] != width:
+            raise ValueError(f"input has {x.shape[-1]} features, model expects {width}")
         return x, single
-
-    def _check_labels(self, y, n: int, rows: str) -> np.ndarray:
-        y = np.atleast_1d(np.asarray(y, dtype=np.int64))
-        if y.shape != (n,):
-            raise ValueError(f"labels must match the number of {rows} rows")
-        if y.min() < 0 or y.max() >= self.num_classes:
-            raise ValueError(f"class index out of range [0, {self.num_classes})")
-        return y
 
     def logits(self, x):
         x, single = self._check_input(x)
@@ -261,7 +255,7 @@ class MLPClassifier:
         x, single = self._check_input(x)
         acts, logits = _forward(self.weights, self.biases, x)
         proba, log_proba = _softmax_and_log_softmax(logits)
-        labels = proba.argmax(axis=1) if y is None else self._check_labels(y, x.shape[0], "input")
+        labels = proba.argmax(axis=1) if y is None else _class_labels(np.atleast_1d(y), len(x), self.num_classes)
         return single, acts, proba, log_proba, labels, _residual(proba, labels)
 
     def score(self, x, y=None, variant: str = "raw"):
@@ -271,9 +265,11 @@ class MLPClassifier:
         the lowest index) when ``y`` is None. ``front`` is ``x`` (``raw``) or the
         final hidden representation (``last-layer``); ``grad`` is the gradient
         of ``log p_labels`` with respect to it. A ``(d,)`` row gives row results.
+        ``y`` holds one whole-number class index in ``[0, num_classes)`` per
+        row (a scalar for one row), else ``ValueError``; a ``variant`` other
+        than ``raw`` or ``last-layer`` raises ``UnsupportedVariantError``.
         """
-        if variant not in ("raw", "last-layer"):
-            raise UnsupportedVariantError(f"unknown variant {variant!r}; expected 'raw' or 'last-layer'")
+        _check_variant(variant)
         if variant == "last-layer" and self.num_hidden_layers < 1:
             raise UnsupportedVariantError("model has no hidden layer to read a representation from")
         single, acts, proba, log_proba, labels, resid = self._forward_pass(x, y)
@@ -313,13 +309,8 @@ class MLPClassifier:
         Closed form ``(e_y - p) @ W.T`` where ``W`` is the final-layer weight
         matrix and ``p`` the softmax of the final logits.
         """
-        h = np.asarray(h, dtype=np.float64)
-        single = h.ndim == 1
-        if single:
-            h = h[None, :]
-        if h.shape[1] != self.layer_dims[-2]:
-            raise ValueError(f"representation has {h.shape[1]} entries, expected {self.layer_dims[-2]}")
-        y = self._check_labels(y, h.shape[0], "representation")
+        h, single = self._check_input(h, self.layer_dims[-2])
+        y = _class_labels(np.atleast_1d(y), len(h), self.num_classes)
         probs = _softmax_and_log_softmax(h @ self.weights[-1] + self.biases[-1])[0]
         grad = _residual(probs, y) @ self.weights[-1].T
         return grad[0] if single else grad

@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ModelFormatError
+from .errors import ModelFormatError, UnsupportedVariantError
 
 __all__ = [
     "BaseKernel",
@@ -84,18 +84,15 @@ def _count_evals(n: int) -> None:
 
 
 class BaseKernel:
-    """A base kernel: its parameters and registry ``name``. The Stein core
+    """A base kernel, which holds only its parameters. The Stein core
     (:func:`_stein_values`) evaluates it in closed form, so it must be a
-    :class:`LinearKernel` or a :class:`RadialKernel`.
+    :class:`LinearKernel` or a :class:`RadialKernel`; :func:`kernel_by_name`
+    builds one from its name.
     """
-
-    name = "base"
 
 
 class LinearKernel(BaseKernel):
     """k(a, b) = a . b; the trace of the mixed Hessian is the dimension."""
-
-    name = "linear"
 
 
 class RadialKernel(BaseKernel):
@@ -118,8 +115,6 @@ def _positive_finite(name: str, value) -> float:
 class RBFKernel(RadialKernel):
     """k(a, b) = exp(-gamma * ||a - b||^2)."""
 
-    name = "rbf"
-
     def __init__(self, gamma: float):
         self.gamma = _positive_finite("gamma", gamma)
 
@@ -131,8 +126,6 @@ class RBFKernel(RadialKernel):
 
 class IMQKernel(RadialKernel):
     """Inverse multi-quadric kernel k(a, b) = (c^2 + ||a - b||^2)^beta, -1 < beta < 0."""
-
-    name = "imq"
 
     def __init__(self, c: float = 1.0, beta: float = -0.5):
         self.c = _positive_finite("c", c)
@@ -165,6 +158,28 @@ def kernel_by_name(name: str, gamma: float | None = None, c: float = 1.0,
     raise ValueError(f"unknown kernel {name!r}; expected linear, rbf, or imq")
 
 
+# the scored-point variants, in the order of their cache file codes
+_VARIANTS = ("raw", "last-layer")
+
+
+def _check_variant(variant) -> None:
+    if variant not in _VARIANTS:
+        raise UnsupportedVariantError(f"unknown variant {variant!r}; expected 'raw' or 'last-layer'")
+
+
+def _class_labels(labels, n: int, classes: int) -> np.ndarray:
+    """``labels`` as a contiguous ``(n,)`` int64 array, else ``ValueError``:
+    each must be a whole number in ``[0, classes)``. They are checked as
+    float64 before the cast, which would truncate 0.5 and wrap 1e30 silently."""
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise ValueError(f"labels must be a vector with one entry per row, shape ({n},), got {labels.shape}")
+    values = labels.astype(np.float64)
+    if not ((values == np.floor(values)) & (values >= 0) & (values < classes)).all():  # NaN fails
+        raise ValueError(f"labels must be whole numbers in [0, {classes})")
+    return np.ascontiguousarray(labels, dtype=np.int64)
+
+
 def _stein_rows(model, x, y, variant: str):
     """``(labels, proba, Z, S)`` of a batch from one model pass; ``y=None``
     completes each row with its predicted class."""
@@ -187,9 +202,6 @@ def stein_kernel(kernel: BaseKernel, za, sa, zb, sb) -> float:
     """Stein kernel value of the scored points ``(za, sa)`` and ``(zb, sb)``,
     all length-D vectors: the one-pair case of :func:`stein_kernel_profile`."""
     rows, row_scores = (np.asarray(v, dtype=np.float64)[None] for v in (za, sa))
-    zb = np.asarray(zb, dtype=np.float64)
-    if rows.ndim == 2 and zb.ndim == 1 and rows.shape[1] != zb.shape[0]:
-        raise ValueError(f"dimension mismatch: {rows.shape[1]} vs {zb.shape[0]}")
     return float(stein_kernel_profile(kernel, rows, row_scores, zb, sb)[0])
 
 
@@ -557,8 +569,8 @@ def local_scale_gamma(z_vectors) -> float:
 
 CACHE_MAGIC = b"HDXC"
 CACHE_VERSION = 1
-_VARIANT_CODES = {"raw": 0, "last-layer": 1}
-_VARIANT_NAMES = {v: k for k, v in _VARIANT_CODES.items()}
+_VARIANT_CODES = {v: i for i, v in enumerate(_VARIANTS)}
+_VARIANT_NAMES = dict(enumerate(_VARIANTS))
 _CACHE_HEADER = "<IBQQQ"  # after the magic: version, variant, fingerprint, n, D
 _CACHE_HEADER_SIZE = 4 + struct.calcsize(_CACHE_HEADER)
 
@@ -572,9 +584,12 @@ class ScoreCache:
     """Precomputed scored points for a training set, keyed to one model.
 
     ``z`` and ``scores`` are (n, D); ``labels`` holds the ground-truth class
-    of each record. The fingerprint ties the cache to the exact model whose
-    scores it holds; consumers must reject mismatches. ``row_stats``, the
-    per-row ``(||z||^2, z.s)``, is derived here and not written to the file.
+    of each record, whole numbers in ``[0, 2**32)`` (the file's u4 range),
+    else ``ValueError``. ``variant`` is ``raw`` or ``last-layer``, else
+    ``UnsupportedVariantError``. The fingerprint ties the cache to the exact
+    model whose scores it holds; consumers must reject mismatches.
+    ``row_stats``, the per-row ``(||z||^2, z.s)``, is derived here and not
+    written to the file.
     """
 
     model_fingerprint: int
@@ -585,14 +600,10 @@ class ScoreCache:
     row_stats: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.variant not in _VARIANT_CODES:
-            raise ValueError(f"unknown cache variant {self.variant!r}")
+        _check_variant(self.variant)
         self.z, self.scores = map(np.ascontiguousarray, _scored_rows(self.z, self.scores))
-        self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
-        if self.labels.shape != (self.z.shape[0],):
-            raise ValueError("labels must have one entry per record")
-        if self.labels.min() < 0 or self.labels.max() >= 2**32:
-            raise ValueError("cache labels must lie in [0, 2**32), the range of the file's u4 labels")
+        # the file stores labels as u4: a wider label would wrap when saved
+        self.labels = _class_labels(self.labels, self.z.shape[0], 2**32)
         self.row_stats = _row_stats(self.z, self.scores)
         # a NaN or inf anywhere in z or s makes ||z||^2 or z.s non-finite (as do
         # values too large to square, which the Stein core cannot use either)

@@ -236,6 +236,17 @@ class TestCacheCommand:
         assert run("cache", "--config", quick_config, "--model", str(tmp_path / "none.bin"),
                    "--out", str(tmp_path / "c.bin")) == 3
 
+    def test_unknown_variant_is_a_usage_error(self, tmp_path, trained_artifacts, capsys):
+        config, model_path, _ = trained_artifacts
+        out = tmp_path / "c.bin"
+        bad = write_config(tmp_path, {"explainer": {"variant": "middle"}}, "bad.json")
+        assert run("cache", "--config", bad, "--model", model_path, "--out", str(out)) == 2
+        assert "unknown variant 'middle'; expected 'raw' or 'last-layer'" in capsys.readouterr().err
+        assert run("cache", "--config", config, "--model", model_path, "--variant", "middle",
+                   "--out", str(out)) == 2
+        assert "invalid choice: 'middle'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExplainCommand:
     def test_top_k_entries(self, trained_artifacts, capsys):

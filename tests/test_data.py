@@ -51,6 +51,11 @@ class TestTwoMoons:
         with pytest.raises(ValueError):
             gen_two_moons(10, -0.1, seed=0)
 
+    @pytest.mark.parametrize("noise_std", [float("nan"), float("inf")])
+    def test_non_finite_noise_rejected(self, noise_std):
+        with pytest.raises(ValueError, match="noise_std must be non-negative and finite"):
+            gen_two_moons(10, noise_std, seed=0)
+
 
 class TestRectangles:
     def test_shape(self):
@@ -351,6 +356,20 @@ class TestDatasetInvariants:
     def test_image_shape_consistency(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 5)), np.array([0, 1]), 2, image_shape=(2, 2, 1))
+
+    @pytest.mark.parametrize("shape", [(-1, -2, 1), (2, 1, 0, 1), (2.0, 1, 1), (2, 1)])
+    def test_image_shape_of_positive_integers(self, shape):
+        with pytest.raises(ValueError, match="must be three positive integers"):
+            Dataset(np.zeros((2, 2)), np.array([0, 1]), 2, image_shape=shape)
+
+    def test_image_shape_entries_become_ints(self):
+        ds = Dataset(np.zeros((2, 6)), np.array([0, 1]), 2, image_shape=(np.int64(2), 3, 1))
+        assert ds.image_shape == (2, 3, 1) and all(type(v) is int for v in ds.image_shape)
+
+    @pytest.mark.parametrize("num_classes", [2.5, 3.0, "3", 1])
+    def test_num_classes_is_an_integer_of_at_least_two(self, num_classes):
+        with pytest.raises(ValueError, match="num_classes must be an integer of at least 2"):
+            Dataset(np.zeros((2, 2)), np.array([0, 1]), num_classes)
 
     def test_arrays_read_only(self):
         ds = gen_two_moons(10, 0.1, seed=0)

@@ -503,16 +503,17 @@ class TestScore:
         assert labels.tolist() == [0, 0]
 
     def test_label_errors(self, trained):
-        with pytest.raises(ValueError, match="labels must match the number of input rows"):
+        shape = r"labels must be a vector with one entry per row, shape \(3,\), got \(2,\)"
+        with pytest.raises(ValueError, match=shape):
             trained.score(np.zeros((3, 2)), [0, 1])
-        with pytest.raises(ValueError, match="labels must match the number of input rows"):
+        with pytest.raises(ValueError, match=shape):
             trained.input_gradient(np.zeros((3, 2)), [0, 1])
-        with pytest.raises(ValueError, match="labels must match the number of representation rows"):
+        with pytest.raises(ValueError, match=shape):
             trained.rep_gradient(np.zeros((3, trained.layer_dims[-2])), [0, 1])
         for call in (lambda: trained.score(np.zeros(2), 2),
                      lambda: trained.input_gradient(np.zeros(2), -1),
                      lambda: trained.rep_gradient(np.zeros(trained.layer_dims[-2]), 2)):
-            with pytest.raises(ValueError, match=r"class index out of range \[0, 2\)"):
+            with pytest.raises(ValueError, match=r"labels must be whole numbers in \[0, 2\)"):
                 call()
 
     def test_variant_errors(self, trained):

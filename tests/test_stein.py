@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 import oracle
-from hdexplain.data import gen_two_moons
+from hdexplain.data import Dataset, gen_two_moons
 from hdexplain.errors import ModelFormatError, UnsupportedVariantError
-from hdexplain.explain import _top, self_influence_ranking
+from hdexplain.explain import ExplainerConfig, _top, self_influence_ranking
 from hdexplain import stein
 from hdexplain.nnet import MLPClassifier, TrainConfig, save_model, train
 from hdexplain.stein import (
@@ -209,6 +209,49 @@ def zero_model():
     return MLPClassifier(dims, [np.zeros((2, 3)), np.zeros((3, 2))], [np.zeros(3), np.zeros(2)])
 
 
+def label_entry_points():
+    """Every way a label vector enters the library: name -> (classes, call on labels)."""
+    model, x, h = zero_model(), np.zeros((2, 2)), np.zeros((2, 3))
+    return {
+        "Dataset": (2, lambda y: Dataset(x, y, 2).labels),
+        "score": (2, lambda y: model.score(x, y)),
+        "input_gradient": (2, lambda y: model.input_gradient(x, y)),
+        "rep_gradient": (2, lambda y: model.rep_gradient(h, y)),
+        "representation_and_residual": (2, lambda y: model.representation_and_residual(x, y)),
+        "ScoreCache": (2**32, lambda y: ScoreCache(0, "raw", x, x, y).labels),
+    }
+
+
+class TestInputContracts:
+    @pytest.mark.parametrize("entry", list(label_entry_points()))
+    @pytest.mark.parametrize("labels", [[0.5, 1.7], [0.0, np.nan], [0.0, 1e30]],
+                             ids=["fractional", "nan", "huge"])
+    def test_bad_labels_fail_with_one_message_and_no_warning(self, entry, labels):
+        classes, call = label_entry_points()[entry]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                call(labels)
+        assert str(info.value) == f"labels must be whole numbers in [0, {classes})"
+
+    @pytest.mark.parametrize("entry", list(label_entry_points()))
+    def test_whole_float_labels_equal_integer_labels(self, entry):
+        _, call = label_entry_points()[entry]
+        got, want = ((v if isinstance(v, tuple) else (v,)) for v in (call([1.0, 0.0]), call([1, 0])))
+        assert [(a.dtype, a.tobytes()) for a in got] == [(b.dtype, b.tobytes()) for b in want]
+
+    @pytest.mark.parametrize("entry", ["ExplainerConfig", "ScoreCache", "score"])
+    def test_unknown_variant_fails_with_one_error(self, entry):
+        call = {
+            "ExplainerConfig": lambda: ExplainerConfig(kernel=LinearKernel(), variant="middle"),
+            "ScoreCache": lambda: ScoreCache(0, "middle", np.zeros((1, 2)), np.zeros((1, 2)), [0]),
+            "score": lambda: zero_model().score(np.zeros(2), variant="middle"),
+        }[entry]
+        with pytest.raises(UnsupportedVariantError) as info:
+            call()
+        assert str(info.value) == "unknown variant 'middle'; expected 'raw' or 'last-layer'"
+
+
 class TestSteinPoints:
     def test_zero_model_point(self):
         z, scores = make_stein_points(zero_model(), np.array([[0.0, 0.0]]), [1], "raw")
@@ -298,7 +341,7 @@ class TestSteinKernel:
             assert abs(stein_kernel(kernel, *pair) - direct) <= 1e-12 * scale, (name, i)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
+        with pytest.raises(ValueError, match="z and score must be length-D vectors"):
             stein_kernel(LinearKernel(), np.zeros(3), np.zeros(3), np.zeros(4), np.zeros(4))
 
     def test_score_must_match_its_point(self):
@@ -1020,7 +1063,7 @@ class TestScoreCache:
     @pytest.mark.parametrize("bad", [-1, 2**33])
     def test_label_the_file_cannot_hold_rejected(self, bad):
         # the file stores labels as u4: -1 would read back as 2**32 - 1 and 2**33 as 0
-        with pytest.raises(ValueError, match=r"cache labels must lie in \[0, 2\*\*32\)"):
+        with pytest.raises(ValueError, match=r"labels must be whole numbers in \[0, 4294967296\)"):
             ScoreCache(0, "raw", np.zeros((2, 2)), np.zeros((2, 2)), [0, bad])
 
     def test_largest_stored_label_round_trips(self):
