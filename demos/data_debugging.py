@@ -12,7 +12,7 @@ report = label_flip_debug_experiment(
     data,
     flip_fraction=0.05,
     train_config=TrainConfig(seed=5),
-    kernel=None,  # median-heuristic RBF over the corrupted cache
+    kernel=None,  # RBFKernel(1.0): every RBF bandwidth ranks by the score norm
     seed=5,
 )
 

@@ -50,23 +50,23 @@ class DatasetConfig:
 
 @dataclass
 class ModelConfig:
-    epochs: int = 100
-    batch_size: int = 128
-    learning_rate: float = 0.1
-    momentum: float = 0.9
-    l2_weight_decay: float = 1e-3
-    validation_fraction: float = 0.0
+    epochs: int = TrainConfig.epochs
+    batch_size: int = TrainConfig.batch_size
+    learning_rate: float = TrainConfig.learning_rate
+    momentum: float = TrainConfig.momentum
+    l2_weight_decay: float = TrainConfig.l2_weight_decay
+    validation_fraction: float = TrainConfig.validation_fraction
     hidden_dims: list[int] | None = None  # default: (32, 32), or (128, 64) for images
 
 
 @dataclass
 class ExplainerSpec:
-    variant: str = "raw"  # raw | last-layer
+    variant: str = ExplainerConfig.variant  # raw | last-layer
     kernel: str = "rbf"  # linear | rbf | imq
-    gamma: float | None = None  # None: median heuristic over the points a command scores
+    gamma: float | None = None  # None: median heuristic over the points a command scores; debug: 1
     imq_c: float = 1.0
     imq_beta: float = -0.5
-    top_k: int = 3
+    top_k: int = ExplainerConfig.top_k
 
 
 @dataclass
@@ -247,6 +247,11 @@ def _parse_point(text: str, expected_dim: int) -> np.ndarray:
 def cmd_explain(args, cfg: RunConfig) -> int:
     model = load_model(args.model)
     cache = load_cache(args.cache)
+    top_k = args.top_k if args.top_k is not None else cfg.explainer.top_k
+    kernel = kernel_from_config(cfg)
+    if kernel is None:
+        kernel = RBFKernel(median_heuristic_gamma(cache.z))
+    config = ExplainerConfig(kernel=kernel, variant=cache.variant, top_k=top_k)
     if args.point is not None:
         x_test = _parse_point(args.point, model.input_dim)
     else:
@@ -265,11 +270,6 @@ def cmd_explain(args, cfg: RunConfig) -> int:
                 or not np.allclose(cache.z[args.index, :own.size], own, rtol=0.0, atol=tol)):
             raise DataLoadError(f"the configured dataset (n={dataset.n}) is not the one the cache was "
                                 f"built from (n={cache.n}): its size, labels or features differ")
-    top_k = args.top_k if args.top_k is not None else cfg.explainer.top_k
-    kernel = kernel_from_config(cfg)
-    if kernel is None:
-        kernel = RBFKernel(median_heuristic_gamma(cache.z))
-    config = ExplainerConfig(kernel=kernel, variant=cache.variant, top_k=top_k)
     result = explain(model, cache, x_test, config)
     if args.format == "structured":
         text = explanation_to_json(result)

@@ -9,13 +9,12 @@ from __future__ import annotations
 import csv
 import io
 import math
-import numbers
 import struct
 
 import numpy as np
 
 from .errors import DataLoadError
-from .stein import _class_labels, _write_atomic
+from .stein import _class_labels, _count, _non_negative_finite, _write_atomic
 
 __all__ = [
     "Dataset",
@@ -37,13 +36,18 @@ class Dataset:
     labels : (n,) int64 array; the given labels must be whole numbers in
         ``[0, num_classes)`` (a float such as 0.5 or NaN raises ``ValueError``
         and is never truncated)
-    num_classes : an integer, at least 2
+    num_classes : an integer (not a bool), at least 2
     image_shape : optional ``(H, W, C)`` of positive integers with ``H * W * C == d``
-    feature_std : per-column standard deviation of the raw features,
-        measured before any normalization and carried through
-        :func:`standardize` so noise augmentation keeps its raw scale.
-        When not supplied it is computed from ``features`` on first use; a
-        supplied value is checked here.
+    feature_std : per-column standard deviation of the raw features, each
+        finite and non-negative, measured before any normalization and
+        carried through :func:`standardize` so noise augmentation keeps its
+        raw scale. When not supplied it is computed from ``features`` on
+        first use; a supplied value is checked here.
+
+    C-contiguous float64 ``features``/``feature_std`` and int64 ``labels``
+    are kept uncopied and made read-only in place, so the caller's arrays
+    turn read-only too: a copy would cost n x d values (12.5 MB for 2000
+    28 x 28 images), and the baselines' memo relies on read-only arrays.
     """
 
     def __init__(self, features, labels, num_classes: int,
@@ -55,13 +59,11 @@ class Dataset:
         n, d = self.features.shape
         if n < 1 or d < 1:
             raise ValueError("dataset needs at least one row and one column")
-        if not isinstance(num_classes, numbers.Integral) or num_classes < 2:
-            raise ValueError(f"num_classes must be an integer of at least 2, got {num_classes!r}")
-        self.num_classes = int(num_classes)
+        self.num_classes = _count("num_classes", num_classes, 2)
         self.labels = _class_labels(labels, n, self.num_classes)
         if image_shape is not None:
-            shape = tuple(int(v) for v in image_shape if isinstance(v, numbers.Integral) and v >= 1)
-            if shape != tuple(image_shape) or len(shape) != 3 or math.prod(shape) != d:
+            shape = tuple(_count("image_shape entries", v) for v in image_shape)
+            if len(shape) != 3 or math.prod(shape) != d:
                 raise ValueError(f"image_shape {image_shape} must be three positive integers "
                                  f"(H, W, C) with H * W * C == d={d}")
             image_shape = shape
@@ -70,8 +72,9 @@ class Dataset:
             feature_std = np.ascontiguousarray(feature_std, dtype=np.float64)
             if feature_std.shape != (d,):
                 raise ValueError("feature_std must have one entry per column")
-            if np.any(feature_std < 0):
-                raise ValueError("feature_std entries must be non-negative")
+            # every entry is finite and >= 0 iff the least and the greatest are (NaN propagates)
+            for v in (feature_std.min(), feature_std.max()):
+                _non_negative_finite("feature_std entries", v)
             feature_std.setflags(write=False)
         self._feature_std = feature_std
         self.features.setflags(write=False)
@@ -100,10 +103,8 @@ def gen_two_moons(n: int, noise_std: float, seed: int) -> Dataset:
     point-reflected and offset, ``(1 - cos t, 0.5 - sin t)``; both with
     ``t`` evenly spaced over ``[0, pi]``. Class counts differ by at most 1.
     """
-    if n < 2:
-        raise ValueError("gen_two_moons needs n >= 2")
-    if not 0 <= noise_std < math.inf:  # also False for NaN
-        raise ValueError(f"noise_std must be non-negative and finite, got {noise_std!r}")
+    n = _count("n", n, 2)
+    noise_std = _non_negative_finite("noise_std", noise_std)
     n_outer = n // 2
     n_inner = n - n_outer
     t_outer = np.linspace(0.0, np.pi, n_outer)
@@ -124,12 +125,10 @@ def gen_rectangles(n: int, seed: int) -> Dataset:
     Class ``c`` occupies ``x in [c/3, (c+1)/3)`` with ``y`` uniform in
     ``[0, 1]``; class counts differ by at most 1.
     """
-    if n < 3:
-        raise ValueError("gen_rectangles needs n >= 3")
+    n = _count("n", n, 3)
     rng = np.random.default_rng(seed)
     counts = [n // 3 + (1 if c < n % 3 else 0) for c in range(3)]
-    blocks = []
-    labels = []
+    blocks, labels = [], []
     for c, m in enumerate(counts):
         x = rng.uniform(c / 3.0, (c + 1) / 3.0, size=m)
         y = rng.uniform(0.0, 1.0, size=m)

@@ -29,6 +29,7 @@ from .nnet import MLPClassifier, TrainConfig, train
 from .stein import (
     BaseKernel,
     RBFKernel,
+    _count,
     make_stein_points,
     median_heuristic_gamma,
     stein_gram,
@@ -103,12 +104,10 @@ class DebugReport:
         return len(self.flipped_indices)
 
     def precision_at(self, m: int) -> float:
-        hits = len(set(self.ranking[:m]) & set(self.flipped_indices))
-        return hits / m
+        return len(set(self.ranking[:m]) & set(self.flipped_indices)) / m
 
     def recall_at(self, m: int) -> float:
-        hits = len(set(self.ranking[:m]) & set(self.flipped_indices))
-        return hits / len(self.flipped_indices)
+        return len(set(self.ranking[:m]) & set(self.flipped_indices)) / len(self.flipped_indices)
 
 
 def coverage(top) -> float:
@@ -155,7 +154,8 @@ def hit_rate_experiment(model: MLPClassifier, dataset: Dataset, augmentation: st
     """Augmented self-retrieval over a sample of training points.
 
     Samples ``sample_size`` source indices without replacement, generates
-    ``trials_per_point`` augmented test points for each, and counts a hit at
+    ``trials_per_point`` augmented test points for each (both integers of at
+    least 1, ``sample_size`` at most n), and counts a hit at
     k when the source index appears in the method's top-k. Coverage is
     measured per k over all produced top-k sets. The Stein methods rank
     against a cache of their variant (:data:`METHOD_VARIANTS`) built here,
@@ -165,10 +165,10 @@ def hit_rate_experiment(model: MLPClassifier, dataset: Dataset, augmentation: st
     made and scored in blocks of at most about ``_BLOCK_VALUES`` scores; trial
     t's ``noise`` is row t of one normal draw by the generator of the sources.
     """
-    if sample_size < 1 or sample_size > dataset.n:
-        raise ValueError(f"sample_size must lie in [1, {dataset.n}]")
-    if trials_per_point < 1:
-        raise ValueError("trials_per_point must be at least 1")
+    sample_size = _count("sample_size", sample_size)
+    trials_per_point = _count("trials_per_point", trials_per_point)
+    if sample_size > dataset.n:
+        raise ValueError(f"sample_size={sample_size} exceeds dataset size n={dataset.n}")
     if config.top_k > dataset.n:
         raise ValueError(f"top_k={config.top_k} exceeds dataset size n={dataset.n}")
     _check_augmentation(dataset, augmentation)
@@ -194,15 +194,10 @@ def hit_rate_experiment(model: MLPClassifier, dataset: Dataset, augmentation: st
     per_query_ms = np.divide(block_ms, sizes)
     blocks = len(sizes)
     ci95 = 1.96 * per_query_ms.std(ddof=1) / math.sqrt(blocks) if blocks > 1 else 0.0
-    return MetricsReport(
-        method=method,
-        hit_rate={k: int(found[:, :k].any(axis=1).sum()) / total for k in ks},
-        coverage={k: coverage(top[:, :k]) for k in ks},
-        mean_ms=sum(block_ms) / total,
-        ci95_ms=float(ci95),
-        trials=total,
-        seed=seed,
-    )
+    return MetricsReport(method=method,
+                         hit_rate={k: int(found[:, :k].any(axis=1).sum()) / total for k in ks},
+                         coverage={k: coverage(top[:, :k]) for k in ks},
+                         mean_ms=sum(block_ms) / total, ci95_ms=float(ci95), trials=total, seed=seed)
 
 
 def label_flip_debug_experiment(dataset: Dataset, flip_fraction: float,
@@ -218,19 +213,15 @@ def label_flip_debug_experiment(dataset: Dataset, flip_fraction: float,
     """
     if not 0.0 < flip_fraction < 0.5:
         raise ValueError("flip_fraction must lie in (0, 0.5)")
-    flips = math.ceil(flip_fraction * dataset.n)
-    if flips < 1:
-        raise ValueError("flip count must be at least 1")
+    flips = math.ceil(flip_fraction * dataset.n)  # at least 1, as flip_fraction > 0 and n >= 1
     rng = np.random.default_rng(seed)
     flip_idx = rng.choice(dataset.n, size=flips, replace=False)
     labels = dataset.labels.copy()
     # shift each flipped label by a nonzero offset so it always changes class
     offsets = rng.integers(1, dataset.num_classes, size=flips)
     labels[flip_idx] = (labels[flip_idx] + offsets) % dataset.num_classes
-    corrupted = Dataset(
-        dataset.features, labels, dataset.num_classes,
-        image_shape=dataset.image_shape, feature_std=dataset.feature_std,
-    )
+    corrupted = Dataset(dataset.features, labels, dataset.num_classes,
+                        image_shape=dataset.image_shape, feature_std=dataset.feature_std)
 
     model = train(corrupted, train_config, hidden_dims=hidden_dims)
     cache = build_cache(model, corrupted, variant="last-layer")
@@ -238,14 +229,8 @@ def label_flip_debug_experiment(dataset: Dataset, flip_fraction: float,
         kernel = RBFKernel(1.0)
     ranking = [i for i, _ in self_influence_ranking(cache, kernel)]
 
-    flipped = sorted(int(i) for i in flip_idx)
-    report = DebugReport(
-        method="hd-explain-star",
-        flipped_indices=flipped,
-        ranking=ranking,
-        points=[],
-        seed=seed,
-    )
+    report = DebugReport(method="hd-explain-star", flipped_indices=sorted(int(i) for i in flip_idx),
+                         ranking=ranking, points=[], seed=seed)
     depths = [math.ceil(flips / 2), flips, min(2 * flips, dataset.n)]
     report.points = [(m, report.precision_at(m), report.recall_at(m)) for m in depths]
     return report

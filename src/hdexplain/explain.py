@@ -25,6 +25,7 @@ from .stein import (
     RBFKernel,
     ScoreCache,
     _check_variant,
+    _count,
     _row_stats,
     _stein_block,
     _stein_diagonal,
@@ -60,7 +61,8 @@ class ExplainerConfig:
     median-heuristic RBF over the cache the protocol builds. ``variant`` is
     ``raw`` or ``last-layer`` (else ``UnsupportedVariantError``) and must
     match the cache in :func:`explain`; the protocol does not read it, since
-    its ``method`` names the variant (:data:`METHOD_VARIANTS`).
+    its ``method`` names the variant (:data:`METHOD_VARIANTS`). ``top_k``
+    is an integer of at least 1.
     """
 
     kernel: BaseKernel | None
@@ -69,8 +71,7 @@ class ExplainerConfig:
 
     def __post_init__(self):
         _check_variant(self.variant)
-        if self.top_k < 1:
-            raise ValueError("top_k must be at least 1")
+        self.top_k = _count("top_k", self.top_k)
 
 
 @dataclass
@@ -95,13 +96,8 @@ def build_cache(model: MLPClassifier, dataset: Dataset, variant: str = "raw") ->
     if dataset.num_classes != model.num_classes:
         raise ValueError(f"dataset has {dataset.num_classes} classes, model has {model.num_classes}")
     z, scores = make_stein_points(model, dataset.features, dataset.labels, variant)
-    return ScoreCache(
-        model_fingerprint=model.fingerprint(),
-        variant=variant,
-        z=z,
-        scores=scores,
-        labels=dataset.labels,
-    )
+    return ScoreCache(model_fingerprint=model.fingerprint(), variant=variant, z=z, scores=scores,
+                      labels=dataset.labels)
 
 
 def _check_cache(model: MLPClassifier, cache: ScoreCache) -> None:
@@ -132,10 +128,10 @@ def _test_point(model: MLPClassifier, x_test) -> np.ndarray:
     return x_test
 
 
-def _finite(values: np.ndarray) -> np.ndarray:
+def _finite(values: np.ndarray, what: str = "scores against the test point are not finite "
+            "(its features or the model's weights are too large in magnitude)") -> np.ndarray:
     if not np.isfinite(values).all():
-        raise ArithmeticError("scores against the test point are not finite "
-                              "(its features or the model's weights are too large in magnitude)")
+        raise ArithmeticError(what)
     return values
 
 
@@ -161,12 +157,8 @@ def explain(model: MLPClassifier, cache: ScoreCache, x_test, config: ExplainerCo
                                       row_stats=cache.row_stats)
     ranked = _ranked_list(_finite(values), cache.labels, k=config.top_k)
     elapsed = time.perf_counter() - start
-    return Explanation(
-        predicted_label=int(predicted[0]),
-        predicted_proba=proba[0],
-        ranked=ranked,
-        elapsed=elapsed,
-    )
+    return Explanation(predicted_label=int(predicted[0]), predicted_proba=proba[0], ranked=ranked,
+                       elapsed=elapsed)
 
 
 def explanation_to_json(explanation: Explanation) -> str:
@@ -188,9 +180,13 @@ def self_influence_ranking(cache: ScoreCache, kernel: BaseKernel) -> list[tuple[
 
     High self-kernel values flag candidates for label errors: a large score
     norm (confidently contradicted label) dominates the diagonal. For a radial
-    kernel the diagonal is an increasing function of ``||s||`` alone.
+    kernel the diagonal is an increasing function of ``||s||`` alone. A
+    non-finite value raises ``ArithmeticError``, without numpy warnings.
     """
-    return _ranked_list(_stein_diagonal(kernel, cache.scores, cache.row_stats))
+    with np.errstate(all="ignore"):
+        values = _stein_diagonal(kernel, cache.scores, cache.row_stats)
+    return _ranked_list(_finite(values, "self-influence values are not finite "
+                                        "(the cached scores are too large in magnitude)"))
 
 
 def _top(values: np.ndarray, k: int | None = None) -> np.ndarray:

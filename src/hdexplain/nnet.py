@@ -14,7 +14,8 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ModelFormatError, TrainingError, UnsupportedVariantError
-from .stein import _check_variant, _class_labels, _write_atomic
+from .stein import (_check_variant, _class_labels, _count, _non_negative_finite, _positive_finite,
+                    _write_atomic)
 
 __all__ = [
     "TrainConfig",
@@ -105,7 +106,9 @@ class TrainConfig:
     """Hyperparameters for mini-batch gradient descent with momentum.
 
     The step size follows a cosine decay from ``learning_rate`` to 0 over
-    ``epochs``.
+    ``epochs``. ``epochs`` and ``batch_size`` are integers of at least 1,
+    ``learning_rate`` is positive and ``l2_weight_decay`` non-negative, both
+    finite; anything else (2.5, ``True``, NaN) raises ``ValueError``.
     """
 
     epochs: int = 100
@@ -117,16 +120,12 @@ class TrainConfig:
     validation_fraction: float = 0.0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        self.epochs = _count("epochs", self.epochs)
+        self.batch_size = _count("batch_size", self.batch_size)
+        self.learning_rate = _positive_finite("learning_rate", self.learning_rate)
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must lie in [0, 1)")
-        if self.l2_weight_decay < 0:
-            raise ValueError("l2_weight_decay must be non-negative")
+        self.l2_weight_decay = _non_negative_finite("l2_weight_decay", self.l2_weight_decay)
         if not 0 <= self.validation_fraction < 1:
             raise ValueError("validation_fraction must lie in [0, 1)")
 
@@ -179,16 +178,17 @@ class MLPClassifier:
     ``layer_dims`` is ``[d, h_1, ..., h_L, l]``. Weight matrices are stored
     as ``(fan_in, fan_out)``; a forward pass computes
     ``a_{i} = tanh(a_{i-1} @ W_i + b_i)`` for hidden layers followed by an
-    affine map into class logits. Instances are treated as immutable after
-    construction; the fingerprint is cached on first use.
+    affine map into class logits. ``layer_dims`` entries are integers of at
+    least 1. Instances are treated as immutable after construction; the
+    fingerprint is cached on first use. The model takes its parameters as
+    its own: C-contiguous float64 weights and biases are kept, not copied,
+    and made read-only in place.
     """
 
     def __init__(self, layer_dims, weights, biases):
-        self.layer_dims = [int(v) for v in layer_dims]
+        self.layer_dims = [_count("layer dimensions", v) for v in layer_dims]
         if len(self.layer_dims) < 2:
             raise ValueError("layer_dims needs at least input and output sizes")
-        if any(v < 1 for v in self.layer_dims):
-            raise ValueError("layer dimensions must be positive")
         if len(weights) != len(self.layer_dims) - 1 or len(biases) != len(weights):
             raise ValueError("weights/biases inconsistent with layer_dims")
         self.weights = []
@@ -379,21 +379,22 @@ def train(dataset: Dataset, config: TrainConfig, hidden_dims=None) -> MLPClassif
     cross-entropy.
 
     Deterministic for a fixed ``config.seed`` (seeded init and shuffling).
-    ``hidden_dims`` defaults to ``(32, 32)``, or ``(128, 64)`` for image
-    datasets. The returned model carries ``train_accuracy``,
-    ``validation_accuracy`` (when a split is held out) and the per-epoch
-    ``train_loss_history``: the mean of each epoch's batch losses, each at
-    the weights before its step. Divergence raises ``TrainingError``.
+    ``hidden_dims`` (integers of at least 1, checked before any work) defaults
+    to ``(32, 32)``, or ``(128, 64)`` for image datasets. The returned model
+    carries ``train_accuracy``, ``validation_accuracy`` (when a split is held
+    out) and the per-epoch ``train_loss_history``: the mean of each epoch's
+    batch losses, each at the weights before its step. Divergence raises
+    ``TrainingError``.
 
     All parameters live in one flat vector (weights, then biases) that each
     step updates in place with a handful of whole-vector operations; the
     forward and backward passes write into buffers made once per call.
     """
-    if np.unique(dataset.labels).size < 2:
-        raise TrainingError("training requires at least 2 classes present in the data")
     if hidden_dims is None:
         hidden_dims = (128, 64) if dataset.image_shape is not None else (32, 32)
-    dims = [dataset.d, *[int(v) for v in hidden_dims], dataset.num_classes]
+    dims = [dataset.d, *(_count("hidden_dims entries", v) for v in hidden_dims), dataset.num_classes]
+    if np.unique(dataset.labels).size < 2:
+        raise TrainingError("training requires at least 2 classes present in the data")
 
     rng = np.random.default_rng(config.seed)
     n_weights = sum(fan_in * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))

@@ -32,6 +32,7 @@ from __future__ import annotations
 import contextlib
 import math
 import mmap
+import numbers
 import os
 import struct
 from dataclasses import dataclass, field
@@ -105,13 +106,6 @@ class RadialKernel(BaseKernel):
         raise NotImplementedError
 
 
-def _positive_finite(name: str, value) -> float:
-    value = float(value)
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    return value
-
-
 class RBFKernel(RadialKernel):
     """k(a, b) = exp(-gamma * ||a - b||^2)."""
 
@@ -165,6 +159,29 @@ _VARIANTS = ("raw", "last-layer")
 def _check_variant(variant) -> None:
     if variant not in _VARIANTS:
         raise UnsupportedVariantError(f"unknown variant {variant!r}; expected 'raw' or 'last-layer'")
+
+
+def _count(name: str, value, minimum: int = 1) -> int:
+    """``value`` as an int, else ``ValueError``: an integer (not a bool) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
+    return int(value)
+
+
+def _positive_finite(name: str, value) -> float:
+    """``value`` as a float, else ``ValueError``: finite and positive (NaN fails)."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
+def _non_negative_finite(name: str, value) -> float:
+    """``value`` as a float, else ``ValueError``: finite and non-negative (NaN fails)."""
+    value = float(value)
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
+    return value
 
 
 def _class_labels(labels, n: int, classes: int) -> np.ndarray:
@@ -589,7 +606,8 @@ class ScoreCache:
     ``UnsupportedVariantError``. The fingerprint ties the cache to the exact
     model whose scores it holds; consumers must reject mismatches.
     ``row_stats``, the per-row ``(||z||^2, z.s)``, is derived here and not
-    written to the file.
+    written to the file. Like a ``Dataset``, it keeps C-contiguous float64
+    ``z`` and ``scores`` and int64 ``labels`` uncopied and read-only in place.
     """
 
     model_fingerprint: int

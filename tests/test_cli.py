@@ -7,8 +7,8 @@ import warnings
 
 import pytest
 
-from hdexplain import evalharness
-from hdexplain.cli import RunConfig, main
+from hdexplain import evalharness, nnet
+from hdexplain.cli import RunConfig, main, train_config_from
 from hdexplain.data import Dataset, gen_two_moons, save_csv, standardize
 from hdexplain.evalharness import (
     METHOD_VARIANTS,
@@ -337,7 +337,7 @@ class TestExplainCommand:
     @pytest.mark.parametrize("dims, values, message", [
         ([2, 3, 2], [float("nan")] + [0.0] * 16, "model parameters must be finite"),
         ([2], [], "layer_dims needs at least input and output sizes"),
-        ([2, 0, 2], [0.0, 0.0], "layer dimensions must be positive"),
+        ([2, 0, 2], [0.0, 0.0], "layer dimensions must be an integer of at least 1, got 0"),
     ])
     def test_invalid_model_contents_are_a_format_error(self, tmp_path, trained_artifacts, capsys,
                                                        dims, values, message):
@@ -775,6 +775,42 @@ class TestConfigTypes:
         cfg = load_run_config(write_config(tmp_path, doc))
         assert cfg.dataset.noise_std == 0 and cfg.explainer.gamma == 2
         assert cfg.model.hidden_dims is None and cfg.experiment.shifts == [0, 1.5]
+
+    @pytest.mark.parametrize("command, doc, flags, message", [
+        ("train", {"model": {"hidden_dims": [0]}}, [],
+         "hidden_dims entries must be an integer of at least 1, got 0"),
+        ("debug", {"model": {"hidden_dims": [-1]}}, [],
+         "hidden_dims entries must be an integer of at least 1, got -1"),
+        ("explain", None, ["--index", "3", "--top-k", "0"], "top_k must be an integer of at least 1, got 0"),
+        ("explain", None, ["--point", "0.1,0.2", "--top-k", "0"],
+         "top_k must be an integer of at least 1, got 0"),
+    ], ids=["train-hidden_dims-0", "debug-hidden_dims-minus-1", "explain-index-top_k-0",
+            "explain-point-top_k-0"])
+    def test_bad_count_is_a_usage_error_before_any_forward_pass(self, trained_artifacts, tmp_path,
+                                                                 capsys, monkeypatch, command, doc,
+                                                                 flags, message):
+        config, model_path, _ = trained_artifacts
+        if doc is None:
+            # a last-layer cache: --index then checks the point's representation, a forward pass
+            cache_path = str(tmp_path / "last_layer.bin")
+            assert run("cache", "--config", config, "--model", model_path, "--variant", "last-layer",
+                       "--out", cache_path) == 0
+            flags = ["--model", model_path, "--cache", cache_path, *flags]
+        else:
+            config = write_config(tmp_path, doc, "bad.json")
+        passes = []
+        real = nnet._forward_into
+        monkeypatch.setattr(nnet, "_forward_into", lambda *a: passes.append(1) or real(*a))
+        out_path = tmp_path / "out"
+        assert run(command, "--config", config, *flags, "--out", str(out_path)) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert passes == [] and not out_path.exists()
+
+    def test_model_defaults_are_the_library_defaults(self):
+        assert train_config_from(RunConfig()) == TrainConfig(seed=0)
+        explainer = RunConfig().explainer
+        default = ExplainerConfig(kernel=None)
+        assert (explainer.variant, explainer.top_k) == (default.variant, default.top_k)
 
     def test_defaults_round_trip(self, tmp_path):
         from dataclasses import asdict

@@ -359,7 +359,10 @@ class TestDatasetInvariants:
 
     @pytest.mark.parametrize("shape", [(-1, -2, 1), (2, 1, 0, 1), (2.0, 1, 1), (2, 1)])
     def test_image_shape_of_positive_integers(self, shape):
-        with pytest.raises(ValueError, match="must be three positive integers"):
+        # each entry meets the count check first; only (2, 1) reaches the length check
+        match = ("must be three positive integers" if shape == (2, 1)
+                 else "image_shape entries must be an integer of at least 1")
+        with pytest.raises(ValueError, match=match):
             Dataset(np.zeros((2, 2)), np.array([0, 1]), 2, image_shape=shape)
 
     def test_image_shape_entries_become_ints(self):

@@ -214,6 +214,16 @@ class TestSelfInfluence:
             values = np.array([v for _, v in ranking])
             assert values.min() >= -1e-6 * np.abs(values).max()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kernel", [LinearKernel(), RBFKernel(1.0), IMQKernel(1.0, -0.5)],
+                             ids=["linear", "rbf", "imq"])
+    def test_non_finite_diagonal_raises_without_warnings(self, kernel):
+        # finite rows and row stats, but ||s||^2 of the first row overflows (and the
+        # linear diagonal's ||z||^2 ||s||^2 is 0 * inf, an invalid-value warning)
+        cache = ScoreCache(0, "raw", [[0.0, 0.0], [1.0, 0.0]], [[1e200, 0.0], [1.0, 1.0]], [0, 1])
+        with pytest.raises(ArithmeticError, match="self-influence values are not finite"):
+            self_influence_ranking(cache, kernel)
+
     def test_label_flips_surface_at_the_top(self):
         # single-seed version of the debugging experiment: flipped points get
         # confidently contradicted labels, which inflates their self-kernel

@@ -588,7 +588,7 @@ class TestSerialization:
     @pytest.mark.parametrize("dims, values, message", [
         ([2, 3, 2], [float("nan")] + [0.0] * 16, "model parameters must be finite"),
         ([2], [], "layer_dims needs at least input and output sizes"),
-        ([2, 0, 2], [0.0, 0.0], "layer dimensions must be positive"),
+        ([2, 0, 2], [0.0, 0.0], "layer dimensions must be an integer of at least 1, got 0"),
     ])
     def test_invalid_contents_are_a_format_error(self, tmp_path, dims, values, message):
         path = tmp_path / "model.bin"

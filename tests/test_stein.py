@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 
 import oracle
-from hdexplain.data import Dataset, gen_two_moons
+from hdexplain.data import Dataset, gen_rectangles, gen_two_moons
 from hdexplain.errors import ModelFormatError, UnsupportedVariantError
-from hdexplain.explain import ExplainerConfig, _top, self_influence_ranking
-from hdexplain import stein
+from hdexplain.evalharness import hit_rate_experiment
+from hdexplain.explain import ExplainerConfig, _top, build_cache, explain, self_influence_ranking
+from hdexplain import nnet, stein
 from hdexplain.nnet import MLPClassifier, TrainConfig, save_model, train
 from hdexplain.stein import (
     IMQKernel,
@@ -250,6 +251,115 @@ class TestInputContracts:
         with pytest.raises(UnsupportedVariantError) as info:
             call()
         assert str(info.value) == "unknown variant 'middle'; expected 'raw' or 'last-layer'"
+
+
+@pytest.fixture(scope="module")
+def small_fit():
+    data = gen_two_moons(20, 0.1, seed=0)
+    model = train(data, TrainConfig(seed=0, epochs=2), hidden_dims=[3])
+    return data, model, build_cache(model, data)
+
+
+def numeric_entry_points(data, model, cache):
+    """Every count and scale the library takes: entry -> (parameter, rule, a
+    valid value, call on a value). The rule is a count's minimum, or
+    "positive" or "non-negative" for a scale; each call returns what the value
+    changes, for the numpy-scalar comparison."""
+    x, config = np.zeros((2, 2)), ExplainerConfig(kernel=RBFKernel(1.0), top_k=1)
+    fit = lambda hidden=3, **kw: train(data, TrainConfig(**{"seed": 0, "epochs": 2, **kw}),
+                                       hidden_dims=[hidden]).serialize()
+    hits = lambda trials, size: hit_rate_experiment(model, data, "noise", trials, size, config,
+                                                    0).csv_rows()[0]["hit_rate"]
+    r = np.array([0.0, 2.0])
+    return {
+        "Dataset.num_classes": ("num_classes", 2, 3, lambda v: Dataset(x, [0, 1], v).num_classes),
+        "Dataset.image_shape": ("image_shape entries", 1, 2, lambda v: Dataset(
+            np.zeros((2, 4)), [0, 1], 2, image_shape=(2, v, 1)).image_shape),
+        "gen_two_moons.n": ("n", 2, 10, lambda v: gen_two_moons(v, 0.1, seed=0).features),
+        "gen_rectangles.n": ("n", 3, 9, lambda v: gen_rectangles(v, seed=0).features),
+        "TrainConfig.epochs": ("epochs", 1, 2, lambda v: fit(epochs=v)),
+        "TrainConfig.batch_size": ("batch_size", 1, 8, lambda v: fit(batch_size=v)),
+        "train.hidden_dims": ("hidden_dims entries", 1, 3, lambda v: fit(hidden=v)),
+        "MLPClassifier.layer_dims": ("layer dimensions", 1, 1, lambda v: MLPClassifier(
+            [2, v, 2], [np.ones((2, 1)), np.ones((1, 2))], [np.zeros(1), np.zeros(2)]).serialize()),
+        "ExplainerConfig.top_k": ("top_k", 1, 2, lambda v: explain(
+            model, cache, data.features[0], ExplainerConfig(kernel=RBFKernel(1.0), top_k=v)).ranked),
+        "hit_rate.trials_per_point": ("trials_per_point", 1, 2, lambda v: hits(v, 3)),
+        "hit_rate.sample_size": ("sample_size", 1, 3, lambda v: hits(2, v)),
+        "TrainConfig.learning_rate": ("learning_rate", "positive", 0.05, lambda v: fit(learning_rate=v)),
+        "TrainConfig.l2_weight_decay": ("l2_weight_decay", "non-negative", 0.01,
+                                        lambda v: fit(l2_weight_decay=v)),
+        "Dataset.feature_std": ("feature_std entries", "non-negative", 0.5,
+                                lambda v: Dataset(x, [0, 1], 2, feature_std=[1.0, v]).feature_std),
+        "gen_two_moons.noise_std": ("noise_std", "non-negative", 0.2,
+                                    lambda v: gen_two_moons(10, v, seed=0).features),
+        "RBFKernel.gamma": ("gamma", "positive", 0.5, lambda v: RBFKernel(v).radial(r)),
+        "IMQKernel.c": ("c", "positive", 1.5, lambda v: IMQKernel(c=v).radial(r)),
+    }
+
+
+RULES = {entry: rule for entry, (_, rule, _, _) in numeric_entry_points(None, None, None).items()}
+COUNTS = [entry for entry, rule in RULES.items() if isinstance(rule, int)]
+SCALES = [entry for entry, rule in RULES.items() if isinstance(rule, str)]
+
+
+class TestNumericContracts:
+    """Each count and scale is checked by one function, before any forward pass."""
+
+    @pytest.fixture()
+    def forward_calls(self, monkeypatch):
+        calls = []
+        real = nnet._forward_into
+        monkeypatch.setattr(nnet, "_forward_into", lambda *a: calls.append(a[2].shape) or real(*a))
+        return calls
+
+    def rejects(self, call, value, message, forward_calls):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                call(value)
+        assert str(info.value) == message
+        assert forward_calls == []
+
+    @pytest.mark.parametrize("entry", COUNTS)
+    @pytest.mark.parametrize("bad", ["fraction", "bool", "below"])
+    def test_bad_count_fails_with_one_message_before_any_work(self, small_fit, forward_calls, entry,
+                                                               bad):
+        name, minimum, _, call = numeric_entry_points(*small_fit)[entry]
+        value = {"fraction": 2.5, "bool": True, "below": minimum - 1}[bad]
+        self.rejects(call, value, f"{name} must be an integer of at least {minimum}, got {value!r}",
+                     forward_calls)
+
+    @pytest.mark.parametrize("entry", SCALES)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0])
+    def test_bad_scale_fails_with_one_message_before_any_work(self, small_fit, forward_calls, entry,
+                                                               value):
+        name, rule, _, call = numeric_entry_points(*small_fit)[entry]
+        self.rejects(call, value, f"{name} must be {rule} and finite, got {value!r}", forward_calls)
+
+    @pytest.mark.parametrize("entry", COUNTS + SCALES)
+    def test_numpy_scalars_give_byte_equal_results(self, small_fit, entry):
+        _, _, value, call = numeric_entry_points(*small_fit)[entry]
+        wrapped = (np.int64 if entry in COUNTS else np.float64)(value)
+        got, want = call(wrapped), call(value)
+        assert type(got) is type(want)
+        if isinstance(want, np.ndarray):
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+        elif isinstance(want, tuple) and isinstance(want[0], np.ndarray):
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        else:
+            assert repr(got) == repr(want)
+
+    def test_each_message_comes_from_its_one_check(self):
+        """A hand-written count or scale check would bring a second copy of its message."""
+        package = Path(stein.__file__).parent
+        for message, check in [("must be an integer of at least", stein._count),
+                               ("must be positive and finite", stein._positive_finite),
+                               ("must be non-negative and finite", stein._non_negative_finite)]:
+            counts = {path.name: path.read_text(encoding="utf-8").count(message)
+                      for path in package.rglob("*.py")}
+            assert {name: count for name, count in counts.items() if count} == {"stein.py": 1}, message
+            assert message in inspect.getsource(check)
 
 
 class TestSteinPoints:
