@@ -16,7 +16,7 @@ import json
 import math
 import sys
 import typing
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, is_dataclass
 
 import numpy as np
 
@@ -56,7 +56,7 @@ class ModelConfig:
     momentum: float = TrainConfig.momentum
     l2_weight_decay: float = TrainConfig.l2_weight_decay
     validation_fraction: float = TrainConfig.validation_fraction
-    hidden_dims: list[int] | None = None  # default: (32, 32), or (128, 64) for images
+    hidden_dims: list[int] | None = TrainConfig.hidden_dims  # None: (32, 32), or (128, 64) for images
 
 
 @dataclass
@@ -155,10 +155,8 @@ def dataset_from_config(cfg: RunConfig) -> Dataset:
 
 
 def train_config_from(cfg: RunConfig) -> TrainConfig:
-    """The model section's fields that TrainConfig shares by name, and the run seed."""
-    names = {f.name for f in fields(TrainConfig)}
-    return TrainConfig(seed=cfg.seed, **{f.name: getattr(cfg.model, f.name)
-                                         for f in fields(ModelConfig) if f.name in names})
+    """The model section, whose fields are TrainConfig's but ``seed``, and the run seed."""
+    return TrainConfig(seed=cfg.seed, **asdict(cfg.model))
 
 
 def kernel_from_config(cfg: RunConfig):
@@ -205,7 +203,7 @@ def _report(args, cfg: RunConfig, rows: list[dict], table: list[str], **extra) -
 
 def cmd_train(args, cfg: RunConfig) -> int:
     dataset = dataset_from_config(cfg)
-    model = train(dataset, train_config_from(cfg), hidden_dims=cfg.model.hidden_dims)
+    model = train(dataset, train_config_from(cfg))
     _atomic_write_bytes(args.out, model.serialize())
     summary = {
         "out": args.out,
@@ -297,7 +295,7 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
 
     dataset = dataset_from_config(cfg)
     evalharness._check_augmentation(dataset, cfg.experiment.augmentation)
-    model = train(dataset, train_config_from(cfg), hidden_dims=cfg.model.hidden_dims)
+    model = train(dataset, train_config_from(cfg))
     config = ExplainerConfig(kernel=kernel_from_config(cfg), top_k=cfg.explainer.top_k)
     rows, table = [], []
     for method in methods:
@@ -315,9 +313,7 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
 def cmd_debug(args, cfg: RunConfig) -> int:
     dataset = dataset_from_config(cfg)
     report = evalharness.label_flip_debug_experiment(
-        dataset, cfg.experiment.flip_fraction, train_config_from(cfg), kernel_from_config(cfg),
-        cfg.seed, hidden_dims=cfg.model.hidden_dims,
-    )
+        dataset, cfg.experiment.flip_fraction, train_config_from(cfg), kernel_from_config(cfg), cfg.seed)
     rows = [
         {"method": report.method, "m": m, "precision": p, "recall": r,
          "flips": report.flip_count, "n": dataset.n, "seed": cfg.seed}
@@ -330,7 +326,7 @@ def cmd_debug(args, cfg: RunConfig) -> int:
 
 def cmd_ksd_shift(args, cfg: RunConfig) -> int:
     dataset = dataset_from_config(cfg)
-    model = train(dataset, train_config_from(cfg), hidden_dims=cfg.model.hidden_dims)
+    model = train(dataset, train_config_from(cfg))
     results = evalharness.ksd_shift_experiment(model, dataset, cfg.experiment.shifts,
                                                kernel_from_config(cfg))
     rows = [{"shift": float(s), "ksd_vstat": v} for s, v in results]

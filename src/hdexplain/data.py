@@ -7,6 +7,7 @@ for a fixed seed.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import struct
@@ -32,33 +33,33 @@ class Dataset:
 
     Attributes
     ----------
-    features : (n, d) float64 array
+    features : (n, d) float64 array of finite values (else ``ValueError``)
     labels : (n,) int64 array; the given labels must be whole numbers in
         ``[0, num_classes)`` (a float such as 0.5 or NaN raises ``ValueError``
         and is never truncated)
     num_classes : an integer (not a bool), at least 2
     image_shape : optional ``(H, W, C)`` of positive integers with ``H * W * C == d``
-    feature_std : per-column standard deviation of the raw features, each
-        finite and non-negative, measured before any normalization and
-        carried through :func:`standardize` so noise augmentation keeps its
-        raw scale. When not supplied it is computed from ``features`` on
-        first use; a supplied value is checked here.
+    feature_std : per-column standard deviation of ``features``, computed
+        on first use. Noise augmentation draws at 0.01 of it, so its scale is
+        always that of the features the model sees.
 
-    C-contiguous float64 ``features``/``feature_std`` and int64 ``labels``
-    are kept uncopied and made read-only in place, so the caller's arrays
-    turn read-only too: a copy would cost n x d values (12.5 MB for 2000
-    28 x 28 images), and the baselines' memo relies on read-only arrays.
+    C-contiguous float64 ``features`` and int64 ``labels`` are kept uncopied
+    and made read-only in place, so the caller's arrays turn read-only too:
+    a copy would cost n x d values (12.5 MB for 2000 28 x 28 images), and
+    the baselines' memo relies on read-only arrays.
     """
 
     def __init__(self, features, labels, num_classes: int,
-                 image_shape: tuple[int, int, int] | None = None,
-                 feature_std: np.ndarray | None = None):
+                 image_shape: tuple[int, int, int] | None = None):
         self.features = np.ascontiguousarray(features, dtype=np.float64)
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
         n, d = self.features.shape
         if n < 1 or d < 1:
             raise ValueError("dataset needs at least one row and one column")
+        # all finite iff the least and the greatest are (NaN propagates); no n x d temporary
+        if not (math.isfinite(self.features.min()) and math.isfinite(self.features.max())):
+            raise ValueError("features must be finite")
         self.num_classes = _count("num_classes", num_classes, 2)
         self.labels = _class_labels(labels, n, self.num_classes)
         if image_shape is not None:
@@ -68,24 +69,14 @@ class Dataset:
                                  f"(H, W, C) with H * W * C == d={d}")
             image_shape = shape
         self.image_shape = image_shape
-        if feature_std is not None:
-            feature_std = np.ascontiguousarray(feature_std, dtype=np.float64)
-            if feature_std.shape != (d,):
-                raise ValueError("feature_std must have one entry per column")
-            # every entry is finite and >= 0 iff the least and the greatest are (NaN propagates)
-            for v in (feature_std.min(), feature_std.max()):
-                _non_negative_finite("feature_std entries", v)
-            feature_std.setflags(write=False)
-        self._feature_std = feature_std
         self.features.setflags(write=False)
         self.labels.setflags(write=False)
 
-    @property
+    @functools.cached_property
     def feature_std(self) -> np.ndarray:
-        if self._feature_std is None:
-            self._feature_std = self.features.std(axis=0)
-            self._feature_std.setflags(write=False)
-        return self._feature_std
+        std = self.features.std(axis=0)
+        std.setflags(write=False)
+        return std
 
     @property
     def n(self) -> int:
@@ -261,8 +252,8 @@ def load_idx(images_path, labels_path) -> Dataset:
 def standardize(dataset: Dataset) -> Dataset:
     """Center each feature column at 0 and scale it to unit standard deviation.
 
-    Zero-variance columns are left centered at 0. The returned dataset keeps
-    the input's ``feature_std`` untouched so the raw noise scale survives.
+    Zero-variance columns are left centered at 0. The result's ``feature_std``
+    is its own (1, or 0 for a constant column), whatever the input's units.
     """
     if dataset.n < 2:
         raise ValueError("standardize needs at least 2 rows")
@@ -271,11 +262,5 @@ def standardize(dataset: Dataset) -> Dataset:
     scaled = dataset.features - mean
     nonzero = std > 0
     scaled[:, nonzero] /= std[nonzero]
-    return Dataset(
-        scaled,
-        dataset.labels,
-        dataset.num_classes,
-        image_shape=dataset.image_shape,
-        feature_std=dataset.feature_std,
-    )
+    return Dataset(scaled, dataset.labels, dataset.num_classes, image_shape=dataset.image_shape)
 

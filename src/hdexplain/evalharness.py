@@ -96,12 +96,18 @@ class DebugReport:
     method: str
     flipped_indices: list[int]
     ranking: list[int]
-    points: list[tuple[int, float, float]]  # (m, precision@m, recall@m)
     seed: int
 
     @property
     def flip_count(self) -> int:
         return len(self.flipped_indices)
+
+    @property
+    def points(self) -> list[tuple[int, float, float]]:
+        """``(m, precision@m, recall@m)`` at ``m = ceil(f / 2)``, ``f`` and ``min(2 f, n)``."""
+        f = self.flip_count
+        depths = [math.ceil(f / 2), f, min(2 * f, len(self.ranking))]
+        return [(m, self.precision_at(m), self.recall_at(m)) for m in depths]
 
     def precision_at(self, m: int) -> float:
         return len(set(self.ranking[:m]) & set(self.flipped_indices)) / m
@@ -202,8 +208,8 @@ def hit_rate_experiment(model: MLPClassifier, dataset: Dataset, augmentation: st
 
 def label_flip_debug_experiment(dataset: Dataset, flip_fraction: float,
                                 train_config: TrainConfig, kernel: BaseKernel | None,
-                                seed: int, hidden_dims=None) -> DebugReport:
-    """Flip a fraction of labels, retrain, and rank by self-influence.
+                                seed: int) -> DebugReport:
+    """Flip a fraction of labels, retrain with ``train_config``, and rank by self-influence.
 
     Uses the last-layer variant. ``kernel=None`` ranks with ``RBFKernel(1.0)``:
     a radial kernel's diagonal is ``phi(0) ||s||^2 - 2 D phi'(0)``, so every
@@ -220,20 +226,15 @@ def label_flip_debug_experiment(dataset: Dataset, flip_fraction: float,
     # shift each flipped label by a nonzero offset so it always changes class
     offsets = rng.integers(1, dataset.num_classes, size=flips)
     labels[flip_idx] = (labels[flip_idx] + offsets) % dataset.num_classes
-    corrupted = Dataset(dataset.features, labels, dataset.num_classes,
-                        image_shape=dataset.image_shape, feature_std=dataset.feature_std)
+    corrupted = Dataset(dataset.features, labels, dataset.num_classes, image_shape=dataset.image_shape)
 
-    model = train(corrupted, train_config, hidden_dims=hidden_dims)
+    model = train(corrupted, train_config)
     cache = build_cache(model, corrupted, variant="last-layer")
     if kernel is None:
         kernel = RBFKernel(1.0)
     ranking = [i for i, _ in self_influence_ranking(cache, kernel)]
-
-    report = DebugReport(method="hd-explain-star", flipped_indices=sorted(int(i) for i in flip_idx),
-                         ranking=ranking, points=[], seed=seed)
-    depths = [math.ceil(flips / 2), flips, min(2 * flips, dataset.n)]
-    report.points = [(m, report.precision_at(m), report.recall_at(m)) for m in depths]
-    return report
+    return DebugReport(method="hd-explain-star", flipped_indices=sorted(int(i) for i in flip_idx),
+                       ranking=ranking, seed=seed)
 
 
 def ksd_shift_experiment(model: MLPClassifier, dataset: Dataset, shifts,

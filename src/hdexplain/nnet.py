@@ -103,12 +103,15 @@ def _fnv_xored_bytes(b: np.ndarray, low: int) -> np.ndarray:
 
 @dataclass
 class TrainConfig:
-    """Hyperparameters for mini-batch gradient descent with momentum.
+    """The training recipe: the hidden layer widths, and mini-batch gradient
+    descent with momentum whose step size decays from ``learning_rate`` to 0
+    over ``epochs`` on a cosine.
 
-    The step size follows a cosine decay from ``learning_rate`` to 0 over
-    ``epochs``. ``epochs`` and ``batch_size`` are integers of at least 1,
-    ``learning_rate`` is positive and ``l2_weight_decay`` non-negative, both
-    finite; anything else (2.5, ``True``, NaN) raises ``ValueError``.
+    ``hidden_dims=None`` means ``(32, 32)``, or ``(128, 64)`` for a dataset
+    with ``image_shape``; ``[]`` means no hidden layer. ``epochs``,
+    ``batch_size`` and the ``hidden_dims`` entries are integers of at least
+    1, ``learning_rate`` a positive and ``l2_weight_decay`` a non-negative
+    finite real; anything else (2.5, ``True``, NaN, ``"0.5"``) raises ``ValueError``.
     """
 
     epochs: int = 100
@@ -118,9 +121,12 @@ class TrainConfig:
     seed: int = 0
     l2_weight_decay: float = 1e-3
     validation_fraction: float = 0.0
+    hidden_dims: list[int] | None = None
 
     def __post_init__(self):
         self.epochs = _count("epochs", self.epochs)
+        if self.hidden_dims is not None:
+            self.hidden_dims = [_count("hidden_dims entries", v) for v in self.hidden_dims]
         self.batch_size = _count("batch_size", self.batch_size)
         self.learning_rate = _positive_finite("learning_rate", self.learning_rate)
         if not 0 <= self.momentum < 1:
@@ -374,13 +380,13 @@ def _layer_views(flat: np.ndarray, dims):
     return views[:len(dims) - 1], views[len(dims) - 1:]
 
 
-def train(dataset: Dataset, config: TrainConfig, hidden_dims=None) -> MLPClassifier:
+def train(dataset: Dataset, config: TrainConfig) -> MLPClassifier:
     """Train a classifier by mini-batch gradient descent with momentum on mean
     cross-entropy.
 
     Deterministic for a fixed ``config.seed`` (seeded init and shuffling).
-    ``hidden_dims`` (integers of at least 1, checked before any work) defaults
-    to ``(32, 32)``, or ``(128, 64)`` for image datasets. The returned model
+    The hidden layers are ``config.hidden_dims``, or when that is None
+    ``(32, 32)``, or ``(128, 64)`` for image datasets. The returned model
     carries ``train_accuracy``, ``validation_accuracy`` (when a split is held
     out) and the per-epoch ``train_loss_history``: the mean of each epoch's
     batch losses, each at the weights before its step. Divergence raises
@@ -390,9 +396,8 @@ def train(dataset: Dataset, config: TrainConfig, hidden_dims=None) -> MLPClassif
     step updates in place with a handful of whole-vector operations; the
     forward and backward passes write into buffers made once per call.
     """
-    if hidden_dims is None:
-        hidden_dims = (128, 64) if dataset.image_shape is not None else (32, 32)
-    dims = [dataset.d, *(_count("hidden_dims entries", v) for v in hidden_dims), dataset.num_classes]
+    default = (128, 64) if dataset.image_shape is not None else (32, 32)
+    dims = [dataset.d, *(default if config.hidden_dims is None else config.hidden_dims), dataset.num_classes]
     if np.unique(dataset.labels).size < 2:
         raise TrainingError("training requires at least 2 classes present in the data")
 

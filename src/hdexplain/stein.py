@@ -136,11 +136,10 @@ class IMQKernel(RadialKernel):
 
 def kernel_by_name(name: str, gamma: float | None = None, c: float = 1.0,
                    beta: float = -0.5) -> BaseKernel:
-    """Build a kernel from its registry name: ``linear``, ``rbf``, or ``imq``.
+    """Build a kernel from its exact registry name: ``linear``, ``rbf``, or ``imq`` (not ``RBF``).
 
     ``rbf`` requires ``gamma``; callers usually supply the median heuristic.
     """
-    name = name.lower()
     if name == "linear":
         return LinearKernel()
     if name == "rbf":
@@ -169,19 +168,19 @@ def _count(name: str, value, minimum: int = 1) -> int:
 
 
 def _positive_finite(name: str, value) -> float:
-    """``value`` as a float, else ``ValueError``: finite and positive (NaN fails)."""
-    value = float(value)
-    if not (math.isfinite(value) and value > 0):
+    """``value`` as a float, else ``ValueError``: a finite positive real, not a bool or a string."""
+    real = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
+    if not (math.isfinite(real) and real > 0):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    return value
+    return real
 
 
 def _non_negative_finite(name: str, value) -> float:
-    """``value`` as a float, else ``ValueError``: finite and non-negative (NaN fails)."""
-    value = float(value)
-    if not (math.isfinite(value) and value >= 0):
+    """``value`` as a float, else ``ValueError``: a finite non-negative real, not a bool or a string."""
+    real = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
+    if not (math.isfinite(real) and real >= 0):
         raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
-    return value
+    return real
 
 
 def _class_labels(labels, n: int, classes: int) -> np.ndarray:

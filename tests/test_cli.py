@@ -4,11 +4,12 @@ import json
 import os
 import struct
 import warnings
+from dataclasses import fields
 
 import pytest
 
 from hdexplain import evalharness, nnet
-from hdexplain.cli import RunConfig, main, train_config_from
+from hdexplain.cli import ModelConfig, RunConfig, main, train_config_from
 from hdexplain.data import Dataset, gen_two_moons, save_csv, standardize
 from hdexplain.evalharness import (
     METHOD_VARIANTS,
@@ -382,6 +383,19 @@ class TestExplainCommand:
         assert "config.explainer.gamma must be a finite number" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["explain", "ksd-shift"])
+    def test_kernel_names_are_exact(self, tmp_path, trained_artifacts, capsys, command):
+        config, model_path, cache_path = trained_artifacts
+        doc = json.loads(open(config).read())
+        doc["explainer"].update(kernel="RBF", gamma=None)
+        bad = write_config(tmp_path, doc, name="upper_kernel.json")
+        flags = ["--model", model_path, "--cache", cache_path, "--point", "0.1,0.2"] if command == "explain" else []
+        out_path = tmp_path / "out.csv"
+        assert run(command, "--config", bad, *flags, "--out", str(out_path)) == 2
+        captured = capsys.readouterr()
+        assert "error: unknown kernel 'RBF'; expected linear, rbf, or imq" in captured.err
+        assert not out_path.exists()
+
     @pytest.mark.filterwarnings("error")
     def test_non_finite_ranking_is_an_arithmetic_error(self, trained_artifacts, capsys):
         config, model_path, cache_path = trained_artifacts
@@ -483,6 +497,27 @@ class TestEvaluateCommand:
         manifest = json.loads((tmp_path / "report.csv.manifest.json").read_text())
         assert manifest["seed"] == 0
         assert manifest["command"] == "evaluate"
+
+    def test_standardized_results_do_not_depend_on_units(self, tmp_path):
+        # the same moons written in two units standardize to the same features,
+        # and the noise trials are drawn in the standardized units
+        moons = gen_two_moons(200, 0.1, seed=4)
+        hits = []
+        for scale in (1.0, 50.0):
+            csv_path = tmp_path / f"moons_x{scale:g}.csv"
+            save_csv(Dataset(moons.features * scale, moons.labels, 2), csv_path)
+            config = write_config(tmp_path, {
+                "dataset": {"source": f"csv:{csv_path}", "standardize": True},
+                "model": {"epochs": 20},
+                "experiment": {"trials": 5, "sample_size": 40, "methods": list(METHOD_VARIANTS)},
+                "seed": 4,
+            })
+            out_path = tmp_path / f"report_x{scale:g}.csv"
+            assert run("evaluate", "--config", config, "--out", str(out_path)) == 0
+            hits.append([(r["method"], r["k"], r["hit_rate"], r["coverage"])
+                         for r in csv.DictReader(open(out_path))])
+        assert len(hits[0]) == 3 * len(METHOD_VARIANTS)
+        assert hits[0] == hits[1]
 
     def test_star_rows_do_not_depend_on_other_methods(self, tmp_path):
         # each variant's median-heuristic bandwidth comes from its own cache
@@ -805,6 +840,10 @@ class TestConfigTypes:
         assert run(command, "--config", config, *flags, "--out", str(out_path)) == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert passes == [] and not out_path.exists()
+
+    def test_model_section_is_the_train_config_but_seed(self):
+        # a model field without a library field would otherwise be dropped silently
+        assert [f.name for f in fields(ModelConfig)] == [f.name for f in fields(TrainConfig) if f.name != "seed"]
 
     def test_model_defaults_are_the_library_defaults(self):
         assert train_config_from(RunConfig()) == TrainConfig(seed=0)

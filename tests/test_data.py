@@ -17,6 +17,7 @@ from hdexplain.data import (
     standardize,
 )
 from hdexplain.errors import DataLoadError
+from hdexplain.evalharness import _trial_points
 from hdexplain.nnet import MLPClassifier
 from hdexplain.stein import make_stein_points
 
@@ -316,10 +317,22 @@ class TestStandardize:
         assert np.all(np.abs(out.features.mean(axis=0)) <= 1e-10)
         assert np.all(np.abs(out.features.std(axis=0) - 1.0) <= 1e-10)
 
-    def test_keeps_raw_feature_std(self):
-        ds = gen_two_moons(100, 0.2, seed=7)
+    def test_noise_trial_points_do_not_depend_on_units(self):
+        # the same generator perturbs D's rows and S's rows; standardizing D's
+        # trial points with D's moments must give S's (a constant column stays 0)
+        moons = gen_two_moons(100, 0.2, seed=7)
+        x = moons.features
+        raw = np.column_stack([x[:, 0] * 50.0, x[:, 1] * 0.01, np.full(100, 3.0)])
+        ds = Dataset(raw, moons.labels, 2)
         out = standardize(ds)
-        assert np.array_equal(out.feature_std, ds.feature_std)
+        sources = np.arange(0, 100, 7)
+        raw_points = _trial_points(ds, "noise", sources, np.random.default_rng(3))
+        std_points = _trial_points(out, "noise", sources, np.random.default_rng(3))
+        mean, std = raw.mean(axis=0), raw.std(axis=0)
+        want = raw_points - mean
+        want[:, :2] /= std[:2]
+        assert np.allclose(std_points, want, rtol=0.0, atol=1e-12)
+        assert np.all(std_points[:, 2] == 0.0)
 
     def test_needs_two_rows(self):
         ds = Dataset(np.array([[1.0, 0.0]]), np.array([0]), 2)
@@ -387,12 +400,14 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError):
             std[0] = 1.0
 
-    @pytest.mark.parametrize("bad", [np.ones(3), np.array([1.0, -0.5])])
-    def test_bad_feature_std_raises_at_construction(self, bad):
-        with pytest.raises(ValueError):
-            Dataset(np.zeros((3, 2)), np.array([0, 1, 0]), 2, feature_std=bad)
+    def test_feature_std_cannot_be_supplied(self):
+        with pytest.raises(TypeError):
+            Dataset(np.zeros((3, 2)), np.array([0, 1, 0]), 2, feature_std=[0.5, 2.0])
 
-    def test_supplied_feature_std_is_kept_read_only(self):
-        ds = Dataset(np.zeros((3, 2)), np.array([0, 1, 0]), 2, feature_std=[0.5, 2.0])
-        assert ds.feature_std.tolist() == [0.5, 2.0]
-        assert not ds.feature_std.flags.writeable
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_raise(self, bad):
+        features = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        features[1, 0] = bad
+        with pytest.raises(ValueError) as info:
+            Dataset(features, [0, 1, 0], 2)
+        assert str(info.value) == "features must be finite"

@@ -9,6 +9,7 @@ from hdexplain import evalharness
 from hdexplain.errors import UnsupportedAugmentationError
 from hdexplain.evalharness import (
     METHOD_VARIANTS,
+    DebugReport,
     coverage,
     hit_rate_experiment,
     ksd_shift_experiment,
@@ -407,6 +408,22 @@ class TestLabelFlipDebug:
         report = label_flip_debug_experiment(ds, 0.05, TrainConfig(seed=5, epochs=30), None, seed=5)
         assert report.flip_count == 10
         assert [m for m, _, _ in report.points] == [5, 10, 20]
+
+    def test_points_follow_the_ranking_and_the_flips(self):
+        # 3 flips over 5 points: the deepest depth, 2 * 3, is capped at n = 5
+        report = DebugReport("hd-explain-star", flipped_indices=[1, 3, 4], ranking=[4, 0, 1, 2, 3], seed=0)
+        assert report.points == [(2, 1 / 2, 1 / 3), (3, 2 / 3, 2 / 3), (5, 3 / 5, 3 / 3)]
+
+    def test_architecture_comes_from_the_train_config(self, moons, monkeypatch):
+        models = []
+        inner = evalharness.build_cache
+        monkeypatch.setattr(evalharness, "build_cache", lambda model, *a, **k: models.append(model)
+                            or inner(model, *a, **k))
+        config = TrainConfig(seed=0, epochs=1, hidden_dims=[5])
+        label_flip_debug_experiment(moons, 0.1, config, None, seed=0)
+        assert models[0].layer_dims == [2, 5, 2]
+        with pytest.raises(TypeError):
+            label_flip_debug_experiment(moons, 0.1, config, None, 0, hidden_dims=[5])
 
     def test_flipped_labels_actually_change(self, moons):
         report = label_flip_debug_experiment(moons, 0.1, TrainConfig(seed=2, epochs=5), None, seed=2)

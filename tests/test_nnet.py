@@ -57,7 +57,7 @@ def rel_err(got, want):
     return np.linalg.norm(got - want) / scale
 
 
-def reference_train(dataset, config, hidden_dims=None):
+def reference_train(dataset, config):
     """The trainer as it was written before the flat in-place rewrite: a list
     of per-layer arrays, fresh arrays at every step. Each epoch's loss is the
     mean of its batch losses, each taken at the weights before the batch's
@@ -96,6 +96,7 @@ def reference_train(dataset, config, hidden_dims=None):
         logp = log_softmax(logits)
         return float(-logp[np.arange(len(y)), y].mean())
 
+    hidden_dims = config.hidden_dims
     if hidden_dims is None:
         hidden_dims = (128, 64) if dataset.image_shape is not None else (32, 32)
     dims = [dataset.d, *[int(v) for v in hidden_dims], dataset.num_classes]
@@ -226,30 +227,37 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(validation_fraction=1.0)
 
+    def test_architecture_lives_in_the_config(self, moons):
+        # an empty list is a model with no hidden layer, not the default
+        assert train(moons, TrainConfig(seed=0, epochs=1, hidden_dims=[])).layer_dims == [2, 2]
+        assert train(moons, TrainConfig(seed=0, epochs=1)).layer_dims == [2, 32, 32, 2]
+        with pytest.raises(TypeError):
+            train(moons, TrainConfig(seed=0, epochs=1), hidden_dims=[4])
+
     def test_divergence_names_the_epoch(self, moons):
         with np.errstate(over="warn", invalid="warn"), pytest.warns(RuntimeWarning):
             with pytest.raises(TrainingError, match="epoch 1"):
                 train(moons, TrainConfig(seed=0, epochs=3, learning_rate=1e308))
 
-    @pytest.mark.parametrize("scale, config, hidden_dims, match", [
+    @pytest.mark.parametrize("scale, config, match", [
         # one batch: its loss is taken before the only step, so the final
         # accuracy pass is the first to see the divergence
-        (1.0, TrainConfig(seed=0, epochs=1, batch_size=500, learning_rate=1e308), None,
+        (1.0, TrainConfig(seed=0, epochs=1, batch_size=500, learning_rate=1e308),
          "epoch 1: loss is not finite"),
         # a linear model whose first step overflows the parameters: the next
         # epoch's loss would name epoch 2, the check at the end of epoch 1 does not
-        (10.0, TrainConfig(seed=0, epochs=3, batch_size=500, learning_rate=1e308), (),
+        (10.0, TrainConfig(seed=0, epochs=3, batch_size=500, learning_rate=1e308, hidden_dims=()),
          "epoch 1: loss or parameters"),
         # huge features keep the batch loss and every parameter finite, but
         # the last step's weights overflow the accuracy pass
-        (1e200, TrainConfig(seed=0, epochs=1, batch_size=500), (), "epoch 1: loss is not finite"),
+        (1e200, TrainConfig(seed=0, epochs=1, batch_size=500, hidden_dims=()), "epoch 1: loss is not finite"),
     ], ids=["one-batch", "parameters-overflow", "accuracy-pass-overflows"])
-    def test_divergence_returns_no_model(self, moons, monkeypatch, scale, config, hidden_dims, match):
+    def test_divergence_returns_no_model(self, moons, monkeypatch, scale, config, match):
         data = Dataset(moons.features * scale, moons.labels, 2)
         returned = []
         monkeypatch.setattr(MLPClassifier, "__init__", lambda self, *args: returned.append(self))
         with np.errstate(all="ignore"), pytest.raises(TrainingError, match=match):
-            train(data, config, hidden_dims=hidden_dims)
+            train(data, config)
         assert returned == []
 
 
@@ -257,25 +265,25 @@ class TestTrainMatchesReference:
     """``train`` updates one flat parameter vector in place; the models it
     returns are bit-identical to the per-layer reference loop."""
 
-    @pytest.mark.parametrize("data, config, hidden_dims", [
-        (gen_two_moons(240, 0.1, seed=3), TrainConfig(seed=1, epochs=6, batch_size=60), None),
-        (gen_two_moons(240, 0.1, seed=3), TrainConfig(seed=2, epochs=6, batch_size=50), None),
-        (gen_two_moons(240, 0.1, seed=3), TrainConfig(seed=3, epochs=6, batch_size=500), None),
+    @pytest.mark.parametrize("data, config", [
+        (gen_two_moons(240, 0.1, seed=3), TrainConfig(seed=1, epochs=6, batch_size=60)),
+        (gen_two_moons(240, 0.1, seed=3), TrainConfig(seed=2, epochs=6, batch_size=50)),
+        (gen_two_moons(240, 0.1, seed=3), TrainConfig(seed=3, epochs=6, batch_size=500)),
         (gen_two_moons(240, 0.1, seed=3),
-         TrainConfig(seed=4, epochs=6, batch_size=32, validation_fraction=0.25), None),
-        (gen_two_moons(240, 0.1, seed=3), TrainConfig(seed=5, epochs=6, l2_weight_decay=0.0), None),
-        (blobs(150, 3, 4, seed=6), TrainConfig(seed=6, epochs=5, batch_size=40), None),
-        (blobs(200, 10, 6, seed=7), TrainConfig(seed=7, epochs=5, batch_size=64), (16, 8, 12)),
-        (gen_two_moons(240, 0.1, seed=3), TrainConfig(seed=8, epochs=1), None),
-        (blobs(150, 3, 5, seed=9), TrainConfig(seed=9, epochs=5, batch_size=32), ()),
+         TrainConfig(seed=4, epochs=6, batch_size=32, validation_fraction=0.25)),
+        (gen_two_moons(240, 0.1, seed=3), TrainConfig(seed=5, epochs=6, l2_weight_decay=0.0)),
+        (blobs(150, 3, 4, seed=6), TrainConfig(seed=6, epochs=5, batch_size=40)),
+        (blobs(200, 10, 6, seed=7), TrainConfig(seed=7, epochs=5, batch_size=64, hidden_dims=(16, 8, 12))),
+        (gen_two_moons(240, 0.1, seed=3), TrainConfig(seed=8, epochs=1)),
+        (blobs(150, 3, 5, seed=9), TrainConfig(seed=9, epochs=5, batch_size=32, hidden_dims=())),
         (blobs(90, 10, 64, seed=10, image_shape=(8, 8, 1)),
-         TrainConfig(seed=10, epochs=3, batch_size=40, validation_fraction=0.2), None),
+         TrainConfig(seed=10, epochs=3, batch_size=40, validation_fraction=0.2)),
     ], ids=["batch-divides-n", "batch-does-not-divide-n", "batch-larger-than-n", "validation-split",
             "no-weight-decay", "three-classes", "ten-classes", "one-epoch", "no-hidden-layer",
             "image-default-128-64"])
-    def test_bit_identical_to_the_reference(self, data, config, hidden_dims):
-        model = train(data, config, hidden_dims)
-        weights, biases, history, train_accuracy, validation_accuracy = reference_train(data, config, hidden_dims)
+    def test_bit_identical_to_the_reference(self, data, config):
+        model = train(data, config)
+        weights, biases, history, train_accuracy, validation_accuracy = reference_train(data, config)
         assert len(model.weights) == len(weights)
         for got, want in zip(model.weights + model.biases, weights + biases):
             assert got.shape == want.shape

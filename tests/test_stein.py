@@ -153,6 +153,12 @@ class TestKernelValues:
         with pytest.raises(ValueError):
             kernel_by_name("cubic")
 
+    @pytest.mark.parametrize("name", ["RBF", "Linear", "IMQ"])
+    def test_kernel_names_are_exact(self, name):
+        with pytest.raises(ValueError) as info:
+            kernel_by_name(name, gamma=1.0)
+        assert str(info.value) == f"unknown kernel {name!r}; expected linear, rbf, or imq"
+
 
 class TestKernelGradients:
     def test_rbf_imq_gradients_vanish_at_coincidence(self):
@@ -256,7 +262,7 @@ class TestInputContracts:
 @pytest.fixture(scope="module")
 def small_fit():
     data = gen_two_moons(20, 0.1, seed=0)
-    model = train(data, TrainConfig(seed=0, epochs=2), hidden_dims=[3])
+    model = train(data, TrainConfig(seed=0, epochs=2, hidden_dims=[3]))
     return data, model, build_cache(model, data)
 
 
@@ -266,8 +272,8 @@ def numeric_entry_points(data, model, cache):
     "positive" or "non-negative" for a scale; each call returns what the value
     changes, for the numpy-scalar comparison."""
     x, config = np.zeros((2, 2)), ExplainerConfig(kernel=RBFKernel(1.0), top_k=1)
-    fit = lambda hidden=3, **kw: train(data, TrainConfig(**{"seed": 0, "epochs": 2, **kw}),
-                                       hidden_dims=[hidden]).serialize()
+    fit = lambda hidden=3, **kw: train(data, TrainConfig(**{"seed": 0, "epochs": 2, "hidden_dims": [hidden],
+                                                            **kw})).serialize()
     hits = lambda trials, size: hit_rate_experiment(model, data, "noise", trials, size, config,
                                                     0).csv_rows()[0]["hit_rate"]
     r = np.array([0.0, 2.0])
@@ -289,8 +295,6 @@ def numeric_entry_points(data, model, cache):
         "TrainConfig.learning_rate": ("learning_rate", "positive", 0.05, lambda v: fit(learning_rate=v)),
         "TrainConfig.l2_weight_decay": ("l2_weight_decay", "non-negative", 0.01,
                                         lambda v: fit(l2_weight_decay=v)),
-        "Dataset.feature_std": ("feature_std entries", "non-negative", 0.5,
-                                lambda v: Dataset(x, [0, 1], 2, feature_std=[1.0, v]).feature_std),
         "gen_two_moons.noise_std": ("noise_std", "non-negative", 0.2,
                                     lambda v: gen_two_moons(10, v, seed=0).features),
         "RBFKernel.gamma": ("gamma", "positive", 0.5, lambda v: RBFKernel(v).radial(r)),
@@ -331,7 +335,7 @@ class TestNumericContracts:
                      forward_calls)
 
     @pytest.mark.parametrize("entry", SCALES)
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0, True, "0.5"])
     def test_bad_scale_fails_with_one_message_before_any_work(self, small_fit, forward_calls, entry,
                                                                value):
         name, rule, _, call = numeric_entry_points(*small_fit)[entry]
