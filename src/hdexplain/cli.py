@@ -3,17 +3,20 @@
 All commands read one JSON config document (``--config``) whose keys and
 value types are validated strictly; command-line flags override file values.
 Artifacts are validated on read and written atomically. Exit codes: 0
-success, 2 usage error, 3 data/format error, 4 runtime/numeric error.
+success, 2 usage error, 3 data/format error (and a closed stdout), 4
+runtime/numeric error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
 import json
 import math
+import os
 import sys
 import typing
 from dataclasses import asdict, dataclass, field, is_dataclass
@@ -245,6 +248,8 @@ def _parse_point(text: str, expected_dim: int) -> np.ndarray:
 def cmd_explain(args, cfg: RunConfig) -> int:
     model = load_model(args.model)
     cache = load_cache(args.cache)
+    # a stale or mismatched cache fails before the bandwidth fit and the dataset load
+    _check_cache(model, cache)
     top_k = args.top_k if args.top_k is not None else cfg.explainer.top_k
     kernel = kernel_from_config(cfg)
     if kernel is None:
@@ -258,11 +263,10 @@ def cmd_explain(args, cfg: RunConfig) -> int:
             raise UsageError(f"--index {args.index} out of range [0, {dataset.n})")
         x_test = dataset.features[args.index]
         # the cache header names no dataset: check what the records can show. A
-        # last-layer row starts with the model's representation of its point
-        # (so a stale model is reported first), from a batch forward pass; a
-        # 1-row pass takes other BLAS kernels and differs in the last bits only,
-        # far below 1e-9 for tanh activations bounded by 1.
-        _check_cache(model, cache)
+        # last-layer row starts with the model's representation of its point,
+        # from a batch forward pass; a 1-row pass takes other BLAS kernels and
+        # differs in the last bits only, far below 1e-9 for tanh activations
+        # bounded by 1.
         own, tol = (x_test, 0.0) if cache.variant == "raw" else (model.representation(x_test), 1e-9)
         if (dataset.n != cache.n or not np.array_equal(dataset.labels, cache.labels)
                 or not np.allclose(cache.z[args.index, :own.size], own, rtol=0.0, atol=tol)):
@@ -393,7 +397,19 @@ def main(argv=None) -> int:
         cfg = load_run_config(args.config)
         if args.seed is not None:
             cfg.seed = args.seed
-        return args.func(args, cfg)
+        code = args.func(args, cfg)
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): drop the unwritten rest, so the
+        # interpreter's final flush does not fail again
+        with contextlib.suppress(OSError, ValueError):
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        return 3
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

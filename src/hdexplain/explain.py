@@ -95,8 +95,10 @@ def build_cache(model: MLPClassifier, dataset: Dataset, variant: str = "raw") ->
         raise ValueError(f"dataset has d={dataset.d}, model expects {model.input_dim}")
     if dataset.num_classes != model.num_classes:
         raise ValueError(f"dataset has {dataset.num_classes} classes, model has {model.num_classes}")
+    # the fingerprint's model image is made and freed before the cache's arrays exist
+    fingerprint = model.fingerprint()
     z, scores = make_stein_points(model, dataset.features, dataset.labels, variant)
-    return ScoreCache(model_fingerprint=model.fingerprint(), variant=variant, z=z, scores=scores,
+    return ScoreCache(model_fingerprint=fingerprint, variant=variant, z=z, scores=scores,
                       labels=dataset.labels)
 
 

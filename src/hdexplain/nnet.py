@@ -14,8 +14,8 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ModelFormatError, TrainingError, UnsupportedVariantError
-from .stein import (_check_variant, _class_labels, _count, _non_negative_finite, _positive_finite,
-                    _write_atomic)
+from .stein import (_check_variant, _class_labels, _count, _finite_real, _non_negative_finite,
+                    _positive_finite, _write_atomic)
 
 __all__ = [
     "TrainConfig",
@@ -111,7 +111,9 @@ class TrainConfig:
     with ``image_shape``; ``[]`` means no hidden layer. ``epochs``,
     ``batch_size`` and the ``hidden_dims`` entries are integers of at least
     1, ``learning_rate`` a positive and ``l2_weight_decay`` a non-negative
-    finite real; anything else (2.5, ``True``, NaN, ``"0.5"``) raises ``ValueError``.
+    finite real, and ``momentum`` and ``validation_fraction`` reals in
+    ``[0, 1)``; anything else (2.5, ``True``, NaN, ``"0.5"``) raises
+    ``ValueError``. The reals are stored as floats.
     """
 
     epochs: int = 100
@@ -129,11 +131,10 @@ class TrainConfig:
             self.hidden_dims = [_count("hidden_dims entries", v) for v in self.hidden_dims]
         self.batch_size = _count("batch_size", self.batch_size)
         self.learning_rate = _positive_finite("learning_rate", self.learning_rate)
-        if not 0 <= self.momentum < 1:
-            raise ValueError("momentum must lie in [0, 1)")
+        self.momentum = _finite_real("momentum", self.momentum, "must lie in [0, 1)", 0.0, 1.0, closed=True)
         self.l2_weight_decay = _non_negative_finite("l2_weight_decay", self.l2_weight_decay)
-        if not 0 <= self.validation_fraction < 1:
-            raise ValueError("validation_fraction must lie in [0, 1)")
+        self.validation_fraction = _finite_real("validation_fraction", self.validation_fraction,
+                                                "must lie in [0, 1)", 0.0, 1.0, closed=True)
 
 
 def _row_max(logits: np.ndarray) -> np.ndarray:
@@ -254,17 +255,21 @@ class MLPClassifier:
         """Log-probabilities computed as logit minus logsumexp (never log of softmax)."""
         return _softmax_and_log_softmax(self.logits(x))[1]
 
-    def _forward_pass(self, x, y):
+    def _forward_pass(self, x, y, variant: str):
         """``(single, acts, proba, log_proba, labels, resid)`` of one forward pass
-        (``labels`` as in :meth:`score`): whether ``x`` was one row, the layer
-        inputs ``[x, a_1, ..., a_L]`` as batches, and the residual ``e_labels - p``."""
+        (``labels`` as in :meth:`score`) for a ``variant`` front, which is checked
+        first: whether ``x`` was one row, the layer inputs ``[x, a_1, ..., a_L]``
+        as batches, and the residual ``e_labels - p``."""
+        _check_variant(variant)
+        if variant == "last-layer" and self.num_hidden_layers < 1:
+            raise UnsupportedVariantError("model has no hidden layer to read a representation from")
         x, single = self._check_input(x)
         acts, logits = _forward(self.weights, self.biases, x)
         proba, log_proba = _softmax_and_log_softmax(logits)
         labels = proba.argmax(axis=1) if y is None else _class_labels(np.atleast_1d(y), len(x), self.num_classes)
         return single, acts, proba, log_proba, labels, _residual(proba, labels)
 
-    def score(self, x, y=None, variant: str = "raw"):
+    def score(self, x, y=None, variant: str = "raw", *, _stein_score=False):
         """One forward and one backward pass: ``(labels, proba, log_proba, front, grad)``.
 
         ``labels`` is ``y``, or the predicted class (argmax of ``proba``, ties to
@@ -274,16 +279,34 @@ class MLPClassifier:
         ``y`` holds one whole-number class index in ``[0, num_classes)`` per
         row (a scalar for one row), else ``ValueError``; a ``variant`` other
         than ``raw`` or ``last-layer`` raises ``UnsupportedVariantError``.
+
+        The backward pass turns each spent hidden activation into tanh' in
+        place (never ``x``). With ``_stein_score`` it returns, in place of
+        ``grad``, the Stein score ``[grad || log_proba]`` as one array made
+        after the forward pass: the last product writes into its first columns.
         """
-        _check_variant(variant)
-        if variant == "last-layer" and self.num_hidden_layers < 1:
-            raise UnsupportedVariantError("model has no hidden layer to read a representation from")
-        single, acts, proba, log_proba, labels, resid = self._forward_pass(x, y)
-        grad = resid @ self.weights[-1].T
-        if variant == "raw":
-            for i in range(len(self.weights) - 2, -1, -1):
-                grad = (grad * (1.0 - acts[i + 1] ** 2)) @ self.weights[i].T
-        out = (labels, proba, log_proba, acts[0] if variant == "raw" else acts[-1], grad)
+        single, acts, proba, log_proba, labels, resid = self._forward_pass(x, y, variant)
+        front = acts[0] if variant == "raw" else acts[-1]
+        # the layers the gradient flows back through and the activations between
+        # them; a last-layer pass reads no activation and releases them here
+        weights, spent = (self.weights, acts[1:]) if variant == "raw" else (self.weights[-1:], [])
+        del acts
+        dest = None
+        if _stein_score:
+            width = front.shape[1]
+            stein_score = np.empty((len(front), width + self.num_classes))
+            stein_score[:, width:] = log_proba
+            dest = stein_score[:, :width]
+        grad = resid
+        for i in range(len(weights) - 1, -1, -1):
+            grad = np.matmul(grad, weights[i].T, out=dest if i == 0 else None)
+            if i > 0:
+                # times tanh' = 1 - a**2, computed in place: the activation is spent
+                a = spent[i - 1]
+                np.square(a, out=a)
+                np.subtract(1.0, a, out=a)
+                grad = np.multiply(grad, a, out=a)
+        out = (labels, proba, log_proba, front, stein_score if _stein_score else grad)
         return tuple(v[0] for v in out) if single else out
 
     def representation_and_residual(self, x, y=None):
@@ -291,9 +314,7 @@ class MLPClassifier:
         pass: the final hidden representation and the residual ``e_y - p``.
         ``labels`` is ``y``, or the predicted class when ``y`` is None, as in
         :meth:`score`. A ``(d,)`` row gives row results."""
-        if self.num_hidden_layers < 1:
-            raise UnsupportedVariantError("model has no hidden layer to read a representation from")
-        single, acts, _, _, labels, resid = self._forward_pass(x, y)
+        single, acts, _, _, labels, resid = self._forward_pass(x, y, "last-layer")
         out = (labels, acts[-1], resid)
         return tuple(v[0] for v in out) if single else out
 

@@ -123,9 +123,7 @@ class IMQKernel(RadialKernel):
 
     def __init__(self, c: float = 1.0, beta: float = -0.5):
         self.c = _positive_finite("c", c)
-        if not -1.0 < beta < 0.0:
-            raise ValueError("beta must lie in (-1, 0)")
-        self.beta = float(beta)
+        self.beta = _finite_real("beta", beta, "must lie in (-1, 0)", -1.0, 0.0)
 
     def radial(self, r2):
         base = self.c**2 + r2
@@ -167,20 +165,25 @@ def _count(name: str, value, minimum: int = 1) -> int:
     return int(value)
 
 
-def _positive_finite(name: str, value) -> float:
-    """``value`` as a float, else ``ValueError``: a finite positive real, not a bool or a string."""
+def _finite_real(name: str, value, rule: str, low: float, high: float = math.inf, *,
+                 closed: bool = False) -> float:
+    """``value`` as a float, else ``ValueError`` ("``name`` ``rule``, got
+    ``value``"): a finite real, not a bool or a string, above ``low`` (or at
+    it, when ``closed``) and below ``high``."""
     real = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
-    if not (math.isfinite(real) and real > 0):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    if not (math.isfinite(real) and (low <= real if closed else low < real) and real < high):
+        raise ValueError(f"{name} {rule}, got {value!r}")
     return real
+
+
+def _positive_finite(name: str, value) -> float:
+    """``value`` as a float, else ``ValueError``: a finite positive real."""
+    return _finite_real(name, value, "must be positive and finite", 0.0)
 
 
 def _non_negative_finite(name: str, value) -> float:
-    """``value`` as a float, else ``ValueError``: a finite non-negative real, not a bool or a string."""
-    real = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
-    if not (math.isfinite(real) and real >= 0):
-        raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
-    return real
+    """``value`` as a float, else ``ValueError``: a finite non-negative real."""
+    return _finite_real(name, value, "must be non-negative and finite", 0.0, closed=True)
 
 
 def _class_labels(labels, n: int, classes: int) -> np.ndarray:
@@ -198,10 +201,18 @@ def _class_labels(labels, n: int, classes: int) -> np.ndarray:
 
 def _stein_rows(model, x, y, variant: str):
     """``(labels, proba, Z, S)`` of a batch from one model pass; ``y=None``
-    completes each row with its predicted class."""
+    completes each row with its predicted class.
+
+    ``S`` comes whole from the pass (:meth:`MLPClassifier.score`'s Stein
+    score), and ``Z`` is made after it, once the activations are released:
+    the front is copied in and the one-hot label set by index."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    labels, proba, logp, front, grad = model.score(x, y, variant)
-    return labels, proba, np.hstack([front, np.eye(model.num_classes)[labels]]), np.hstack([grad, logp])
+    labels, proba, _, front, scores = model.score(x, y, variant, _stein_score=True)
+    width = front.shape[1]
+    z = np.zeros_like(scores)
+    z[:, :width] = front
+    z[np.arange(len(z)), width + labels] = 1.0
+    return labels, proba, z, scores
 
 
 def make_stein_points(model, x, y, variant: str = "raw"):
@@ -223,11 +234,12 @@ def stein_kernel(kernel: BaseKernel, za, sa, zb, sb) -> float:
 
 # see _sq_dists: the tolerated expansion error is eps / _NEAR (ten ulps)
 _NEAR = 0.1
-# Values per chunk of the elementwise stage of _stein_block (and per batch of
-# near-pair differences in _sq_dists): each temporary is then at most 64 KiB of
-# float64, below glibc's 128 KiB mmap threshold, so its scratch is reused from
-# the heap (not mapped and page-faulted afresh, as an (m, n) temporary is) and
-# stays in L2.
+# Values per chunk of the elementwise stage of _stein_block (see _chunks; a
+# chunk may hold up to n - 1 more) and per batch of near-pair differences in
+# _sq_dists. On every block the library makes (at most 2^18 values, or one
+# row) each temporary is then under 126 KiB of float64, below glibc's 128 KiB
+# mmap threshold, so its scratch is reused from the heap (not mapped and
+# page-faulted afresh, as an (m, n) temporary is) and stays in L2.
 _CHUNK_VALUES = 1 << 13
 # Values of cache rows per tile of a one-query block's products in _stein_block
 # (256 KiB of float64), and values per row block of a Gram (_gram_blocks).
@@ -312,6 +324,20 @@ def _sq_dists(rows, queries, zz, qq, zq, l2) -> np.ndarray:
     return r2
 
 
+def _chunks(m: int, n: int):
+    """``(r, c)`` slices that partition an (m, n) block for the elementwise
+    stage: ``ceil(m n / _CHUNK_VALUES)`` runs of whole rows, or, when a row
+    holds more than ``_CHUNK_VALUES`` values, each row in ``ceil(n /
+    _CHUNK_VALUES)`` pieces. Runs and pieces are split evenly (their sizes
+    differ by at most one), so no block ends in a sliver of a chunk; a chunk
+    holds fewer than ``_CHUNK_VALUES + n`` values."""
+    runs, pieces = min(m, -(-m * n // _CHUNK_VALUES)), -(-n // _CHUNK_VALUES)
+    for a in range(runs):
+        r = slice(a * m // runs, (a + 1) * m // runs)
+        for b in range(pieces):
+            yield r, slice(b * n // pieces, (b + 1) * n // pieces)
+
+
 def _stein_block(kernel: BaseKernel, rows, row_scores, row_stats, queries, query_scores,
                  query_stats, out=None) -> np.ndarray:
     """(m, n) Stein values of query rows (Q, T) against rows (Z, S), counting
@@ -319,11 +345,11 @@ def _stein_block(kernel: BaseKernel, rows, row_scores, row_stats, queries, query
     float64 array). The stats are each side's ``(||z||^2, z.s)``; the
     products are ``[Q; T] @ Z^T`` and ``[Q; T] @ S^T`` (linear: Q Z^T, T S^T).
 
-    The elementwise stage runs over chunks of at most ``_CHUNK_VALUES`` values
-    (runs of whole rows, or pieces of one row when a row holds more) written
-    into the result, so its scratch is bounded by the chunk. The chunks only
-    partition elementwise operations: the values do not depend on the chunk
-    size.
+    The elementwise stage runs over the chunks of :func:`_chunks` (runs of
+    whole rows, or pieces of one row when a row holds more than
+    ``_CHUNK_VALUES`` values) written into the result, so its scratch is
+    bounded by the chunk. The chunks only partition elementwise operations:
+    the values do not depend on the chunk size.
 
     Radial products with one query (m == 1) are computed over tiles of at most
     ``_TILE_VALUES`` values of rows: with a 2-row left operand OpenBLAS takes
@@ -355,17 +381,13 @@ def _stein_block(kernel: BaseKernel, rows, row_scores, row_stats, queries, query
         l2 = _near_scale(kernel, zz, qq)
     if out is None:
         out = np.empty((m, n))
-    height, width = max(1, _CHUNK_VALUES // n), min(n, _CHUNK_VALUES)
-    for a in range(0, m, height):
-        for b in range(0, n, width):
-            r, c = slice(a, a + height), slice(b, b + width)
-            if linear:
-                _stein_values(kernel, dim, None, zq[r, c], st[r, c], None, None, zs[c], qt[r],
-                              out[r, c])
-            else:
-                r2 = _sq_dists(rows[c], queries[r], zz[c], qq[r], zq[r, c], l2)
-                _stein_values(kernel, dim, r2, zq[r, c], st[r, c], zt[r, c], sq[r, c], zs[c],
-                              qt[r], out[r, c])
+    for r, c in _chunks(m, n):
+        if linear:
+            _stein_values(kernel, dim, None, zq[r, c], st[r, c], None, None, zs[c], qt[r], out[r, c])
+        else:
+            r2 = _sq_dists(rows[c], queries[r], zz[c], qq[r], zq[r, c], l2)
+            _stein_values(kernel, dim, r2, zq[r, c], st[r, c], zt[r, c], sq[r, c], zs[c], qt[r],
+                          out[r, c])
     return out
 
 

@@ -3,12 +3,15 @@ import errno
 import json
 import os
 import struct
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from hdexplain import evalharness, nnet
+from hdexplain import cli, evalharness, nnet
 from hdexplain.cli import ModelConfig, RunConfig, main, train_config_from
 from hdexplain.data import Dataset, gen_two_moons, save_csv, standardize
 from hdexplain.evalharness import (
@@ -296,6 +299,42 @@ class TestExplainCommand:
         assert run("explain", "--config", config, "--model", other_model, "--cache", cache_path,
                    "--point", "0.1,0.2") == 3
         assert "stale cache" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("query", [["--point", "0.1,0.2"], ["--index", "3"]], ids=["point", "index"])
+    def test_stale_cache_fails_before_the_bandwidth_fit_and_the_dataset(self, tmp_path, trained_artifacts,
+                                                                       capsys, monkeypatch, query):
+        config, model_path, cache_path = trained_artifacts
+        other_model = str(tmp_path / "other.bin")
+        assert run("train", "--config", config, "--seed", "99", "--out", other_model) == 0
+        capsys.readouterr()
+        calls = []
+        for name in ("median_heuristic_gamma", "dataset_from_config"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
+        assert run("explain", "--config", config, "--model", other_model, "--cache", cache_path,
+                   *query) == 3
+        assert "stale cache" in capsys.readouterr().err
+        assert calls == []
+
+    # buffered, a small output reaches the pipe only when flushed; unbuffered, print raises
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_exits_3_without_a_traceback(self, trained_artifacts, unbuffered):
+        config, model_path, cache_path = trained_artifacts
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before anything is written
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "hdexplain.cli", "explain", "--config", config, "--model", model_path,
+                 "--cache", cache_path, "--index", "3", "--format", "structured"],
+                stdout=write, stderr=subprocess.PIPE, text=True, timeout=120, env=env)
+        finally:
+            os.close(write)
+        assert done.returncode == 3
+        assert done.stderr == "error: stdout was closed before the output was written\n"
 
     def test_non_finite_cache_is_a_format_error(self, tmp_path, trained_artifacts, capsys):
         config, model_path, cache_path = trained_artifacts

@@ -305,6 +305,14 @@ def numeric_entry_points(data, model, cache):
 RULES = {entry: rule for entry, (_, rule, _, _) in numeric_entry_points(None, None, None).items()}
 COUNTS = [entry for entry, rule in RULES.items() if isinstance(rule, int)]
 SCALES = [entry for entry, rule in RULES.items() if isinstance(rule, str)]
+# scales with a bound other than 0: entry -> (parameter, interval, a valid value
+# exact in float32, call on a value returning the stored value)
+BOUNDED_SCALES = {
+    "TrainConfig.momentum": ("momentum", "[0, 1)", 0.5, lambda v: TrainConfig(momentum=v).momentum),
+    "TrainConfig.validation_fraction": ("validation_fraction", "[0, 1)", 0.25,
+                                        lambda v: TrainConfig(validation_fraction=v).validation_fraction),
+    "IMQKernel.beta": ("beta", "(-1, 0)", -0.25, lambda v: IMQKernel(beta=v).beta),
+}
 
 
 class TestNumericContracts:
@@ -353,6 +361,23 @@ class TestNumericContracts:
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
         else:
             assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("entry", BOUNDED_SCALES)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, True, False, "0.5", 1.0, -1.0])
+    def test_bad_bounded_scale_fails_with_its_message(self, entry, value):
+        name, interval, _, call = BOUNDED_SCALES[entry]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                call(value)
+        assert str(info.value) == f"{name} must lie in {interval}, got {value!r}"
+
+    @pytest.mark.parametrize("entry", BOUNDED_SCALES)
+    @pytest.mark.parametrize("wrap", [float, np.float64, np.float32])
+    def test_bounded_scale_is_stored_as_a_float(self, entry, wrap):
+        _, _, value, call = BOUNDED_SCALES[entry]
+        stored = call(wrap(value))
+        assert type(stored) is float and stored == value
 
     def test_each_message_comes_from_its_one_check(self):
         """A hand-written count or scale check would bring a second copy of its message."""
@@ -403,6 +428,65 @@ class TestSteinPoints:
         flat = MLPClassifier([2, 2], [np.zeros((2, 2))], [np.zeros(2)])
         with pytest.raises(UnsupportedVariantError):
             make_stein_points(flat, np.zeros((1, 2)), [0], "last-layer")
+
+
+class TestSteinPointMemory:
+    """An image-shaped build holds the points it returns and one pass's
+    activations: no gradient copy and no per-layer temporaries."""
+
+    @pytest.fixture()
+    def image_set(self):
+        rng = np.random.default_rng(5)
+        dims = [784, 128, 64, 10]
+        model = MLPClassifier(dims, [rng.normal(0, a**-0.5, (a, b)) for a, b in zip(dims, dims[1:])],
+                              [rng.normal(0, 0.1, b) for b in dims[1:]])
+        data = Dataset(rng.uniform(0, 1, (500, 784)), rng.integers(0, 10, 500), 10, image_shape=(28, 28, 1))
+        return model, data
+
+    @staticmethod
+    def peak_and_points(build):
+        tracemalloc.start()
+        try:
+            z, s = build()
+            return tracemalloc.get_traced_memory()[1], z.nbytes + s.nbytes
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def build(entry, model, data, variant):
+        if entry == "build_cache":
+            cache = build_cache(model, data, variant)
+            return cache.z, cache.scores
+        return make_stein_points(model, data.features, data.labels, variant)
+
+    @pytest.mark.parametrize("entry", ["make_stein_points", "build_cache"])
+    def test_raw_build_holds_little_beyond_its_points(self, image_set, entry):
+        # a gradient copied into the scores once made this about 1.5; build_cache
+        # hashes the model (a 2.5 MB peak here) before the points exist
+        peak, points = self.peak_and_points(lambda: self.build(entry, *image_set, "raw"))
+        assert peak <= 1.1 * points, peak / points
+
+    @pytest.mark.parametrize("entry", ["make_stein_points", "build_cache"])
+    def test_last_layer_build_holds_no_gradient_copy(self, image_set, entry):
+        # here the forward pass's activations outweigh the points: the peak is
+        # that pass; a gradient copied into the scores once made this 2.0. The
+        # model's hash, made first by build_cache, would outweigh both.
+        image_set[0].fingerprint()
+        peak, points = self.peak_and_points(lambda: self.build(entry, *image_set, "last-layer"))
+        assert peak <= 1.8 * points, peak / points
+
+    @pytest.mark.parametrize("variant", ["raw", "last-layer"])
+    def test_points_are_the_score_pass_written_in_place(self, image_set, variant):
+        model, data = image_set
+        x, y = data.features[:40].copy(), data.labels[:40]  # writeable: the pass must not write it
+        labels, _, logp, front, grad = model.score(x, y, variant)
+        z, s = make_stein_points(model, x, y, variant)
+        width = front.shape[1]
+        assert z.flags.c_contiguous and s.flags.c_contiguous
+        assert z[:, :width].tobytes() == front.tobytes() and s[:, :width].tobytes() == grad.tobytes()
+        assert z[:, width:].tobytes() == np.eye(10)[labels].tobytes()
+        assert s[:, width:].tobytes() == logp.tobytes()
+        assert x.tobytes() == data.features[:40].tobytes()
 
 
 class TestSteinKernel:
@@ -619,9 +703,54 @@ class TestChunkedCore:
             profile = stein_kernel_profile(kernel, z, s, z[i], s[i])
             assert np.abs(gram[i] - profile).max() <= 1e-12 * scale, (name, i)
 
+    @pytest.mark.parametrize("m, n", [(65, 500), (23, 23), (1, 23), (3, 3 * 2**13 + 5), (65, 8065),
+                                      (2**18, 1), (512, 512), (7, 2**13)])
+    def test_chunks_split_a_block_evenly(self, m, n):
+        chunks = list(stein._chunks(m, n))
+        cover = np.zeros((m, n), dtype=np.int64)
+        for r, c in chunks:
+            cover[r, c] += 1
+        assert (cover == 1).all()
+        runs = sorted({(r.start, r.stop) for r, _ in chunks})
+        pieces = sorted({(c.start, c.stop) for _, c in chunks})
+        sizes = [stop - start for start, stop in runs] + [stop - start for start, stop in pieces]
+        wide = n > stein._CHUNK_VALUES
+        assert len(runs) == (m if wide else -(-m * n // stein._CHUNK_VALUES))
+        assert len(pieces) == -(-n // stein._CHUNK_VALUES)
+        for group in (sizes[:len(runs)], sizes[len(runs):]):
+            assert max(group) - min(group) <= 1
+        assert max((r.stop - r.start) * (c.stop - c.start) for r, c in chunks) < stein._CHUNK_VALUES + n
+
+    def test_moons_gram_blocks_end_in_no_one_row_chunk(self):
+        # a 500-row Gram's 65-row blocks once ran as 16 + 16 + 16 + 16 + 1 rows
+        assert [r.stop - r.start for r, _ in stein._chunks(65, 500)] == [16, 16, 16, 17]
+
+    def test_chunk_temporaries_stay_under_the_mmap_threshold(self):
+        # every block the library makes: Gram blocks of max(1, 2^15 // n) rows, hit-rate
+        # blocks of max(1, 2^18 // n) rows, and one-query profiles; glibc maps a request
+        # of 128 KiB less 23 bytes or more (its header and 16-byte rounding)
+        largest = 0
+        for n in range(1, 3 * stein._CHUNK_VALUES, 7):
+            for m in {1, max(1, stein._TILE_VALUES // n), max(1, 2**18 // n)}:
+                largest = max(largest, max((r.stop - r.start) * (c.stop - c.start)
+                                           for r, c in stein._chunks(m, n)))
+        assert 8 * largest + 23 < 128 * 1024, largest
+
+    def test_gram_block_height_does_not_depend_on_the_chunk(self, monkeypatch, rows):
+        z, s = rows
+        z, s = np.vstack([z] * 30), np.vstack([s] * 30)  # 690 rows: blocks of 2^15 // 690 = 47 rows
+
+        def block_rows():
+            return [(a, len(block)) for a, block in stein._gram_blocks(RBFKernel(0.7), z, s)]
+
+        default = block_rows()
+        assert default[0] == (0, stein._TILE_VALUES // len(z))
+        monkeypatch.setattr(stein, "_CHUNK_VALUES", self.THREE_ROWS)
+        assert block_rows() == default
+
     def test_near_pair_is_recomputed_in_a_later_chunk(self, monkeypatch):
         # ||z||^2 ~ 1e6 and ||z_17 - z_10||^2 ~ 3e-6: the pair sits in the
-        # fourth and sixth three-row chunks, and the expansion keeps no digits
+        # fourth and seventh of eight chunks, and the expansion keeps no digits
         rng = np.random.default_rng(22)
         z, s = rng.normal(0, 600, size=(23, 3)), rng.normal(0, 1, size=(23, 3))
         z[17] = z[10] + 1e-3 * rng.normal(0, 1, 3)
