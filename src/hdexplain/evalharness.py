@@ -29,6 +29,7 @@ from .nnet import MLPClassifier, TrainConfig, train
 from .stein import (
     BaseKernel,
     RBFKernel,
+    _check_kernel,
     _count,
     make_stein_points,
     median_heuristic_gamma,
@@ -215,8 +216,9 @@ def label_flip_debug_experiment(dataset: Dataset, flip_fraction: float,
     a radial kernel's diagonal is ``phi(0) ||s||^2 - 2 D phi'(0)``, so every
     RBF bandwidth ranks by ``||s||`` and no bandwidth is fitted. Reports
     precision/recall at ``m = ceil(flips / 2)``, ``flips``, and ``2 * flips``
-    (capped at n).
+    (capped at n). A bad ``kernel`` fails before training.
     """
+    _check_kernel(kernel, optional=True)
     if not 0.0 < flip_fraction < 0.5:
         raise ValueError("flip_fraction must lie in (0, 0.5)")
     flips = math.ceil(flip_fraction * dataset.n)  # at least 1, as flip_fraction > 0 and n >= 1
@@ -244,8 +246,10 @@ def ksd_shift_experiment(model: MLPClassifier, dataset: Dataset, shifts,
     Each shift may be a scalar (applied to every feature) or a length-d
     displacement vector. A zero shift is always evaluated first.
     ``kernel=None`` selects a median-heuristic RBF over the zero shift's
-    scored points. A non-finite value raises ``ArithmeticError``.
+    scored points. A bad kernel or a non-finite shift raises ``ValueError``
+    before any point is scored; a non-finite value raises ``ArithmeticError``.
     """
+    _check_kernel(kernel, optional=True)
     deltas = []
     for shift in shifts:
         arr = np.asarray(shift, dtype=np.float64)
@@ -253,6 +257,8 @@ def ksd_shift_experiment(model: MLPClassifier, dataset: Dataset, shifts,
             arr = np.full(dataset.d, float(arr))
         if arr.shape != (dataset.d,):
             raise ValueError(f"shift must be scalar or length-{dataset.d}, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"shift {shift!r} is not finite")
         deltas.append((shift, arr))
     if not deltas or np.any(deltas[0][1] != 0.0):
         deltas.insert(0, (0.0, np.zeros(dataset.d)))

@@ -24,12 +24,12 @@ from .stein import (
     BaseKernel,
     RBFKernel,
     ScoreCache,
+    _check_kernel,
     _check_variant,
     _count,
     _row_stats,
     _stein_block,
     _stein_diagonal,
-    _stein_rows,
     make_stein_points,
     median_heuristic_gamma,
     stein_kernel_profile,
@@ -62,7 +62,8 @@ class ExplainerConfig:
     ``raw`` or ``last-layer`` (else ``UnsupportedVariantError``) and must
     match the cache in :func:`explain`; the protocol does not read it, since
     its ``method`` names the variant (:data:`METHOD_VARIANTS`). ``top_k``
-    is an integer of at least 1.
+    is an integer of at least 1. A ``kernel`` that is neither None nor a
+    ``LinearKernel`` or ``RadialKernel`` raises ``ValueError``.
     """
 
     kernel: BaseKernel | None
@@ -70,6 +71,7 @@ class ExplainerConfig:
     top_k: int = 3
 
     def __post_init__(self):
+        _check_kernel(self.kernel, optional=True)
         _check_variant(self.variant)
         self.top_k = _count("top_k", self.top_k)
 
@@ -154,12 +156,11 @@ def explain(model: MLPClassifier, cache: ScoreCache, x_test, config: ExplainerCo
 
     start = time.perf_counter()
     with np.errstate(all="ignore"):  # overflow surfaces as the ArithmeticError below
-        predicted, proba, z, s = _stein_rows(model, x_test, None, cache.variant)
-        values = stein_kernel_profile(config.kernel, cache.z, cache.scores, z[0], s[0],
-                                      row_stats=cache.row_stats)
+        predicted, proba, z, s = model.score(x_test, None, cache.variant)
+        values = stein_kernel_profile(config.kernel, cache.z, cache.scores, z, s, row_stats=cache.row_stats)
     ranked = _ranked_list(_finite(values), cache.labels, k=config.top_k)
     elapsed = time.perf_counter() - start
-    return Explanation(predicted_label=int(predicted[0]), predicted_proba=proba[0], ranked=ranked,
+    return Explanation(predicted_label=int(predicted), predicted_proba=proba, ranked=ranked,
                        elapsed=elapsed)
 
 
@@ -229,7 +230,7 @@ def _stein_scores(model: MLPClassifier, cache: ScoreCache, kernel: BaseKernel, x
     """Stein values of each test row, completed with its predicted label,
     against the cache, counting m * n pair evaluations."""
     with np.errstate(all="ignore"):
-        _, _, z, s = _stein_rows(model, x, None, cache.variant)
+        _, _, z, s = model.score(x, None, cache.variant)
         values = _stein_block(kernel, cache.z, cache.scores, cache.row_stats, z, s, _row_stats(z, s))
     return _finite(values)
 

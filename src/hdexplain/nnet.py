@@ -269,44 +269,47 @@ class MLPClassifier:
         labels = proba.argmax(axis=1) if y is None else _class_labels(np.atleast_1d(y), len(x), self.num_classes)
         return single, acts, proba, log_proba, labels, _residual(proba, labels)
 
-    def score(self, x, y=None, variant: str = "raw", *, _stein_score=False):
-        """One forward and one backward pass: ``(labels, proba, log_proba, front, grad)``.
+    def score(self, x, y=None, variant: str = "raw"):
+        """One forward and one backward pass: the Stein points ``(labels, proba, z, s)``.
 
         ``labels`` is ``y``, or the predicted class (argmax of ``proba``, ties to
-        the lowest index) when ``y`` is None. ``front`` is ``x`` (``raw``) or the
-        final hidden representation (``last-layer``); ``grad`` is the gradient
+        the lowest index) when ``y`` is None, and ``proba`` holds the class
+        probabilities. The point is ``z = [front || onehot(labels)]`` and its
+        score ``s = [grad || log_proba]``: ``front`` is ``x`` (``raw``) or the
+        final hidden representation (``last-layer``), and ``grad`` the gradient
         of ``log p_labels`` with respect to it. A ``(d,)`` row gives row results.
         ``y`` holds one whole-number class index in ``[0, num_classes)`` per
         row (a scalar for one row), else ``ValueError``; a ``variant`` other
         than ``raw`` or ``last-layer`` raises ``UnsupportedVariantError``.
 
-        The backward pass turns each spent hidden activation into tanh' in
-        place (never ``x``). With ``_stein_score`` it returns, in place of
-        ``grad``, the Stein score ``[grad || log_proba]`` as one array made
-        after the forward pass: the last product writes into its first columns.
+        ``s`` is made after the forward pass, and the last backward product is
+        written into its first columns. The backward pass turns each spent
+        hidden activation into tanh' in place (never ``x``), and ``z`` is made
+        once no activation is held.
         """
-        single, acts, proba, log_proba, labels, resid = self._forward_pass(x, y, variant)
+        # grad starts as the residual e_labels - p
+        single, acts, proba, log_proba, labels, grad = self._forward_pass(x, y, variant)
         front = acts[0] if variant == "raw" else acts[-1]
         # the layers the gradient flows back through and the activations between
         # them; a last-layer pass reads no activation and releases them here
         weights, spent = (self.weights, acts[1:]) if variant == "raw" else (self.weights[-1:], [])
         del acts
-        dest = None
-        if _stein_score:
-            width = front.shape[1]
-            stein_score = np.empty((len(front), width + self.num_classes))
-            stein_score[:, width:] = log_proba
-            dest = stein_score[:, :width]
-        grad = resid
+        width = front.shape[1]
+        s = np.empty((len(front), width + self.num_classes))
+        s[:, width:] = log_proba
         for i in range(len(weights) - 1, -1, -1):
-            grad = np.matmul(grad, weights[i].T, out=dest if i == 0 else None)
+            grad = np.matmul(grad, weights[i].T, out=s[:, :width] if i == 0 else None)
             if i > 0:
                 # times tanh' = 1 - a**2, computed in place: the activation is spent
                 a = spent[i - 1]
                 np.square(a, out=a)
                 np.subtract(1.0, a, out=a)
                 grad = np.multiply(grad, a, out=a)
-        out = (labels, proba, log_proba, front, stein_score if _stein_score else grad)
+        spent = a = None  # release the activations before z is made
+        z = np.zeros_like(s)
+        z[:, :width] = front
+        z[np.arange(len(z)), width + labels] = 1.0
+        out = (labels, proba, z, s)
         return tuple(v[0] for v in out) if single else out
 
     def representation_and_residual(self, x, y=None):
@@ -324,7 +327,7 @@ class MLPClassifier:
         Accepts a single ``(d,)`` vector with an integer label or an
         ``(n, d)`` batch with an ``(n,)`` label vector.
         """
-        return self.score(x, y)[4]
+        return self.score(x, y)[3][..., :self.input_dim]
 
     def representation(self, x):
         """Activations of the final hidden layer."""
@@ -344,12 +347,13 @@ class MLPClassifier:
 
     def serialize(self) -> bytes:
         """Model binary: magic, version u32 LE, layer count u32, layer_dims
-        u32 each, then per layer row-major f64 LE weights followed by biases."""
+        u32 each, then per layer row-major f64 LE weights followed by biases.
+        The (C-contiguous) parameter arrays are joined as they are, so the
+        image is the only copy made (on a little-endian host)."""
         parts = [MODEL_MAGIC, struct.pack("<II", MODEL_VERSION, len(self.layer_dims))]
         parts.append(struct.pack(f"<{len(self.layer_dims)}I", *self.layer_dims))
         for w, b in zip(self.weights, self.biases):
-            parts.append(w.astype("<f8").tobytes(order="C"))
-            parts.append(b.astype("<f8").tobytes())
+            parts += (w.astype("<f8", copy=False), b.astype("<f8", copy=False))
         return b"".join(parts)
 
     @classmethod

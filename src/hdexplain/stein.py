@@ -87,8 +87,8 @@ def _count_evals(n: int) -> None:
 class BaseKernel:
     """A base kernel, which holds only its parameters. The Stein core
     (:func:`_stein_values`) evaluates it in closed form, so it must be a
-    :class:`LinearKernel` or a :class:`RadialKernel`; :func:`kernel_by_name`
-    builds one from its name.
+    :class:`LinearKernel` or a :class:`RadialKernel`, else ``ValueError``
+    before any Stein value; :func:`kernel_by_name` builds one from its name.
     """
 
 
@@ -149,6 +149,15 @@ def kernel_by_name(name: str, gamma: float | None = None, c: float = 1.0,
     raise ValueError(f"unknown kernel {name!r}; expected linear, rbf, or imq")
 
 
+def _check_kernel(kernel, *, optional: bool = False) -> None:
+    """``ValueError`` unless ``kernel`` is a :class:`LinearKernel` or a
+    :class:`RadialKernel`, the two forms the Stein core evaluates (or None,
+    when ``optional``)."""
+    if not (isinstance(kernel, (LinearKernel, RadialKernel)) or optional and kernel is None):
+        raise ValueError(f"kernel must be a LinearKernel or a RadialKernel (see kernel_by_name), "
+                         f"got {kernel!r}")
+
+
 # the scored-point variants, in the order of their cache file codes
 _VARIANTS = ("raw", "last-layer")
 
@@ -199,30 +208,16 @@ def _class_labels(labels, n: int, classes: int) -> np.ndarray:
     return np.ascontiguousarray(labels, dtype=np.int64)
 
 
-def _stein_rows(model, x, y, variant: str):
-    """``(labels, proba, Z, S)`` of a batch from one model pass; ``y=None``
-    completes each row with its predicted class.
-
-    ``S`` comes whole from the pass (:meth:`MLPClassifier.score`'s Stein
-    score), and ``Z`` is made after it, once the activations are released:
-    the front is copied in and the one-hot label set by index."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    labels, proba, _, front, scores = model.score(x, y, variant, _stein_score=True)
-    width = front.shape[1]
-    z = np.zeros_like(scores)
-    z[:, :width] = front
-    z[np.arange(len(z)), width + labels] = 1.0
-    return labels, proba, z, scores
-
-
 def make_stein_points(model, x, y, variant: str = "raw"):
-    """Batch score construction: returns (Z, S) arrays of shape (n, D).
+    """Batch score construction: returns (Z, S) arrays of shape (n, D), the
+    points of one :meth:`MLPClassifier.score` pass (a ``(d,)`` row gives
+    ``(1, D)`` arrays); ``y=None`` completes each row with its predicted class.
 
     raw:        z = [x || onehot(y)],  s = [dlogp_y/dx      || log p(.|x)]
     last-layer: z = [h || onehot(y)],  s = [dlogp_y/dh      || log p(.|x)]
     with h the final hidden representation.
     """
-    return _stein_rows(model, x, y, variant)[2:]
+    return model.score(np.atleast_2d(np.asarray(x, np.float64)), y, variant)[2:]
 
 
 def stein_kernel(kernel: BaseKernel, za, sa, zb, sb) -> float:
@@ -360,6 +355,7 @@ def _stein_block(kernel: BaseKernel, rows, row_scores, row_stats, queries, query
     loses from about eight queries); the linear kernel's 1-row products
     already run as GEMV.
     """
+    _check_kernel(kernel)
     (m, dim), n = queries.shape, rows.shape[0]
     _count_evals(n * m)
     (zz, zs), (qq, qt) = row_stats, (v[:, None] for v in query_stats)
@@ -393,6 +389,7 @@ def _stein_block(kernel: BaseKernel, rows, row_scores, row_stats, queries, query
 
 def _stein_diagonal(kernel: BaseKernel, scores, row_stats) -> np.ndarray:
     """Self Stein values k_p(p_i, p_i), the r2 = 0 case; counts n evaluations."""
+    _check_kernel(kernel)
     zz, zs = row_stats
     _count_evals(scores.shape[0])
     ss = np.einsum("ij,ij->i", scores, scores)

@@ -477,6 +477,19 @@ class TestKSDShift:
         with pytest.raises(ValueError):
             ksd_shift_experiment(trained, moons, [np.zeros(3)], RBFKernel(0.3))
 
+    @pytest.mark.parametrize("shift", [np.nan, np.inf, -np.inf, [0.5, np.nan]],
+                             ids=["nan", "inf", "-inf", "vector-with-nan"])
+    def test_non_finite_shift_fails_before_any_pass_without_warnings(self, trained, moons, monkeypatch,
+                                                                      shift):
+        scored = []
+        monkeypatch.setattr(type(trained), "score", lambda *a, **kw: scored.append(a))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                ksd_shift_experiment(trained, moons, [0.25, shift], RBFKernel(0.5))
+        assert str(info.value) == f"shift {shift!r} is not finite"
+        assert scored == []
+
     def test_overflowing_shift_raises_without_warnings(self, trained, moons):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

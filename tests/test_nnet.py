@@ -2,6 +2,7 @@ import builtins
 import errno
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hdexplain.nnet import (
     save_model,
     train,
 )
+from hdexplain.stein import make_stein_points
 
 
 def fnv1a_64_loop(data) -> int:
@@ -457,17 +459,38 @@ class TestScore:
             ("raw", x, trained.input_gradient(x, want_labels)),
             ("last-layer", h, trained.rep_gradient(h, want_labels)),
         ):
-            labels, p, logp, got_front, got_grad = trained.score(x, y, variant)
+            labels, p, z, s = trained.score(x, y, variant)
+            width = front.shape[-1]
             assert np.array_equal(labels, want_labels)
             assert np.array_equal(p, proba)
-            assert np.array_equal(logp, trained.predict_log_proba(x))
-            assert np.array_equal(got_front, front)
-            assert np.array_equal(got_grad, grad)
-            assert got_grad.shape == front.shape
+            assert np.array_equal(s[..., width:], trained.predict_log_proba(x))
+            assert np.array_equal(z[..., :width], front)
+            assert np.array_equal(z[..., width:], np.eye(trained.num_classes)[want_labels])
+            assert np.array_equal(s[..., :width], grad)
+            assert z.shape == s.shape == (*front.shape[:-1], width + trained.num_classes)
         labels, reps, resid = trained.representation_and_residual(x, y)
         assert np.array_equal(labels, want_labels)
         assert np.array_equal(reps, h)
         assert np.array_equal(resid, np.eye(trained.num_classes)[want_labels] - proba)
+
+    @pytest.mark.parametrize("rows", [slice(3, 4), slice(0, 40), 7], ids=["one-row-batch", "batch", "row"])
+    @pytest.mark.parametrize("given", [True, False], ids=["given", "predicted"])
+    @pytest.mark.parametrize("variant", ["raw", "last-layer"])
+    def test_points_equal_make_stein_points_and_the_column_methods(self, trained, moons, rows, given,
+                                                                  variant):
+        x = moons.features[rows]
+        y = moons.labels[rows] if given else None
+        labels, _, z, s = trained.score(x, y, variant)
+        want_z, want_s = make_stein_points(trained, x, y, variant)
+        # a row gives row results from score and one-row arrays from make_stein_points
+        assert want_z.shape == want_s.shape == (len(np.atleast_2d(x)), z.shape[-1])
+        assert z.tobytes() == want_z.tobytes() and s.tobytes() == want_s.tobytes()
+        front = x if variant == "raw" else trained.representation(x)
+        grad = trained.input_gradient(x, labels) if variant == "raw" else trained.rep_gradient(front, labels)
+        width = front.shape[-1]
+        for got, want in ((z[..., :width], front), (z[..., width:], np.eye(trained.num_classes)[labels]),
+                          (s[..., :width], grad), (s[..., width:], trained.predict_log_proba(x))):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("num_classes", [2, 3, 10, 17])
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0, 1e3, 1e300])
@@ -476,7 +499,8 @@ class TestScore:
         model = MLPClassifier([num_classes, num_classes], [np.eye(num_classes)], [np.zeros(num_classes)])
         x = scale * np.random.default_rng(num_classes).normal(size=(50, num_classes))
         logits = model.logits(x)
-        _, proba, log_proba, _, _ = model.score(x)
+        _, proba, _, s = model.score(x)
+        log_proba = s[:, num_classes:]
         want_p, want_logp = _softmax_and_log_softmax(logits)
         for got, want in ((proba, want_p), (log_proba, want_logp),
                           (model.predict_proba(x), want_p), (model.predict_log_proba(x), want_logp)):
@@ -535,7 +559,8 @@ class TestScore:
             with pytest.raises(UnsupportedVariantError,
                                match="model has no hidden layer to read a representation from"):
                 call()
-        assert flat.score(np.zeros(2), 0, "raw")[4].shape == (2,)
+        z, s = flat.score(np.zeros(2), 0, "raw")[2:]
+        assert z.shape == s.shape == (4,)
 
 
 class TestSerialization:
@@ -548,6 +573,25 @@ class TestSerialization:
             assert np.array_equal(wa, wb)
         for ba, bb in zip(back.biases, trained.biases):
             assert np.array_equal(ba, bb)
+
+    def test_image_is_the_one_copy(self):
+        rng = np.random.default_rng(0)
+        dims = [784, 128, 64, 10]
+        model = MLPClassifier(dims, [rng.normal(0, 0.1, (a, b)) for a, b in zip(dims, dims[1:])],
+                              [rng.normal(0, 0.1, b) for b in dims[1:]])
+        params = sum(w.nbytes + b.nbytes for w, b in zip(model.weights, model.biases))
+        tracemalloc.start()
+        try:
+            image = model.serialize()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a copy of each layer joined into the image once made this 2.0
+        assert peak <= 1.1 * params, peak / params
+        header = b"HDXM" + struct.pack("<6I", 1, 4, *dims)
+        layers = b"".join(w.astype("<f8").tobytes() + b.astype("<f8").tobytes()
+                          for w, b in zip(model.weights, model.biases))
+        assert image == header + layers
 
     def test_magic_bytes(self, trained, tmp_path):
         path = tmp_path / "model.bin"

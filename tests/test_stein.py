@@ -16,11 +16,12 @@ import pytest
 import oracle
 from hdexplain.data import Dataset, gen_rectangles, gen_two_moons
 from hdexplain.errors import ModelFormatError, UnsupportedVariantError
-from hdexplain.evalharness import hit_rate_experiment
+from hdexplain.evalharness import hit_rate_experiment, ksd_shift_experiment, label_flip_debug_experiment
 from hdexplain.explain import ExplainerConfig, _top, build_cache, explain, self_influence_ranking
 from hdexplain import nnet, stein
 from hdexplain.nnet import MLPClassifier, TrainConfig, save_model, train
 from hdexplain.stein import (
+    BaseKernel,
     IMQKernel,
     LinearKernel,
     RBFKernel,
@@ -315,15 +316,17 @@ BOUNDED_SCALES = {
 }
 
 
+@pytest.fixture()
+def forward_calls(monkeypatch):
+    """The batch shapes of every forward pass (a training step makes one) from here on."""
+    calls = []
+    real = nnet._forward_into
+    monkeypatch.setattr(nnet, "_forward_into", lambda *a: calls.append(a[2].shape) or real(*a))
+    return calls
+
+
 class TestNumericContracts:
     """Each count and scale is checked by one function, before any forward pass."""
-
-    @pytest.fixture()
-    def forward_calls(self, monkeypatch):
-        calls = []
-        real = nnet._forward_into
-        monkeypatch.setattr(nnet, "_forward_into", lambda *a: calls.append(a[2].shape) or real(*a))
-        return calls
 
     def rejects(self, call, value, message, forward_calls):
         with warnings.catch_warnings():
@@ -389,6 +392,53 @@ class TestNumericContracts:
                       for path in package.rglob("*.py")}
             assert {name: count for name, count in counts.items() if count} == {"stein.py": 1}, message
             assert message in inspect.getsource(check)
+
+
+def kernel_entry_points(data, model, cache):
+    """Every way a kernel enters the library: entry -> call on a kernel."""
+    return {
+        "ExplainerConfig": lambda k: ExplainerConfig(kernel=k),
+        "stein_kernel": lambda k: stein_kernel(k, cache.z[0], cache.scores[0], cache.z[1], cache.scores[1]),
+        "stein_kernel_profile": lambda k: stein_kernel_profile(k, cache.z, cache.scores, cache.z[0],
+                                                               cache.scores[0]),
+        "stein_gram": lambda k: stein_gram(k, cache.z, cache.scores),
+        "ksd_vstat": lambda k: ksd_vstat(k, cache.z, cache.scores),
+        "ksd_ustat": lambda k: ksd_ustat(k, cache.z, cache.scores),
+        "self_influence_ranking": lambda k: self_influence_ranking(cache, k),
+        "ksd_shift_experiment": lambda k: ksd_shift_experiment(model, data, [0.5], k),
+        "label_flip_debug_experiment": lambda k: label_flip_debug_experiment(
+            data, 0.2, TrainConfig(seed=0, epochs=1, hidden_dims=[3]), k, 0),
+    }
+
+
+class TestKernelContract:
+    """A kernel the Stein core cannot evaluate fails with one message, before
+    any forward pass or training step, wherever it enters."""
+
+    @pytest.mark.parametrize("entry", list(kernel_entry_points(None, None, None)))
+    @pytest.mark.parametrize("kernel", [BaseKernel(), "rbf", RBFKernel], ids=["BaseKernel", "name", "class"])
+    def test_bad_kernel_fails_with_one_message_before_any_work(self, small_fit, forward_calls, entry, kernel):
+        call = kernel_entry_points(*small_fit)[entry]
+        before = kernel_eval_count()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                call(kernel)
+        assert str(info.value) == ("kernel must be a LinearKernel or a RadialKernel (see kernel_by_name), "
+                                   f"got {kernel!r}")
+        assert forward_calls == [] and kernel_eval_count() == before
+
+    @pytest.mark.parametrize("entry", ["ExplainerConfig", "ksd_shift_experiment",
+                                       "label_flip_debug_experiment"])
+    def test_no_kernel_stays_allowed_where_a_default_is_chosen(self, small_fit, entry):
+        kernel_entry_points(*small_fit)[entry](None)
+
+    @pytest.mark.parametrize("kernel", [LinearKernel(), RBFKernel(1.0), IMQKernel()],
+                             ids=["linear", "rbf", "imq"])
+    def test_every_library_kernel_passes(self, small_fit, kernel):
+        for entry, call in kernel_entry_points(*small_fit).items():
+            if entry != "label_flip_debug_experiment":
+                call(kernel)
 
 
 class TestSteinPoints:
@@ -479,13 +529,16 @@ class TestSteinPointMemory:
     def test_points_are_the_score_pass_written_in_place(self, image_set, variant):
         model, data = image_set
         x, y = data.features[:40].copy(), data.labels[:40]  # writeable: the pass must not write it
-        labels, _, logp, front, grad = model.score(x, y, variant)
-        z, s = make_stein_points(model, x, y, variant)
+        labels, _, z, s = model.score(x, y, variant)
+        front = x if variant == "raw" else model.representation(x)
+        grad = model.input_gradient(x, y) if variant == "raw" else model.rep_gradient(front, y)
         width = front.shape[1]
         assert z.flags.c_contiguous and s.flags.c_contiguous
         assert z[:, :width].tobytes() == front.tobytes() and s[:, :width].tobytes() == grad.tobytes()
         assert z[:, width:].tobytes() == np.eye(10)[labels].tobytes()
-        assert s[:, width:].tobytes() == logp.tobytes()
+        assert s[:, width:].tobytes() == model.predict_log_proba(x).tobytes()
+        want_z, want_s = make_stein_points(model, x, y, variant)
+        assert z.tobytes() == want_z.tobytes() and s.tobytes() == want_s.tobytes()
         assert x.tobytes() == data.features[:40].tobytes()
 
 
