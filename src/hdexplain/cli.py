@@ -33,7 +33,8 @@ from .errors import (
 )
 from .explain import ExplainerConfig, _check_cache, build_cache, explain, explanation_to_json
 from .nnet import TrainConfig, load_model, train
-from .stein import _VARIANTS, RBFKernel, _write_atomic, kernel_by_name, load_cache, median_heuristic_gamma
+from .stein import (_VARIANTS, RBFKernel, _write_atomic, kernel_by_name, load_cache, median_heuristic_gamma,
+                    save_cache)
 
 __all__ = ["RunConfig", "main"]
 
@@ -171,11 +172,18 @@ def kernel_from_config(cfg: RunConfig):
     return kernel_by_name(spec.kernel, gamma=spec.gamma, c=spec.imq_c, beta=spec.imq_beta)
 
 
-def _atomic_write_bytes(path, data) -> None:
+@contextlib.contextmanager
+def _writing(path):
+    """A failed write of ``path`` is a data error (exit 3)."""
     try:
-        _write_atomic(path, data)
+        yield
     except OSError as exc:
         raise DataLoadError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def _atomic_write_bytes(path, data) -> None:
+    with _writing(path):
+        _write_atomic(path, data)
 
 
 def _emit(args, summary: dict) -> None:
@@ -224,7 +232,8 @@ def cmd_cache(args, cfg: RunConfig) -> int:
     model = load_model(args.model)
     dataset = dataset_from_config(cfg)
     cache = build_cache(model, dataset, variant)
-    _atomic_write_bytes(args.out, cache.serialize())
+    with _writing(args.out):
+        save_cache(cache, args.out)  # streamed: no image of the file in memory
     _emit(args, {
         "out": args.out,
         "n": cache.n,

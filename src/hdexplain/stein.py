@@ -241,6 +241,11 @@ _CHUNK_VALUES = 1 << 13
 # Kept apart from _CHUNK_VALUES: the tiles and blocks split the products, the
 # chunks only the elementwise stage.
 _TILE_VALUES = 1 << 15
+# Bytes of records per block when a cache file is streamed (ScoreCache.serialize
+# with a file): the reused block buffer stays under glibc's 128 KiB mmap
+# threshold, so it comes from the heap and is not mapped and page-faulted
+# afresh, as a whole-file image is.
+_WRITE_BYTES = 120 << 10
 
 
 def _scored_rows(z, scores):
@@ -534,9 +539,9 @@ def ksd_ustat(kernel: BaseKernel, z, scores) -> KSDEstimate:
 _GAMMA_MAX_POINTS, _GAMMA_SEED = 1000, 0
 
 
-def _subsample_sq_dists(z_vectors, rule: str) -> np.ndarray:
-    """Squared pairwise distances of at most ``_GAMMA_MAX_POINTS`` rows
-    (uniform seeded subsample), clipped at 0."""
+def _subsample_gram(z_vectors, rule: str):
+    """The Gram ``z z^T`` of at most ``_GAMMA_MAX_POINTS`` rows (uniform
+    seeded subsample) and the rows' squared norms."""
     z = np.asarray(z_vectors, dtype=np.float64)
     if z.ndim == 1:
         z = z[:, None]
@@ -544,28 +549,45 @@ def _subsample_sq_dists(z_vectors, rule: str) -> np.ndarray:
         raise ValueError(f"{rule} needs at least 2 points")
     if z.shape[0] > _GAMMA_MAX_POINTS:
         z = z[np.random.default_rng(_GAMMA_SEED).choice(z.shape[0], _GAMMA_MAX_POINTS, replace=False)]
-    sq_norms = np.einsum("ij,ij->i", z, z)
-    gram = z @ z.T
-    gram *= 2.0
-    sq_dists = np.add.outer(sq_norms, sq_norms)
-    sq_dists -= gram  # (|z_i|^2 + |z_j|^2) - 2 z_i.z_j
-    return np.clip(sq_dists, 0.0, None, out=sq_dists)
+    # one whole product: a blocked one changes the distances' last bits
+    return z @ z.T, np.einsum("ij,ij->i", z, z)
 
 
-def _median_sqrt(v: np.ndarray) -> float:
+def _sq_dist_blocks(gram, sq_norms, upper: bool = False):
+    """Yield ``(a, d)`` over row blocks of at most ``_TILE_VALUES`` values:
+    ``d`` the squared distances ``(||z_i||^2 + ||z_j||^2) - 2 g_ij`` of rows
+    ``i = a, a + 1, ...`` against every row ``j`` (against ``j >= a`` when
+    ``upper``), clipped at 0, in one reused scratch. A block reads only its
+    own rows of ``gram`` and leaves them holding ``2 g``, so the rows before
+    it are free for the caller to overwrite."""
+    n = gram.shape[0]
+    height = max(1, _TILE_VALUES // n)
+    scratch = np.empty(min(height, n) * n)
+    for a in range(0, n, height):
+        c = a if upper else 0
+        g = gram[a:a + height, c:]
+        d = scratch[:g.size].reshape(g.shape)
+        np.add(sq_norms[a:a + height, None], sq_norms[c:], out=d)
+        np.subtract(d, np.multiply(g, 2.0, out=g), out=d)
+        yield a, np.clip(d, 0.0, None, out=d)
+
+
+def _median_sqrt(v: np.ndarray, *, in_place: bool = False) -> float:
     """``np.median(np.sqrt(v))`` of a vector of non-negative values, bit for bit.
 
     sqrt is monotone, so the middle roots are the roots of the middle values;
     for an even count np.median returns the mean of the two. One partition at
     the lower middle rank selects it exactly; every value to its right is at
     least as large, so the upper middle value is their minimum. ``v`` is left
-    unchanged. A non-finite value takes the full median.
+    unchanged (the partition works on a copy) unless ``in_place``, when it is
+    reordered instead. A non-finite value takes the full median.
     """
     # a NaN or inf anywhere makes the sum non-finite
     if not np.isfinite(v.sum()):
         return float(np.median(np.sqrt(v)))
     lo = (v.size - 1) // 2
-    part = np.partition(v, lo)
+    part = v if in_place else v.copy()
+    part.partition(lo)
     low = np.sqrt(part[lo])
     return float(low if v.size % 2 else (low + np.sqrt(part[lo + 1:].min())) / 2.0)
 
@@ -580,11 +602,18 @@ def median_heuristic_gamma(z_vectors) -> float:
 
     At most 1000 rows are kept (uniform seeded subsample). Falls
     back to gamma = 1 when all points coincide. The median is selected
-    exactly; it equals ``np.median`` of the distances bit for bit.
+    exactly; it equals ``np.median`` of the distances bit for bit. The
+    distances above the diagonal are packed, row by row, into the front of
+    the Gram's own buffer, which the blocks have already read, and selected
+    there: no other n^2 array is made.
     """
-    sq_dists = _subsample_sq_dists(z_vectors, "median heuristic")
-    r = np.arange(sq_dists.shape[0])
-    return _gamma_for_scale(_median_sqrt(sq_dists[r[:, None] < r]))
+    gram, sq_norms = _subsample_gram(z_vectors, "median heuristic")
+    packed, end = gram.reshape(-1), 0
+    for _, d in _sq_dist_blocks(gram, sq_norms, upper=True):
+        for k, row in enumerate(d):  # row k of the block starts at its diagonal
+            packed[end:end + row.size - k - 1] = row[k + 1:]
+            end += row.size - k - 1
+    return _gamma_for_scale(_median_sqrt(packed[:end], in_place=True))
 
 
 def local_scale_gamma(z_vectors) -> float:
@@ -597,9 +626,13 @@ def local_scale_gamma(z_vectors) -> float:
     point from its neighbors. Use this rule when retrieval should resolve
     individual training points. Falls back to gamma = 1 when points coincide.
     """
-    sq_dists = _subsample_sq_dists(z_vectors, "local scale")
-    np.fill_diagonal(sq_dists, np.inf)
-    return _gamma_for_scale(_median_sqrt(sq_dists.min(axis=1)))
+    gram, sq_norms = _subsample_gram(z_vectors, "local scale")
+    n = gram.shape[0]
+    nearest = np.empty(n)
+    for a, d in _sq_dist_blocks(gram, sq_norms):
+        d.reshape(-1)[a::n + 1] = np.inf  # the block's share of the diagonal
+        d.min(axis=1, out=nearest[a:a + d.shape[0]])
+    return _gamma_for_scale(_median_sqrt(nearest))
 
 
 CACHE_MAGIC = b"HDXC"
@@ -612,6 +645,10 @@ _CACHE_HEADER_SIZE = 4 + struct.calcsize(_CACHE_HEADER)
 
 def _record_dtype(dim: int) -> np.dtype:
     return np.dtype([("z", "<f8", (dim,)), ("score", "<f8", (dim,)), ("label", "<u4")])
+
+
+def _cache_file_size(n: int, dim: int) -> int:
+    return _CACHE_HEADER_SIZE + n * (16 * dim + 4)
 
 
 @dataclass
@@ -656,20 +693,34 @@ class ScoreCache:
     def dim(self) -> int:
         return self.z.shape[1]
 
-    def serialize(self) -> bytearray:
-        """The v1 file image, built in one buffer: the header, then one
-        ``(z, score, label)`` record per row filled in place."""
+    def serialize(self, fh=None) -> bytearray | None:
+        """The v1 file image: the header, then one ``(z, score, label)``
+        record per row. Without ``fh`` the image is returned, built in one
+        buffer whose records are filled in place. Given a binary file ``fh``,
+        the same bytes are written to it instead, block by block through one
+        reused buffer of at most ``_WRITE_BYTES`` (or one record), and None is
+        returned: the memory used does not grow with n."""
         n, dim = self.z.shape
         record = _record_dtype(dim)
-        out = bytearray(_CACHE_HEADER_SIZE + n * record.itemsize)
-        out[:4] = CACHE_MAGIC
-        struct.pack_into(_CACHE_HEADER, out, 4, CACHE_VERSION, _VARIANT_CODES[self.variant],
-                         self.model_fingerprint, n, dim)
-        body = np.frombuffer(out, dtype=record, count=n, offset=_CACHE_HEADER_SIZE)
-        body["z"] = self.z
-        body["score"] = self.scores
-        body["label"] = self.labels
-        return out
+        header = CACHE_MAGIC + struct.pack(_CACHE_HEADER, CACHE_VERSION, _VARIANT_CODES[self.variant],
+                                           self.model_fingerprint, n, dim)
+        if fh is None:
+            image = bytearray(_cache_file_size(n, dim))
+            image[:len(header)] = header
+            step = n
+            body = np.frombuffer(image, dtype=record, count=n, offset=len(header))
+        else:
+            fh.write(header)
+            step = max(1, _WRITE_BYTES // record.itemsize)
+            body = np.empty(min(step, n), dtype=record)
+        for a in range(0, n, step):
+            block = body[:min(step, n - a)]
+            block["z"] = self.z[a:a + step]
+            block["score"] = self.scores[a:a + step]
+            block["label"] = self.labels[a:a + step]
+            if fh is not None:
+                fh.write(block)
+        return image if fh is None else None
 
     @classmethod
     def deserialize(cls, data) -> "ScoreCache":
@@ -689,7 +740,7 @@ class ScoreCache:
         # every dim a header holds
         if n == 0:
             raise ModelFormatError("cache binary holds no records")
-        expected = header_size + n * (16 * dim + 4)
+        expected = _cache_file_size(n, dim)
         if len(data) != expected:
             raise ModelFormatError(f"cache binary has {len(data)} bytes, expected {expected}")
         body = np.frombuffer(data, dtype=_record_dtype(dim), count=n, offset=header_size)
@@ -704,10 +755,12 @@ class ScoreCache:
             raise ModelFormatError(f"invalid cache contents: {exc}") from exc
 
 
-def _write_atomic(path, data) -> None:
+def _write_atomic(path, data, size: int | None = None) -> None:
     """Write ``data`` to ``path`` through a temporary file in the same
     directory and a rename: a reader, such as a process that has the old
     file mapped, sees the old file or the new one, never a partial one.
+    ``data`` is bytes, or a function that writes ``size`` bytes to the open
+    binary file (so a large file can be streamed, not built in memory).
 
     Each call creates its own temporary (exclusively, mode 0o666 less the
     umask), so concurrent writers of one path cannot write into each other's
@@ -725,8 +778,11 @@ def _write_atomic(path, data) -> None:
         with open(fd, "wb") as fh:
             if hasattr(os, "posix_fallocate"):
                 with contextlib.suppress(OSError):  # also EINVAL for empty data
-                    os.posix_fallocate(fd, 0, len(data))
-            fh.write(data)
+                    os.posix_fallocate(fd, 0, len(data) if size is None else size)
+            if size is None:
+                fh.write(data)
+            else:
+                data(fh)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -736,8 +792,9 @@ def _write_atomic(path, data) -> None:
 
 def save_cache(cache: ScoreCache, path) -> None:
     """Write a cache file atomically (see ``_write_atomic``), so a reader
-    that has the old file mapped never sees it shrink."""
-    _write_atomic(path, cache.serialize())
+    that has the old file mapped never sees it shrink. The file is streamed
+    (``serialize`` with the file), so no image of it is held in memory."""
+    _write_atomic(path, cache.serialize, _cache_file_size(cache.n, cache.dim))
 
 
 def load_cache(path) -> ScoreCache:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import hdexplain
-from hdexplain import stein
+from hdexplain import cli, stein
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -38,6 +38,31 @@ def test_tracer_installs_and_restores_the_package():
     assert {name: getattr(stein, name) for name in names} == before
     assert {name: getattr(hdexplain, name) for name in names} == exported
     assert callable(stein.kernel_eval_count)
+
+
+def test_cli_calls_the_names_the_tracer_times(tmp_path, capsys):
+    """``stein.serialize_ms`` and ``stein.gamma_ms`` are medians of the
+    ``ScoreCache.serialize`` span in ``hdexplain cache`` and the
+    ``median_heuristic_gamma`` span in ``hdexplain explain``; a command that
+    stops calling them leaves the benchmark's traced run with no span."""
+    tracing = load_tracing()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"dataset": {"source": "synthetic:two_moons", "n": 60},
+                                  "model": {"epochs": 2}, "explainer": {"gamma": None}, "seed": 1}))
+    model, cache = str(tmp_path / "model.bin"), str(tmp_path / "cache.bin")
+    assert cli.main(["train", "--config", str(config), "--out", model]) == 0
+    for argv, name in ((["cache", "--model", model, "--out", cache], "stein.serialize"),
+                       (["explain", "--model", model, "--cache", cache, "--index", "3"],
+                        "stein.median_heuristic_gamma")):
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            assert cli.main([*argv, "--config", str(config)]) == 0
+        finally:
+            tracer.uninstall()
+        calls = sum(span[tracing.NAME] == name for span in tracer.spans)
+        assert calls == 1, f"hdexplain {argv[0]} made {calls} {name} spans, not 1"
+    capsys.readouterr()
 
 
 def test_traced_benchmark_run_reports_every_per_layer_metric():

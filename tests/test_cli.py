@@ -1,3 +1,4 @@
+import builtins
 import csv
 import errno
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from hdexplain import cli, evalharness, nnet
+from hdexplain import cli, evalharness, nnet, stein
 from hdexplain.cli import ModelConfig, RunConfig, main, train_config_from
 from hdexplain.data import Dataset, gen_two_moons, save_csv, standardize
 from hdexplain.evalharness import (
@@ -226,6 +227,43 @@ class TestCacheCommand:
         assert run("cache", "--config", config, "--model", model_path, "--out", str(again)) == 0
         assert calls == [os.path.getsize(cache_path)]
         assert again.read_bytes() == open(cache_path, "rb").read()
+
+    def test_write_failing_part_way_keeps_the_old_file(self, tmp_path, trained_artifacts, monkeypatch,
+                                                        capsys):
+        config, model_path, cache_path = trained_artifacts
+        old = open(cache_path, "rb").read()
+        monkeypatch.setattr(stein, "_WRITE_BYTES", 1000)  # 14 records of 68 bytes: 5 blocks for 60 rows
+        real_open = builtins.open
+
+        class FullDisk:
+            """The temporary file, whose third block of records hits a full disk."""
+
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.fh.__exit__(*exc)
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 4:  # the header, two blocks, then the third
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.fh.write(data)
+
+        def opening(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            return FullDisk(fh) if isinstance(file, int) and mode == "wb" else fh
+
+        monkeypatch.setattr(builtins, "open", opening)
+        assert run("cache", "--config", config, "--model", model_path, "--out", cache_path) == 3
+        monkeypatch.undo()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot write") and "No space left" in err[0]
+        assert open(cache_path, "rb").read() == old
+        assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
 
     def test_structured_stdout_is_one_document(self, tmp_path, trained_artifacts, capsys):
         config, model_path, _ = trained_artifacts

@@ -1233,6 +1233,27 @@ class TestBandwidthSelection:
         if kind == "nan-row" and n <= 1000:  # a larger subsample can leave the row out
             assert np.isnan(median_heuristic_gamma(z)) and np.isnan(local_scale_gamma(z))
 
+    @pytest.mark.parametrize("dim", [74, 300, 794])
+    def test_equals_plain_median_at_blas_widths(self, dim):
+        # the subsample's 1000 rows, at the widths of the benchmark's caches,
+        # where the Gram is a real BLAS product
+        z = np.random.default_rng(dim).normal(0.0, 1.0, size=(1500, dim))
+        assert same_float(median_heuristic_gamma(z), reference_median_gamma(z))
+        assert same_float(local_scale_gamma(z), reference_local_gamma(z))
+
+    @pytest.mark.parametrize("rule", [median_heuristic_gamma, local_scale_gamma])
+    def test_peak_memory_is_one_gram(self, rule):
+        """One 1000 x 1000 Gram, the subsample and less than 1 MiB besides: the
+        distances are walked in blocks, and the median selected in the Gram."""
+        z = np.random.default_rng(9).normal(0.0, 1.0, size=(1500, 300))
+        tracemalloc.start()
+        try:
+            rule(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1000 * 1000 * 8 + 1000 * 300 * 8 + 2**20
+
     @pytest.mark.parametrize("max_points", [2, 3, 150])
     def test_subsample_equals_plain_median(self, monkeypatch, max_points):
         z = np.random.default_rng(8).normal(0.0, 2.0, size=(400, 5))
@@ -1269,6 +1290,7 @@ class TestBandwidthSelection:
         before = v.copy()
         assert same_float(_median_sqrt(v), np.median(np.sqrt(v)))
         assert np.array_equal(v, before, equal_nan=True), "_median_sqrt changed its argument"
+        assert same_float(_median_sqrt(before, in_place=True), np.median(np.sqrt(v)))
 
     @pytest.mark.parametrize("m", [1000, 50_000])
     def test_finite_values_need_no_full_median(self, monkeypatch, m):
@@ -1585,6 +1607,30 @@ class TestWriteAtomic:
         finally:
             os.umask(old)
         assert (tmp_path / "cache.bin").stat().st_mode & 0o777 == 0o666 & ~umask
+
+    @pytest.mark.parametrize("blocks", ["one-row", "block-minus-one", "block", "block-plus-one", "2000"])
+    def test_streamed_file_equals_the_image(self, tmp_path, blocks):
+        rows = stein._WRITE_BYTES // (16 * 160 + 4)  # records per streamed block at D = 160
+        n = {"one-row": 1, "block-minus-one": rows - 1, "block": rows, "block-plus-one": rows + 1,
+             "2000": 2000}[blocks]
+        rng = np.random.default_rng(n)
+        cache = ScoreCache(3, "last-layer", rng.normal(size=(n, 160)), rng.normal(size=(n, 160)),
+                           np.arange(n) % 7)
+        save_cache(cache, tmp_path / "cache.bin")
+        assert (tmp_path / "cache.bin").read_bytes() == cache.serialize()
+
+    @pytest.mark.parametrize("n", [2000, 8000])
+    def test_streamed_peak_memory_does_not_grow_with_n(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        cache = ScoreCache(1, "raw", rng.normal(size=(n, 160)), rng.normal(size=(n, 160)), np.arange(n) % 10)
+        tracemalloc.start()
+        try:
+            save_cache(cache, tmp_path / "cache.bin")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "cache.bin").stat().st_size >= 5_000_000
+        assert peak <= 200_000  # one block buffer of at most _WRITE_BYTES
 
     def test_peak_memory_is_one_file_image(self, tmp_path):
         rng = np.random.default_rng(5)
