@@ -603,16 +603,19 @@ def median_heuristic_gamma(z_vectors) -> float:
     At most 1000 rows are kept (uniform seeded subsample). Falls
     back to gamma = 1 when all points coincide. The median is selected
     exactly; it equals ``np.median`` of the distances bit for bit. The
-    distances above the diagonal are packed, row by row, into the front of
-    the Gram's own buffer, which the blocks have already read, and selected
-    there: no other n^2 array is made.
+    distances above the diagonal are packed, in row-major order, into the
+    front of the Gram's own buffer, which the blocks have already read, and
+    selected there: no other n^2 array is made.
     """
     gram, sq_norms = _subsample_gram(z_vectors, "median heuristic")
+    n = gram.shape[0]
     packed, end = gram.reshape(-1), 0
-    for _, d in _sq_dist_blocks(gram, sq_norms, upper=True):
-        for k, row in enumerate(d):  # row k of the block starts at its diagonal
-            packed[end:end + row.size - k - 1] = row[k + 1:]
-            end += row.size - k - 1
+    for a, d in _sq_dist_blocks(gram, sq_norms, upper=True):
+        # the block's rows i and columns j both start at a: keep j > i
+        above = np.arange(a, n) > np.arange(a, a + d.shape[0])[:, None]
+        m = np.count_nonzero(above)
+        packed[end:end + m] = d[above]
+        end += m
     return _gamma_for_scale(_median_sqrt(packed[:end], in_place=True))
 
 
@@ -760,7 +763,8 @@ def _write_atomic(path, data, size: int | None = None) -> None:
     directory and a rename: a reader, such as a process that has the old
     file mapped, sees the old file or the new one, never a partial one.
     ``data`` is bytes, or a function that writes ``size`` bytes to the open
-    binary file (so a large file can be streamed, not built in memory).
+    binary file (so a large file can be streamed, not built in memory);
+    ``size`` is given exactly when ``data`` is a function.
 
     Each call creates its own temporary (exclusively, mode 0o666 less the
     umask), so concurrent writers of one path cannot write into each other's
@@ -770,6 +774,9 @@ def _write_atomic(path, data, size: int | None = None) -> None:
     inside the rename (``auto_da_alloc``); where the filesystem refuses, the
     write goes ahead without it. Nothing is fsynced.
     """
+    streamed = callable(data)
+    if streamed == (size is None):
+        raise TypeError("_write_atomic takes a size exactly when data is a writer function")
     path = os.fspath(path)
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     # O_BINARY: Windows would otherwise translate newlines
@@ -778,11 +785,11 @@ def _write_atomic(path, data, size: int | None = None) -> None:
         with open(fd, "wb") as fh:
             if hasattr(os, "posix_fallocate"):
                 with contextlib.suppress(OSError):  # also EINVAL for empty data
-                    os.posix_fallocate(fd, 0, len(data) if size is None else size)
-            if size is None:
-                fh.write(data)
-            else:
+                    os.posix_fallocate(fd, 0, size if streamed else len(data))
+            if streamed:
                 data(fh)
+            else:
+                fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

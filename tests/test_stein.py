@@ -1647,6 +1647,12 @@ class TestWriteAtomic:
         assert size >= 5_000_000
         assert peak <= 1.05 * size
 
+    @pytest.mark.parametrize("data, size", [(b"abc", 3), (lambda fh: fh.write(b"abc"), None)])
+    def test_size_goes_with_a_writer_function_only(self, tmp_path, data, size):
+        with pytest.raises(TypeError, match="size exactly when data is a writer function"):
+            stein._write_atomic(tmp_path / "out.bin", data, size)
+        assert os.listdir(tmp_path) == []
+
     def test_one_rename_in_the_package(self):
         """A second copy of the writer would bring a second ``os.replace``."""
         package = Path(stein.__file__).parent
