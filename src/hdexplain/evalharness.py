@@ -59,9 +59,9 @@ class MetricsReport:
 
     ``hit_rate`` and ``coverage`` map each evaluated k to a fraction;
     coverage at k is ``|union of top-k sets| / (n_test * k)``. Timing covers
-    scoring and top-k selection only (cache construction and augmentation
-    excluded). Queries run in blocks, so ``mean_ms`` is the total block time
-    divided by the number of queries, and ``ci95_ms`` is the normal
+    scoring and top-k selection only (scoring the training points and
+    augmentation excluded). Queries run in blocks, so ``mean_ms`` is the total
+    block time divided by the number of queries, and ``ci95_ms`` is the normal
     approximation over the blocks' per-query times (block time divided by
     block size), 0 for a single block.
     """
@@ -165,12 +165,12 @@ def hit_rate_experiment(model: MLPClassifier, dataset: Dataset, augmentation: st
     least 1, ``sample_size`` at most n), and counts a hit at
     k when the source index appears in the method's top-k. Coverage is
     measured per k over all produced top-k sets. The Stein methods rank
-    against a cache of their variant (:data:`METHOD_VARIANTS`) built here,
-    before the timed loop: ``method`` names the variant, and
-    ``config.variant`` is not read. ``config`` supplies the kernel (None: a
-    median-heuristic RBF over that cache) and top_k. The trial points are
-    made and scored in blocks of at most about ``_BLOCK_VALUES`` scores; trial
-    t's ``noise`` is row t of one normal draw by the generator of the sources.
+    against their variant's (:data:`METHOD_VARIANTS`) training points, scored
+    here before the timed loop: ``method`` names the variant, not
+    ``config.variant``. ``config`` supplies the kernel (None: a median-heuristic
+    RBF over those points) and top_k. The trial points are made and scored in
+    blocks of at most about ``_BLOCK_VALUES`` scores; trial t's ``noise`` is
+    row t of one normal draw by the generator of the sources.
     """
     sample_size = _count("sample_size", sample_size)
     trials_per_point = _count("trials_per_point", trials_per_point)

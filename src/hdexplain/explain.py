@@ -27,6 +27,7 @@ from .stein import (
     _check_kernel,
     _check_variant,
     _count,
+    _finite_row_stats,
     _row_stats,
     _stein_block,
     _stein_diagonal,
@@ -58,12 +59,12 @@ class ExplainerConfig:
 
     ``kernel`` may be None only in the hit-rate protocol, where the
     baselines compute no Stein value and the Stein methods then rank with a
-    median-heuristic RBF over the cache the protocol builds. ``variant`` is
-    ``raw`` or ``last-layer`` (else ``UnsupportedVariantError``) and must
-    match the cache in :func:`explain`; the protocol does not read it, since
-    its ``method`` names the variant (:data:`METHOD_VARIANTS`). ``top_k``
-    is an integer of at least 1. A ``kernel`` that is neither None nor a
-    ``LinearKernel`` or ``RadialKernel`` raises ``ValueError``.
+    median-heuristic RBF over the training points the protocol scores.
+    ``variant`` is ``raw`` or ``last-layer`` (else ``UnsupportedVariantError``)
+    and must match the cache in :func:`explain`; the protocol does not read
+    it, since its ``method`` names the variant (:data:`METHOD_VARIANTS`).
+    ``top_k`` is an integer of at least 1. A ``kernel`` that is neither None
+    nor a ``LinearKernel`` or ``RadialKernel`` raises ``ValueError``.
     """
 
     kernel: BaseKernel | None
@@ -226,12 +227,12 @@ def _ranked_list(values: np.ndarray, *columns: np.ndarray, k: int | None = None)
 # ArithmeticError (numpy's warnings about the overflow that causes them are
 # silenced).
 
-def _stein_scores(model: MLPClassifier, cache: ScoreCache, kernel: BaseKernel, x) -> np.ndarray:
+def _stein_scores(model: MLPClassifier, variant: str, train: tuple, kernel: BaseKernel, x) -> np.ndarray:
     """Stein values of each test row, completed with its predicted label,
-    against the cache, counting m * n pair evaluations."""
+    against the training rows ``train = (z, s, row_stats)``: m * n pairs."""
     with np.errstate(all="ignore"):
-        _, _, z, s = model.score(x, None, cache.variant)
-        values = _stein_block(kernel, cache.z, cache.scores, cache.row_stats, z, s, _row_stats(z, s))
+        _, _, z, s = model.score(x, None, variant)
+        values = _stein_block(kernel, *train, z, s, _row_stats(z, s))
     return _finite(values)
 
 
@@ -334,9 +335,9 @@ def _block_ranker(method: str, model: MLPClassifier, dataset: Dataset,
                   kernel: BaseKernel | None, k: int):
     """The hit-rate protocol's ranker for ``method``: (m, d) test rows -> the
     (m, k) indices of each row's top-k training points, ties by ascending
-    index. The Stein methods rank against a cache of the method's variant
-    (:data:`METHOD_VARIANTS`) built here from ``model`` and ``dataset``, with
-    ``kernel``, or a median-heuristic RBF over that cache when it is None."""
+    index. The Stein methods rank against the training points of the method's
+    variant (:data:`METHOD_VARIANTS`), scored here with no model fingerprint,
+    with ``kernel``, or a median-heuristic RBF over those points when None."""
     if method not in METHOD_VARIANTS:
         raise ValueError(f"unknown method {method!r}; expected one of {tuple(METHOD_VARIANTS)}")
     variant = METHOD_VARIANTS[method]
@@ -344,7 +345,8 @@ def _block_ranker(method: str, model: MLPClassifier, dataset: Dataset,
         block = _tracin_block if method == "tracin-last" else _rep_sim_block
         train = _training_features(model, dataset)
         return lambda x: _top(block(model, train, x), k)
-    cache = build_cache(model, dataset, variant)
+    z, s = make_stein_points(model, dataset.features, dataset.labels, variant)
+    train = (z, s, _finite_row_stats(z, s))
     if kernel is None:
-        kernel = RBFKernel(median_heuristic_gamma(cache.z))
-    return lambda x: _top(_stein_scores(model, cache, kernel, x), k)
+        kernel = RBFKernel(median_heuristic_gamma(z))
+    return lambda x: _top(_stein_scores(model, variant, train, kernel, x), k)

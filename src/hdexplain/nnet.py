@@ -452,28 +452,32 @@ def train(dataset: Dataset, config: TrainConfig) -> MLPClassifier:
     x_buf = np.empty((rows, dataset.d))
     out_bufs = [np.empty((rows, width)) for width in dims[1:]]
     delta_bufs = [np.empty((rows, width)) for width in dims[1:-1]]
-    row_starts = np.arange(rows) * dims[-1]
+    # made once, for a full batch and the last one: the buffers' views and each row's flat logit offset
+    views = {m: (x_buf[:m], [buf[:m] for buf in out_bufs], [buf[:m] for buf in delta_bufs], np.arange(m) * dims[-1])
+             for m in (rows, (n_train - 1) % rows + 1)}
 
     history = []
     for epoch in range(config.epochs):
         # cosine step-size decay keeps the end-of-training loss descent smooth
         lr = config.learning_rate * 0.5 * (1.0 + np.cos(np.pi * epoch / config.epochs))
         perm = rng.permutation(n_train)
+        y_perm = y_train[perm]
         epoch_loss = 0.0
         for start in range(0, n_train, config.batch_size):
             batch = perm[start:start + config.batch_size]
             m = len(batch)
-            xb = x_train.take(batch, axis=0, out=x_buf[:m], mode="clip")
-            acts, delta = _forward_into(weights, biases, xb, [buf[:m] for buf in out_bufs])
+            x_view, outs, belows, starts = views[m]
+            xb = x_train.take(batch, axis=0, out=x_view, mode="clip")
+            acts, delta = _forward_into(weights, biases, xb, outs)
 
             # the batch's mean cross-entropy, log(sum exp) - shifted[y], and its
             # gradient with respect to the logits, (p - e_y) / m, in place on them
             delta -= _row_max(delta)
-            label_at = row_starts[:m] + y_train[batch]
+            label_at = starts + y_perm[start:start + config.batch_size]
             shifted_y = delta.reshape(-1)[label_at]
             np.exp(delta, out=delta)
             total = np.add.reduce(delta, axis=-1, keepdims=True)
-            epoch_loss += float((np.log(total[:, 0]) - shifted_y).mean())
+            epoch_loss += float(np.add.reduce(np.log(total[:, 0]) - shifted_y) / m)
             delta /= total
             delta.reshape(-1)[label_at] -= 1.0
             delta /= m
@@ -481,7 +485,7 @@ def train(dataset: Dataset, config: TrainConfig) -> MLPClassifier:
                 np.matmul(acts[i].T, delta, out=grad_w[i])
                 np.add.reduce(delta, axis=0, out=grad_b[i])
                 if i > 0:
-                    below = np.matmul(delta, weights[i].T, out=delta_bufs[i - 1][:m])
+                    below = np.matmul(delta, weights[i].T, out=belows[i - 1])
                     # tanh' = 1 - a**2, in place: the activation is spent
                     np.square(acts[i], out=acts[i])
                     np.subtract(1.0, acts[i], out=acts[i])

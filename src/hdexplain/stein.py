@@ -263,6 +263,14 @@ def _row_stats(z: np.ndarray, scores: np.ndarray):
     return np.einsum("ij,ij->i", z, z), np.einsum("ij,ij->i", z, scores)
 
 
+def _finite_row_stats(z: np.ndarray, scores: np.ndarray):
+    """:func:`_row_stats`, else ``ValueError`` (z or s holds a NaN, an inf or a value too large to square)."""
+    stats = _row_stats(z, scores)
+    if not all(np.isfinite(v).all() for v in stats):
+        raise ValueError("cache z and scores must be finite")
+    return stats
+
+
 def _stein_values(kernel: BaseKernel, dim: int, r2, zq, st, zt, sq, zs, qt, out):
     """Stein values of rows (z, s) against queries (q, t), from ``r2`` and the
     inner products named by their factors (``zq = z.q``, ...), written into
@@ -680,11 +688,7 @@ class ScoreCache:
         self.z, self.scores = map(np.ascontiguousarray, _scored_rows(self.z, self.scores))
         # the file stores labels as u4: a wider label would wrap when saved
         self.labels = _class_labels(self.labels, self.z.shape[0], 2**32)
-        self.row_stats = _row_stats(self.z, self.scores)
-        # a NaN or inf anywhere in z or s makes ||z||^2 or z.s non-finite (as do
-        # values too large to square, which the Stein core cannot use either)
-        if not all(np.isfinite(v).all() for v in self.row_stats):
-            raise ValueError("cache z and scores must be finite")
+        self.row_stats = _finite_row_stats(self.z, self.scores)
         for arr in (self.z, self.scores, self.labels, *self.row_stats):
             arr.setflags(write=False)
 

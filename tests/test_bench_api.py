@@ -5,10 +5,12 @@ output checks."""
 
 import importlib.util
 import json
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hdexplain
@@ -62,6 +64,48 @@ def test_cli_calls_the_names_the_tracer_times(tmp_path, capsys):
             tracer.uninstall()
         calls = sum(span[tracing.NAME] == name for span in tracer.spans)
         assert calls == 1, f"hdexplain {argv[0]} made {calls} {name} spans, not 1"
+    capsys.readouterr()
+
+
+def test_evaluate_hashes_no_model_and_explain_hashes_one(tmp_path, capsys):
+    """Under the benchmark's tracer, one image-shaped ``hdexplain evaluate``
+    makes no ``nnet.fingerprint`` span of either kind (a fresh or a cached
+    hash), and one ``hdexplain explain`` still makes one fresh span: its
+    cache file is checked against the model it loads."""
+    tracing = load_tracing()
+    rng = np.random.default_rng(5)
+    n, side = 60, 28
+    images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+    images.write_bytes(b"\x00\x00\x08\x03" + struct.pack(">III", n, side, side)
+                       + rng.integers(0, 256, size=n * side * side, dtype=np.uint8).tobytes())
+    labels.write_bytes(b"\x00\x00\x08\x01" + struct.pack(">I", n)
+                       + (np.arange(n) % 10).astype(np.uint8).tobytes())
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "dataset": {"source": f"idx:{images},{labels}"}, "model": {"epochs": 2},
+        "experiment": {"augmentation": "noise", "trials": 1, "sample_size": 10,
+                       "methods": ["hd-explain", "hd-explain-star", "tracin-last", "rep-sim"]},
+        "seed": 1}))
+    model, cache = str(tmp_path / "model.bin"), str(tmp_path / "cache.bin")
+    assert cli.main(["train", "--config", str(config), "--out", model]) == 0
+    assert cli.main(["cache", "--config", str(config), "--model", model, "--out", cache]) == 0
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for op, argv in (("op.evaluate", ["evaluate", "--out", str(tmp_path / "report.csv")]),
+                         ("op.cli_explain", ["explain", "--model", model, "--cache", cache, "--index", "3"])):
+            with tracer.span(op):
+                assert cli.main([*argv, "--config", str(config)]) == 0
+    finally:
+        tracer.uninstall()
+    spans = tracing.SpanIndex(tracer.spans)
+    # the tracer names a hash "fresh" only on a model from load_model; evaluate trains its own
+    hashes = ("nnet.fingerprint", "nnet.fingerprint.cached")
+    assert [len(spans.under("op.evaluate", name)) for name in hashes] == [0, 0]
+    assert len(spans.under("op.cli_explain", "nnet.fingerprint")) == 1
+    # evaluate ran every method, and the two Stein ones scored their training points
+    assert len(spans.under("op.evaluate", "evalharness.hit_rate_experiment")) == 4
+    assert len(spans.under("op.evaluate", "stein.make_stein_points")) == 2
     capsys.readouterr()
 
 

@@ -22,9 +22,12 @@ from hdexplain.explain import (
     build_cache,
     explain,
 )
-from hdexplain.nnet import TrainConfig, train
+from hdexplain.nnet import MLPClassifier, TrainConfig, train
 from hdexplain.stein import (
     RBFKernel,
+    ScoreCache,
+    _row_stats,
+    _stein_block,
     ksd_vstat,
     local_scale_gamma,
     make_stein_points,
@@ -52,6 +55,16 @@ def cache(trained, moons):
 @pytest.fixture(scope="module")
 def retrieval_config(cache):
     return ExplainerConfig(kernel=RBFKernel(local_scale_gamma(cache.z)), top_k=3)
+
+
+@pytest.fixture(scope="module")
+def images():
+    """Image-shaped blobs, (4, 3, 2) per point, and a model trained on them."""
+    rng = np.random.default_rng(12)
+    labels = np.arange(60) % 3
+    features = rng.normal(0, 2.0, size=(3, 24))[labels] + rng.normal(size=(60, 24))
+    data = Dataset(features, labels, 3, image_shape=(4, 3, 2))
+    return data, train(data, TrainConfig(seed=12, epochs=5, batch_size=20))
 
 
 def trial_points(dataset, augmentation, sources, seed=0):
@@ -323,15 +336,6 @@ class TestBlockProtocol:
             assert report.hit_rate[k] == hits / len(sources)
             assert report.coverage[k] == union_coverage(np.array([top[:k] for top in single]))
 
-    @pytest.fixture(scope="class")
-    def images(self):
-        """Image-shaped blobs, (4, 3, 2) per point, and a model trained on them."""
-        rng = np.random.default_rng(12)
-        labels = np.arange(60) % 3
-        features = rng.normal(0, 2.0, size=(3, 24))[labels] + rng.normal(size=(60, 24))
-        data = Dataset(features, labels, 3, image_shape=(4, 3, 2))
-        return data, train(data, TrainConfig(seed=12, epochs=5, batch_size=20))
-
     @pytest.mark.parametrize("augmentation", ["noise", "hflip", "identity"])
     def test_block_size_does_not_change_the_results(self, images, monkeypatch, augmentation):
         data, model = images
@@ -383,6 +387,71 @@ class TestBlockProtocol:
             want = hit_rate_experiment(trained, moons, "noise", 2, 20, explicit, seed=4, method=method)
             got = hit_rate_experiment(trained, moons, "noise", 2, 20, config, seed=4, method=method)
             assert (got.hit_rate, got.coverage) == (want.hit_rate, want.coverage)
+
+
+def cache_ranker(method, model, dataset, kernel, k):
+    """The protocol's ranker with the Stein methods over a model-keyed
+    ``build_cache`` cache; the baselines keep the protocol's own ranker."""
+    variant = METHOD_VARIANTS[method]
+    if variant is None:
+        return explain_module._block_ranker(method, model, dataset, kernel, k)
+    cache = build_cache(model, dataset, variant)
+    if kernel is None:
+        kernel = RBFKernel(median_heuristic_gamma(cache.z))
+
+    def rank(x):
+        with np.errstate(all="ignore"):
+            _, _, z, s = model.score(x, None, variant)
+            values = _stein_block(kernel, cache.z, cache.scores, cache.row_stats, z, s, _row_stats(z, s))
+        return explain_module._top(values, k)
+
+    return rank
+
+
+class TestProtocolPoints:
+    """The Stein methods rank from training points scored in process: as a
+    ranker over a cache does, with no hash of the model."""
+
+    @pytest.mark.parametrize("gamma", [None, 2.0])
+    @pytest.mark.parametrize("method", list(METHOD_VARIANTS))
+    @pytest.mark.parametrize("which", ["moons", "images"])
+    def test_reports_equal_those_over_a_cache(self, request, monkeypatch, which, method, gamma):
+        if which == "moons":
+            data, model = request.getfixturevalue("moons"), request.getfixturevalue("trained")
+        else:
+            data, model = request.getfixturevalue("images")
+        config = ExplainerConfig(kernel=None if gamma is None else RBFKernel(gamma), top_k=5)
+        args = (model, data, "noise", 2, 20, config, 21)
+        got = hit_rate_experiment(*args, method=method)
+        monkeypatch.setattr(evalharness, "_block_ranker", cache_ranker)
+        want = hit_rate_experiment(*args, method=method)
+        assert (got.hit_rate, got.coverage, got.trials, got.seed) == \
+            (want.hit_rate, want.coverage, want.trials, want.seed)
+
+    @pytest.mark.parametrize("kernel", [None, RBFKernel(2.0)], ids=["median", "fixed"])
+    @pytest.mark.parametrize("method", ["hd-explain", "hd-explain-star"])
+    def test_the_model_is_not_hashed(self, trained, moons, monkeypatch, method, kernel):
+        monkeypatch.setattr(MLPClassifier, "fingerprint", lambda model: pytest.fail("model hashed"))
+        report = hit_rate_experiment(trained, moons, "noise", 2, 10, ExplainerConfig(kernel=kernel, top_k=3),
+                                     seed=0, method=method)
+        assert report.trials == 20
+
+    def test_a_non_finite_training_point_fails_as_a_cache_does(self, trained, moons):
+        features = moons.features.copy()
+        features[4] = 1e200  # finite, but its ||z||^2 overflows
+        bad = Dataset(features, moons.labels, 2)
+        z, scores = make_stein_points(trained, moons.features, moons.labels)
+        z[7, 0] = np.nan
+        with pytest.raises(ValueError) as direct:
+            ScoreCache(0, "raw", z, scores, moons.labels)
+        with pytest.raises(ValueError) as built:
+            build_cache(trained, bad, "raw")
+        for kernel in (None, RBFKernel(2.0)):
+            with pytest.raises(ValueError) as protocol:
+                hit_rate_experiment(trained, bad, "identity", 1, 5, ExplainerConfig(kernel=kernel),
+                                    seed=0, method="hd-explain")
+            assert str(protocol.value) == str(built.value) == str(direct.value)
+        assert str(direct.value) == "cache z and scores must be finite"
 
 
 class TestLabelFlipDebug:
